@@ -1,0 +1,129 @@
+"""The exact polynomial kernel against sympy as an independent oracle.
+
+sympy is not a dependency of extsq, so the module is skipped without it.
+Polynomials cross into sympy only through ``Polynomial.evaluate`` at sympy
+symbols, and back only through the tuple-keyed constructor, so these tests
+hold whatever monomial encoding the kernel uses internally.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+sympy = pytest.importorskip("sympy")
+
+from extsq.polynomials import PolyRing, Polynomial, poly_gcd  # noqa: E402
+from extsq.ratfunc import RatFunc  # noqa: E402
+
+NAMES = ("x", "y", "z")
+R = PolyRing(NAMES)
+SYMS = sympy.symbols(NAMES)
+ENV = dict(zip(NAMES, SYMS))
+
+
+def to_sympy(p: Polynomial):
+    return sympy.expand(sympy.sympify(p.evaluate(ENV)))
+
+
+def from_sympy(expr) -> Polynomial:
+    poly = sympy.Poly(expr, *SYMS, domain="QQ")
+    return Polynomial(
+        R, {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()}
+    )
+
+
+def coeffs(max_coeff):
+    ints = st.integers(-max_coeff, max_coeff)
+    fracs = st.builds(Fraction, ints, st.integers(1, 4))
+    return st.one_of(ints, fracs)
+
+
+def polys(max_terms=5, max_exp=3, max_coeff=6):
+    exps = st.tuples(*(st.integers(0, max_exp) for _ in NAMES))
+    return st.dictionaries(exps, coeffs(max_coeff), max_size=max_terms).map(
+        lambda terms: Polynomial(R, terms)
+    )
+
+
+def nonzero_polys(**kw):
+    return polys(**kw).filter(lambda p: not p.is_zero())
+
+
+def is_nonzero_number(expr) -> bool:
+    expr = sympy.cancel(expr)
+    return expr.is_number and expr != 0
+
+
+@given(polys(), polys())
+@settings(max_examples=80, deadline=None)
+def test_mul_matches_sympy(a, b):
+    assert to_sympy(a * b) == sympy.expand(to_sympy(a) * to_sympy(b))
+    assert a * b == from_sympy(to_sympy(a) * to_sympy(b))
+
+
+@given(polys(), nonzero_polys())
+@settings(max_examples=80, deadline=None)
+def test_exact_div_of_products_matches_sympy(q, d):
+    product = from_sympy(to_sympy(q) * to_sympy(d))
+    got = product.exact_div(d)
+    assert got is not None
+    assert to_sympy(got) == to_sympy(q)
+    sym_q, sym_r = sympy.div(to_sympy(product), to_sympy(d), *SYMS, domain="QQ")
+    assert sym_r == 0
+    assert to_sympy(got) == sympy.expand(sym_q)
+
+
+@given(polys(max_terms=4), nonzero_polys(max_terms=3), nonzero_polys(max_terms=3))
+@settings(max_examples=80, deadline=None)
+def test_exact_div_of_non_multiples_matches_sympy(q, d, r):
+    a = q * d + r
+    sym_q, sym_r = sympy.div(to_sympy(a), to_sympy(d), *SYMS, domain="QQ")
+    got = a.exact_div(d)
+    if sym_r == 0:
+        assert got is not None and to_sympy(got) == sympy.expand(sym_q)
+    else:
+        assert got is None
+
+
+def test_exact_div_non_multiple_spot():
+    x, y, z = (R.var(n) for n in NAMES)
+    assert (x**2 * y + z).exact_div(x * y) is None
+    assert (x**2).exact_div(x * y) is None
+    assert ((x + y) * (z - 1) + 1).exact_div(x + y) is None
+
+
+@given(polys(max_terms=3, max_exp=2), polys(max_terms=3, max_exp=2), polys(max_terms=3, max_exp=2))
+@settings(max_examples=60, deadline=None)
+def test_poly_gcd_matches_sympy(common, a, b):
+    f, g = common * a, common * b
+    got = poly_gcd(f, g)
+    want = sympy.gcd(to_sympy(f), to_sympy(g))
+    if f.is_zero() and g.is_zero():
+        assert got.is_zero()
+        return
+    # equal up to a nonzero rational constant: sign and content
+    assert is_nonzero_number(to_sympy(got) / want)
+
+
+@given(nonzero_polys(max_terms=3, max_exp=2), polys(max_terms=3, max_exp=2),
+       nonzero_polys(max_terms=3, max_exp=2))
+@settings(max_examples=60, deadline=None)
+def test_ratfunc_canonical_form_matches_cancel(common, n, d):
+    num, den = common * n, common * d
+    r = RatFunc(num, den)
+    want_num, want_den = sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den)))
+    got_num, got_den = to_sympy(r.num), to_sympy(r.den)
+    # Same value, and the same fully cancelled num/den up to one constant.
+    assert sympy.cancel(got_num / got_den - want_num / want_den) == 0
+    assert is_nonzero_number(got_den / want_den)
+    if r.num.is_zero():
+        assert want_num == 0 and r.den.is_one()
+        return
+    assert is_nonzero_number(got_num / want_num)
+    # The denominator is integer-primitive with a positive leading coefficient.
+    sym_den = sympy.Poly(got_den, *SYMS, domain="QQ")
+    assert all(c.q == 1 for c in sym_den.coeffs())
+    assert sympy.igcd(*(int(c) for c in sym_den.coeffs()), 0) == 1
+    assert sym_den.LC(order="grlex") > 0
