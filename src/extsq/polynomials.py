@@ -1,8 +1,25 @@
 """Sparse multivariate polynomials over the rationals.
 
-Terms are exponent tuples mapped to nonzero int/Fraction coefficients over a
-fixed, ordered variable ring.  Graded lexicographic order fixes leading terms,
-and the gcd is layered: monomial content, trial division, an evaluation
+Terms map monomials to nonzero int/Fraction coefficients over a fixed,
+ordered variable ring.  Inside this module each monomial is one packed
+``int`` (Monagan & Pearce, "Polynomial division using dynamic arrays, heaps,
+and packed exponent vectors", CASC 2007): fields of ``_FIELD_BITS`` = 16
+bits hold the total degree in the top field, then the exponent of variable
+0, variable 1 and so on down to the last variable in the lowest field.
+Integer order is then graded lexicographic order, a monomial product is one
+integer add, and a divisibility test is one subtract-and-mask: the top bit
+of every field is a guard that a borrow sets.  No total degree may exceed
+``MAX_TOTAL_DEGREE`` = 32767; a polynomial that would is refused with
+``DegreeOverflowError`` rather than wrapped.  Outside this module monomials
+are exponent tuples: the constructor, ``PolyRing.monomial``, ``leading``,
+``monomial_content`` and ``shift_down`` all speak tuples.
+
+Exact division keeps the remainder's monomials in a max-heap, so each step
+finds the leading term without rescanning the remainder (after Monagan &
+Pearce, "Sparse polynomial division using a heap", J. Symbolic Comput.
+46(7), 2011).
+
+The gcd is layered: monomial content, trial division, an evaluation
 coprimality certificate, and a primitive pseudo-remainder sequence as the
 last resort.  This is enough to keep rational functions canonical without a
 computer-algebra dependency.
@@ -10,10 +27,26 @@ computer-algebra dependency.
 
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
 from math import gcd as _igcd
 from math import lcm as _ilcm
+
+_FIELD_BITS = 16
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+MAX_TOTAL_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
+
+
+class DegreeOverflowError(OverflowError):
+    """A monomial's total degree exceeds MAX_TOTAL_DEGREE."""
+
+
+def _check_degree(deg):
+    if deg > MAX_TOTAL_DEGREE:
+        raise DegreeOverflowError(
+            f"total degree {deg} exceeds the packed-monomial bound {MAX_TOTAL_DEGREE}"
+        )
 
 
 def _as_coeff(value):
@@ -25,14 +58,15 @@ def _as_coeff(value):
     raise TypeError(f"bad coefficient type {type(value).__name__}")
 
 
-def _grlex(exps):
-    return (sum(exps), exps)
-
-
 class PolyRing:
-    """An ordered tuple of variable names shared by compatible polynomials."""
+    """An ordered tuple of variable names shared by compatible polynomials.
 
-    __slots__ = ("names", "index")
+    The ring also fixes the packed monomial layout: ``_shifts[i]`` is the
+    bit offset of variable i, ``_deg_shift`` that of the total degree, and
+    ``_guard`` has the top bit of every field set.
+    """
+
+    __slots__ = ("names", "index", "_shifts", "_deg_shift", "_guard")
 
     def __init__(self, names):
         names = tuple(names)
@@ -40,6 +74,10 @@ class PolyRing:
             raise ValueError("duplicate variable names")
         self.names = names
         self.index = {name: i for i, name in enumerate(names)}
+        n = len(names)
+        self._shifts = tuple(_FIELD_BITS * (n - 1 - i) for i in range(n))
+        self._deg_shift = _FIELD_BITS * n
+        self._guard = sum(1 << (_FIELD_BITS * (f + 1) - 1) for f in range(n + 1))
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.names == other.names
@@ -54,6 +92,24 @@ class PolyRing:
     def nvars(self) -> int:
         return len(self.names)
 
+    def _pack(self, exps) -> int:
+        exps = tuple(exps)
+        if len(exps) != len(self.names) or any(e < 0 for e in exps):
+            raise ValueError("bad exponent vector")
+        deg = sum(exps)
+        _check_degree(deg)
+        key = deg << self._deg_shift
+        for e, s in zip(exps, self._shifts):
+            key |= e << s
+        return key
+
+    def _unpack(self, key) -> tuple:
+        return tuple((key >> s) & _FIELD_MASK for s in self._shifts)
+
+    def _unit(self, i) -> int:
+        """The packed monomial of variable i."""
+        return (1 << self._shifts[i]) | (1 << self._deg_shift)
+
     def zero(self) -> "Polynomial":
         return Polynomial._make(self, {})
 
@@ -64,27 +120,28 @@ class PolyRing:
         c = _as_coeff(Fraction(value) if not isinstance(value, int) else value)
         if not c:
             return self.zero()
-        return Polynomial._make(self, {(0,) * self.nvars: c})
+        return Polynomial._make(self, {0: c})
 
     def var(self, name) -> "Polynomial":
-        exps = [0] * self.nvars
-        exps[self.index[name]] = 1
-        return Polynomial._make(self, {tuple(exps): 1})
+        return Polynomial._make(self, {self._unit(self.index[name]): 1})
 
     def monomial(self, exps, coeff=1) -> "Polynomial":
-        exps = tuple(exps)
-        if len(exps) != self.nvars or any(e < 0 for e in exps):
-            raise ValueError("bad exponent vector")
+        key = self._pack(exps)
         coeff = _as_coeff(coeff)
-        return Polynomial._make(self, {exps: coeff} if coeff else {})
+        return Polynomial._make(self, {key: coeff} if coeff else {})
 
 
 class Polynomial:
+    """A polynomial built from ``{exponent tuple: coefficient}``.
+
+    ``terms`` holds the same map with packed monomial keys.
+    """
+
     __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        self.terms = {e: _as_coeff(c) for e, c in terms.items() if c}
+        self.terms = {ring._pack(e): _as_coeff(c) for e, c in terms.items() if c}
         self._hash = None
 
     @classmethod
@@ -101,7 +158,7 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not e for e in self.terms)
 
     def is_one(self) -> bool:
         return len(self.terms) == 1 and self.is_constant() and self.constant_value() == 1
@@ -119,56 +176,71 @@ class Polynomial:
     # -- structure -----------------------------------------------------
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(self.terms) >> self.ring._deg_shift if self.terms else -1
 
     def degree_in(self, name: str) -> int:
-        i = self.ring.index[name]
-        return max((e[i] for e in self.terms), default=-1)
+        s = self.ring._shifts[self.ring.index[name]]
+        return max(((e >> s) & _FIELD_MASK for e in self.terms), default=-1)
 
     def support_vars(self):
-        used = [False] * self.ring.nvars
+        used = 0
         for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used[i] = True
-        return tuple(n for n, u in zip(self.ring.names, used) if u)
+            used |= e
+        return tuple(
+            n for n, s in zip(self.ring.names, self.ring._shifts) if (used >> s) & _FIELD_MASK
+        )
 
     def leading(self):
         """(exponents, coefficient) of the graded-lex leading term."""
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
+        e = max(self.terms)
+        return self.ring._unpack(e), self.terms[e]
 
     def coefficients_in(self, name: str) -> dict:
         """Exponent of `name` -> Polynomial in the remaining variables."""
         i = self.ring.index[name]
+        s, unit = self.ring._shifts[i], self.ring._unit(i)
         out: dict[int, dict] = {}
         for e, c in self.terms.items():
-            k = e[i]
-            rest = e[:i] + (0,) + e[i + 1:]
-            out.setdefault(k, {})[rest] = c
+            k = (e >> s) & _FIELD_MASK
+            out.setdefault(k, {})[e - k * unit] = c
         return {k: Polynomial._make(self.ring, t) for k, t in out.items()}
 
     def monomial_content(self):
-        mins = None
-        for e in self.terms:
-            if mins is None:
-                mins = list(e)
-            else:
-                for i, k in enumerate(e):
-                    if k < mins[i]:
-                        mins[i] = k
-        return tuple(mins) if mins else (0,) * self.ring.nvars
+        return self.ring._unpack(self._content_key())
+
+    def _content_key(self) -> int:
+        """Packed gcd of the monomials (fieldwise minimum); 0 for zero."""
+        ring, terms = self.ring, self.terms
+        if not terms:
+            return 0
+        # A field of e + ones has its guard bit set exactly when that field
+        # of e is nonzero, so `live` keeps the variables in every term.
+        ones = ring._guard - (ring._guard >> (_FIELD_BITS - 1))
+        live = ring._guard & ((1 << ring._deg_shift) - 1)
+        for e in terms:
+            live &= e + ones
+            if not live:
+                return 0
+        key = 0
+        for i, s in enumerate(ring._shifts):
+            if (live >> (s + _FIELD_BITS - 1)) & 1:
+                key += min((e >> s) & _FIELD_MASK for e in terms) * ring._unit(i)
+        return key
 
     def shift_down(self, exps) -> "Polynomial":
         """Divide by the monomial with the given exponent vector."""
-        if not any(exps):
+        return self._shift_key(self.ring._pack(exps))
+
+    def _shift_key(self, m: int) -> "Polynomial":
+        if not m:
             return self
+        guard = self.ring._guard
         out = {}
         for e, c in self.terms.items():
-            ne = tuple(a - b for a, b in zip(e, exps))
-            if any(k < 0 for k in ne):
+            d = e - m
+            if d & guard:
                 raise ValueError("monomial does not divide")
-            out[ne] = c
+            out[d] = c
         return Polynomial._make(self.ring, out)
 
     def content_and_primitive(self):
@@ -177,21 +249,29 @@ class Polynomial:
         Primitive means integer coefficients with gcd 1 and a positive
         graded-lex leading coefficient.  The zero polynomial returns (0, 0).
         """
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return Fraction(0), self
+        lead = terms[max(terms)]
+        if all(type(v) is int for v in terms.values()):
+            g = _igcd(*terms.values())
+            if lead < 0:
+                g = -g
+            if g == 1:
+                return Fraction(1), self
+            return Fraction(g), Polynomial._make(self.ring, {e: v // g for e, v in terms.items()})
         num_g = 0
         den_l = 1
-        for c in self.terms.values():
+        for c in terms.values():
             q = Fraction(c)
-            num_g = _igcd(num_g, abs(q.numerator))
+            num_g = _igcd(num_g, q.numerator)
             den_l = _ilcm(den_l, q.denominator)
         c = Fraction(num_g, den_l)
-        _, lead = self.leading()
         if lead < 0:
             c = -c
         inv = 1 / c
         prim = Polynomial._make(
-            self.ring, {e: _as_coeff(Fraction(v) * inv) for e, v in self.terms.items()}
+            self.ring, {e: _as_coeff(Fraction(v) * inv) for e, v in terms.items()}
         )
         return c, prim
 
@@ -263,26 +343,21 @@ class Polynomial:
         if other is None:
             return NotImplemented
         a, b = self.terms, other.terms
+        if not a or not b:
+            return self.ring.zero()
         if len(a) < len(b):
             a, b = b, a
+        shift = self.ring._deg_shift
+        # Every field of every product is at most the product's total degree,
+        # so bounding that keeps all guard bits clear: no field can carry.
+        _check_degree((max(a) >> shift) + (max(b) >> shift))
         out: dict = {}
+        get = out.get
         for e2, c2 in b.items():
-            if not any(e2):
-                for e1, c1 in a.items():
-                    n = out.get(e1, 0) + c1 * c2
-                    if n:
-                        out[e1] = n
-                    else:
-                        out.pop(e1, None)
-                continue
             for e1, c1 in a.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                n = out.get(key, 0) + c1 * c2
-                if n:
-                    out[key] = n
-                else:
-                    out.pop(key, None)
-        return Polynomial._make(self.ring, out)
+                key = e1 + e2
+                out[key] = get(key, 0) + c1 * c2
+        return Polynomial._make(self.ring, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -312,25 +387,43 @@ class Polynomial:
             return Polynomial._make(
                 self.ring, {e: _as_coeff(Fraction(c) * inv) for e, c in self.terms.items()}
             )
-        de, dc = d.leading()
-        rem = dict(self.terms)
-        out: dict = {}
         dterms = d.terms
+        de = max(dterms)
+        dc = dterms[de]
+        rest = [(e2, c2) for e2, c2 in dterms.items() if e2 != de]
+        guard = self.ring._guard
+        rem = dict(self.terms)
+        # Remainder keys, negated into a max-heap.  A key that cancels stays
+        # in the heap and is skipped when popped: every key a step adds is
+        # below the key it eliminates, so the live maximum is always on top.
+        heap = [-e for e in rem]
+        heapq.heapify(heap)
+        out: dict = {}
         while rem:
-            e = max(rem, key=_grlex)
-            c = rem[e]
-            diff = tuple(a - b for a, b in zip(e, de))
-            if any(k < 0 for k in diff):
+            e = -heapq.heappop(heap)
+            c = rem.pop(e, None)
+            if c is None:
+                continue
+            diff = e - de
+            if diff & guard:
                 return None
-            q = _as_coeff(Fraction(c) / dc)
+            if type(c) is int and type(dc) is int and not c % dc:
+                q = c // dc
+            else:
+                q = _as_coeff(Fraction(c) / dc)
             out[diff] = q
-            for e2, c2 in dterms.items():
-                key = tuple(a + b for a, b in zip(diff, e2))
-                n = rem.get(key, 0) - q * c2
-                if n:
-                    rem[key] = n
+            for e2, c2 in rest:
+                key = diff + e2
+                old = rem.get(key)
+                if old is None:
+                    rem[key] = -q * c2
+                    heapq.heappush(heap, -key)
                 else:
-                    rem.pop(key, None)
+                    n = old - q * c2
+                    if n:
+                        rem[key] = n
+                    else:
+                        del rem[key]
         return Polynomial._make(self.ring, out)
 
     # -- evaluation ------------------------------------------------------
@@ -338,10 +431,11 @@ class Polynomial:
     def evaluate(self, values: dict):
         """Substitute a value for every variable; values may live in any ring."""
         vals = [values[name] for name in self.ring.names]
+        unpack = self.ring._unpack
         total = None
         for e, c in self.terms.items():
             term = c
-            for v, k in zip(vals, e):
+            for v, k in zip(vals, unpack(e)):
                 if k == 1:
                     term = term * v
                 elif k:
@@ -351,19 +445,20 @@ class Polynomial:
 
     def eval_partial(self, values: dict) -> "Polynomial":
         """Substitute rationals for a subset of variables, staying in the ring."""
-        idxs = [(self.ring.index[n], v) for n, v in values.items()]
+        ring = self.ring
+        idxs = [(ring._shifts[i], ring._unit(i), v)
+                for i, v in ((ring.index[n], v) for n, v in values.items())]
         out: dict = {}
         for e, c in self.terms.items():
             coeff = c
-            ne = list(e)
-            for i, v in idxs:
-                k = e[i]
+            key = e
+            for s, unit, v in idxs:
+                k = (e >> s) & _FIELD_MASK
                 if k:
                     coeff = coeff * v**k
-                ne[i] = 0
+                    key -= k * unit
             if not coeff:
                 continue
-            key = tuple(ne)
             n = out.get(key, 0) + coeff
             if n:
                 out[key] = n
@@ -375,11 +470,11 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=_grlex, reverse=True):
+        for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
             factors = [
                 name if k == 1 else f"{name}^{k}"
-                for name, k in zip(self.ring.names, e)
+                for name, k in zip(self.ring.names, self.ring._unpack(e))
                 if k
             ]
             if not factors:
@@ -408,12 +503,13 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         return g.content_and_primitive()[1] if not g.is_zero() else f
     if g.is_zero():
         return f.content_and_primitive()[1]
-    mf, mg = f.monomial_content(), g.monomial_content()
-    m = tuple(min(a, b) for a, b in zip(mf, mg))
-    fp = f.shift_down(mf)
-    gp = g.shift_down(mg)
+    ring = f.ring
+    mf, mg = f._content_key(), g._content_key()
+    fp = f._shift_key(mf)
+    gp = g._shift_key(mg)
     core = _gcd_core(fp.content_and_primitive()[1], gp.content_and_primitive()[1])
-    return core * f.ring.monomial(m) if any(m) else core
+    m = ring._pack(map(min, ring._unpack(mf), ring._unpack(mg))) if mf and mg else 0
+    return core * Polynomial._make(ring, {m: 1}) if m else core
 
 
 def _gcd_core(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -457,12 +553,13 @@ def _univar_gcd(f: Polynomial, g: Polynomial, x: str) -> Polynomial:
     """Euclidean gcd of polynomials supported on the single variable x."""
     ring = f.ring
     i = ring.index[x]
+    s = ring._shifts[i]
 
     def to_list(p):
         d = p.degree_in(x)
         coeffs = [Fraction(0)] * (d + 1)
         for e, c in p.terms.items():
-            coeffs[e[i]] += Fraction(c)
+            coeffs[(e >> s) & _FIELD_MASK] += Fraction(c)
         return coeffs
 
     def trim(a):

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extsq.polynomials import PolyRing, Polynomial, poly_gcd
+from extsq.polynomials import (
+    MAX_TOTAL_DEGREE,
+    DegreeOverflowError,
+    PolyRing,
+    Polynomial,
+    poly_gcd,
+)
 
 R = PolyRing(("x", "y"))
 X, Y = R.var("x"), R.var("y")
@@ -115,3 +121,52 @@ def test_str_round_trip_spot():
     assert str(R.zero()) == "0"
     s = str(X**2 - Y + 1)
     assert "x^2" in s and "y" in s
+
+
+def test_divisibility_test_catches_a_borrow_between_fields():
+    # x^2 and x*y have the same total degree, and x^2 - x*y leaves a
+    # nonnegative x exponent; only the y field borrows.
+    assert (X**2).exact_div(X * Y) is None
+    assert (Y**3).exact_div(X) is None
+    assert (X**2 * Y + X * Y**2).exact_div(X * Y) == X + Y
+    with pytest.raises(ValueError):
+        (X**2).shift_down((1, 1))
+    assert (X**2 * Y).shift_down((2, 0)) == Y
+
+
+def test_zero_variable_ring():
+    R0 = PolyRing(())
+    six, half = R0.const(6), R0.const(Fraction(1, 2))
+    assert six * half == R0.const(3)
+    assert six.exact_div(R0.const(4)) == R0.const(Fraction(3, 2))
+    assert six.leading() == ((), 6)
+    assert six.monomial_content() == ()
+    assert six.total_degree() == 0
+    assert R0.monomial((), 5) == R0.const(5)
+    assert poly_gcd(six, R0.const(4)).is_one()
+    assert str(six) == "6"
+
+
+def test_leading_and_content_are_exponent_tuples():
+    p = 3 * X**2 * Y + X * Y**3 - Y
+    assert p.leading() == ((1, 3), 1)
+    assert (X**2 * Y + X * Y**3).monomial_content() == (1, 1)
+    assert R.zero().monomial_content() == (0, 0)
+    assert Polynomial(R, {(2, 1): Fraction(1, 2)}).leading() == ((2, 1), Fraction(1, 2))
+
+
+def test_total_degree_beyond_the_packed_bound_raises():
+    top = R.monomial((MAX_TOTAL_DEGREE, 0))
+    assert top.total_degree() == MAX_TOTAL_DEGREE
+    assert top.degree_in("x") == MAX_TOTAL_DEGREE
+    with pytest.raises(DegreeOverflowError):
+        top * Y
+    with pytest.raises(DegreeOverflowError):
+        R.monomial((MAX_TOTAL_DEGREE, 1))
+    with pytest.raises(DegreeOverflowError):
+        Polynomial(R, {(1, MAX_TOTAL_DEGREE): 1})
+    with pytest.raises(DegreeOverflowError):
+        X ** (MAX_TOTAL_DEGREE + 1)
+    with pytest.raises(DegreeOverflowError):
+        (top + 1) * (Y + 1)
+    assert issubclass(DegreeOverflowError, OverflowError)
