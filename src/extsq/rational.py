@@ -104,7 +104,7 @@ class RationalComplex:
 
 
 def parse_rational_complex(text: str) -> RationalComplex:
-    """Parse strings like "1+0i", "0+0.2i", "-1/3-2i", "i", "0.5" exactly."""
+    """Parse strings like "1+0i", "0+0.2i", "-1/3-2i", "2+1e-3i", "i", "0.5" exactly."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty complex literal")
@@ -112,8 +112,10 @@ def parse_rational_complex(text: str) -> RationalComplex:
         return RationalComplex(parse_rational(s), Fraction(0))
     body = s[:-1]
     split = 0
+    # The sign that starts the imaginary part follows neither a "/" nor the
+    # "e" of an exponent.
     for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] != "/":
+        if body[k] in "+-" and body[k - 1] not in "/eE":
             split = k
             break
     re_part, im_part = body[:split], body[split:]

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extsq.rational import (
     RationalComplex,
@@ -90,3 +92,42 @@ def test_predicates_and_hash():
     assert not RationalComplex(0, 1).is_real()
     seen = {RationalComplex(1, 2): "a"}
     assert seen[RationalComplex(1, 2)] == "a"
+
+
+def test_parse_rational_complex_with_exponents():
+    assert parse_rational_complex("2+1e-3i") == RationalComplex(2, Fraction(1, 1000))
+    assert parse_rational_complex("1e-3i") == RationalComplex(0, Fraction(1, 1000))
+    assert parse_rational_complex("-1.5E+2-2e-1i") == RationalComplex(-150, Fraction(-1, 5))
+    assert parse_rational_complex("1e2") == RationalComplex(100, 0)
+
+
+rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+
+
+@given(rationals, rationals)
+@settings(max_examples=200, deadline=None)
+def test_str_round_trip(re, im):
+    z = RationalComplex(re, im)
+    assert parse_rational_complex(str(z)) == z
+
+
+def decimal_literals():
+    digits = st.integers(0, 10**6).map(str)
+    point = st.one_of(st.just(""), digits.map(lambda d: "." + d))
+    exponent = st.one_of(
+        st.just(""),
+        st.tuples(st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), st.integers(0, 12))
+        .map(lambda t: f"{t[0]}{t[1]}{t[2]}"),
+    )
+    sign = st.sampled_from(["", "-"])
+    return st.tuples(sign, digits, point, exponent).map("".join)
+
+
+@given(decimal_literals(), decimal_literals())
+@settings(max_examples=200, deadline=None)
+def test_decimal_and_exponent_round_trip(re_lit, im_lit):
+    joiner = "" if im_lit.startswith("-") else "+"
+    z = parse_rational_complex(f"{re_lit}{joiner}{im_lit}i")
+    assert z == RationalComplex(Fraction(re_lit), Fraction(im_lit))
+    assert parse_rational_complex(f"{im_lit}i") == RationalComplex(0, Fraction(im_lit))
+    assert parse_rational_complex(re_lit) == RationalComplex(Fraction(re_lit), 0)
