@@ -8,9 +8,7 @@ string; tolerances are fixed here unless the caller overrides them.
 
 import cmath
 import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -391,23 +389,10 @@ def run_check(name: str, seed: int, trials=None, tol=None) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
-def thread_count() -> int:
-    raw = os.environ.get("EXTSQ_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_suite(seed: int, trials=None, tol=None, names=None) -> list:
     """Run the named checks (all of them by default), sorted by name."""
     todo = sorted(names if names is not None else CHECKS)
     unknown = [n for n in todo if n not in CHECKS]
     if unknown:
         raise KeyError(f"unknown checks: {', '.join(unknown)}")
-    workers = thread_count()
-    if workers == 1:
-        return [run_check(n, seed, trials, tol) for n in todo]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = {n: pool.submit(run_check, n, seed, trials, tol) for n in todo}
-        return [futs[n].result() for n in todo]
+    return [run_check(n, seed, trials, tol) for n in todo]
