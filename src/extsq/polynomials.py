@@ -264,7 +264,7 @@ class Polynomial:
         den_l = 1
         for c in terms.values():
             q = Fraction(c)
-            num_g = _igcd(num_g, q.numerator)
+            num_g = _igcd(num_g, abs(q.numerator))
             den_l = _ilcm(den_l, q.denominator)
         c = Fraction(num_g, den_l)
         if lead < 0:
