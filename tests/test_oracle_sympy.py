@@ -1,4 +1,4 @@
-"""The exact polynomial kernel against sympy as an independent oracle.
+"""The exact polynomial kernel and determinants against sympy as an oracle.
 
 sympy is not a dependency of extsq, so the module is skipped without it.
 Polynomials cross into sympy only through ``Polynomial.evaluate`` at sympy
@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
+from extsq.matrices import Matrix  # noqa: E402
 from extsq.polynomials import PolyRing, Polynomial, poly_gcd  # noqa: E402
 from extsq.ratfunc import RatFunc  # noqa: E402
 
 NAMES = ("x", "y", "z")
 R = PolyRing(NAMES)
+R2 = PolyRing(NAMES[:2])
 SYMS = sympy.symbols(NAMES)
 ENV = dict(zip(NAMES, SYMS))
 
@@ -40,10 +42,10 @@ def coeffs(max_coeff):
     return st.one_of(ints, fracs)
 
 
-def polys(max_terms=5, max_exp=3, max_coeff=6):
-    exps = st.tuples(*(st.integers(0, max_exp) for _ in NAMES))
+def polys(max_terms=5, max_exp=3, max_coeff=6, ring=R):
+    exps = st.tuples(*(st.integers(0, max_exp) for _ in ring.names))
     return st.dictionaries(exps, coeffs(max_coeff), max_size=max_terms).map(
-        lambda terms: Polynomial(R, terms)
+        lambda terms: Polynomial(ring, terms)
     )
 
 
@@ -127,3 +129,69 @@ def test_ratfunc_canonical_form_matches_cancel(common, n, d):
     assert all(c.q == 1 for c in sym_den.coeffs())
     assert sympy.igcd(*(int(c) for c in sym_den.coeffs()), 0) == 1
     assert sym_den.LC(order="grlex") > 0
+
+
+# -- determinants ----------------------------------------------------------
+
+
+def to_sympy_entry(e):
+    if isinstance(e, RatFunc):
+        return to_sympy(e.num) / to_sympy(e.den)
+    return sympy.Rational(e.numerator, e.denominator)
+
+
+def sympy_det(m: Matrix):
+    return sympy.Matrix(
+        [[to_sympy_entry(e) for e in row] for row in m.data]
+    ).det(method="berkowitz")
+
+
+@st.composite
+def rational_matrices(draw):
+    """Square int/Fraction matrices up to 6x6, often singular by design."""
+    n = draw(st.integers(1, 6))
+    rows = [draw(st.lists(coeffs(9), min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        # replace row i by a rational combination of other rows
+        i = draw(st.integers(0, n - 1))
+        others = st.sampled_from([r for r in range(n) if r != i])
+        j, k = draw(others), draw(others)
+        a, b = draw(coeffs(5)), draw(coeffs(5))
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return Matrix(rows)
+
+
+@given(rational_matrices())
+@settings(max_examples=120, deadline=None)
+def test_fraction_det_matches_sympy(m):
+    got = m.det()
+    assert sympy.Rational(got.numerator, got.denominator) == sympy_det(m)
+
+
+def test_fraction_det_singular_spot():
+    m = Matrix([[Fraction(1, 2), Fraction(1, 3), 1],
+                [Fraction(1, 4), Fraction(1, 6), Fraction(1, 2)],
+                [2, Fraction(5, 7), Fraction(-3, 4)]])
+    assert m.det() == 0 and sympy_det(m) == 0
+
+
+@st.composite
+def ratfunc_matrices(draw):
+    """Square RatFunc matrices up to 3x3 in two or three variables."""
+    ring = draw(st.sampled_from((R2, R)))
+    n = draw(st.integers(1, 3))
+    num = polys(max_terms=3, max_exp=2, max_coeff=4, ring=ring)
+    den = polys(max_terms=2, max_exp=1, max_coeff=3, ring=ring).filter(
+        lambda p: not p.is_zero()
+    )
+    return Matrix(
+        [[RatFunc(draw(num), draw(den)) for _ in range(n)] for _ in range(n)]
+    )
+
+
+@given(ratfunc_matrices())
+@settings(max_examples=60, deadline=None)
+def test_ratfunc_det_matches_sympy(m):
+    got = m.det()
+    assert isinstance(got, RatFunc)
+    assert sympy.cancel(to_sympy_entry(got) - sympy_det(m)) == 0
