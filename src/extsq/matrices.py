@@ -2,17 +2,20 @@
 
 Entries can be Fraction, complex, Polynomial, RatFunc, or FactoredFraction;
 int 0/1 interoperate with all of them, so identity and padding need no ring
-tag.  Determinants expand by cofactors up to 4x4 and switch to fraction-free
-Bareiss elimination above that, using exact polynomial division when entries
-are polynomials.
+tag.  Determinants use one kernel at every size: each row is cleared of
+denominators, fraction-free Bareiss elimination runs over the integers or
+over polynomials with every division checked exact, and the product of the
+row scales is divided out once at the end.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from fractions import Fraction
 
-from .polynomials import Polynomial, PolyRing
+from .polynomials import Polynomial, PolyRing, poly_gcd
 from .rational import format_rational, parse_rational
 from .ratfunc import RatFunc
 
@@ -20,8 +23,6 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def _is_zero(x) -> bool:
-    if isinstance(x, (Polynomial, RatFunc)):
-        return x.is_zero()
     if hasattr(x, "is_zero"):
         return x.is_zero()
     return x == 0
@@ -129,78 +130,134 @@ class Matrix:
         return Matrix([[self.data[i][j] for j in col_idx] for i in row_idx])
 
     def det(self):
+        """Determinant by one fraction-free elimination.
+
+        Each row is scaled by the lcm of its denominators, Bareiss
+        elimination runs over the integers or Q[x] with every division
+        checked exact, and the product of the row scales is divided out once.
+        An all-int matrix gives an int, int/Fraction entries a Fraction,
+        polynomial entries a Polynomial, and any RatFunc entry a RatFunc.
+        Other entry types (complex, FactoredFraction) run the same
+        elimination with their own division.
+        """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return 1
         rows = self.data
-        if all(
-            isinstance(e, RatFunc) and e.den.is_one() for row in rows for e in row
-        ):
-            inner = Matrix([[e.num for e in row] for row in rows]).det()
-            return RatFunc.from_poly(inner)
-        if n <= 4:
-            return _det_cofactor(rows)
-        return _det_bareiss(rows)
+        if not rows:
+            return 1
+        kinds = {type(e) for row in rows for e in row}
+        if kinds <= {int}:
+            return _bareiss([list(row) for row in rows], _div_int)
+        if kinds <= {int, Fraction}:
+            entries, scale = _clear_rational(rows)
+            return Fraction(_bareiss(entries, _div_int), scale)
+        if RatFunc in kinds or Polynomial in kinds:
+            entries, scale = _clear_symbolic(rows)
+            d = _bareiss(entries, _div_poly)
+            if RatFunc not in kinds:
+                return d
+            return RatFunc.from_poly(d) if scale.is_one() else RatFunc(d, scale)
+        return _bareiss([list(row) for row in rows], operator.truediv)
 
 
-def _det_cofactor(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = None
+def _clear_rational(rows):
+    """Integer rows, each scaled by the lcm of its denominators, and the
+    product of those scales."""
+    out = []
+    scale = 1
+    for row in rows:
+        # a list, not a generator: star-unpacking a generator resizes the
+        # argument tuple, and CPython parks each resized tuple on a free list
+        lcm = math.lcm(*[e.denominator for e in row])
+        if lcm == 1:
+            out.append([e.numerator for e in row])
+        else:
+            out.append([e.numerator * (lcm // e.denominator) for e in row])
+            scale *= lcm
+    return out, scale
+
+
+def _clear_symbolic(rows):
+    """Polynomial rows, each scaled by the lcm of its denominators, and the
+    product of those scales."""
+    ring = next(
+        e.ring for row in rows for e in row if isinstance(e, (Polynomial, RatFunc))
+    )
+    one = ring.one()
+    out = []
+    scale = one
+    for row in rows:
+        fracs = [
+            (e.num, e.den) if isinstance(e, RatFunc)
+            else (e if isinstance(e, Polynomial) else ring.const(e), one)
+            for e in row
+        ]
+        lcm = one
+        for _, den in fracs:
+            if den.is_one() or den == lcm:
+                continue
+            if lcm.is_one():
+                lcm = den
+                continue
+            g = poly_gcd(lcm, den)
+            lcm = lcm * (den if g.is_one() else den.exact_div(g))
+        if lcm.is_one():
+            out.append([num for num, _ in fracs])
+            continue
+        out.append(
+            [
+                num if den == lcm
+                else num * (lcm if den.is_one() else lcm.exact_div(den))
+                for num, den in fracs
+            ]
+        )
+        scale = scale * lcm
+    return out, scale
+
+
+def _div_int(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("Bareiss division was not exact")
+    return q
+
+
+def _div_poly(a: Polynomial, b: Polynomial) -> Polynomial:
+    q = a.exact_div(b)
+    if q is None:
+        raise ArithmeticError("Bareiss division was not exact")
+    return q
+
+
+def _bareiss(m, divide):
+    """Determinant of the square rows m (at least 1x1), eliminated in place.
+
+    After step k every entry below row k is a (k+1)-minor of the input, so
+    dividing by the previous pivot is exact (Bareiss, Math. Comp. 22, 1968).
+    """
+    n = len(m)
     sign = 1
-    for i in range(n):
-        a = rows[i][0]
-        if not _is_zero(a):
-            minor = [row[1:] for k, row in enumerate(rows) if k != i]
-            term = a * _det_cofactor(minor)
-            if sign < 0:
-                term = -term
-            total = term if total is None else total + term
-        sign = -sign
-    if total is None:
-        return 0 * rows[0][0]
-    return total
-
-
-def _exact_div(a, b):
-    if isinstance(a, Polynomial):
-        if isinstance(b, int):
-            b = a.ring.const(b)
-        q = a.exact_div(b)
-        if q is None:
-            raise ArithmeticError("Bareiss division was not exact")
-        return q
-    return a / b
-
-
-def _det_bareiss(rows):
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
+    prev = None
     for k in range(n - 1):
-        if _is_zero(m[k][k]):
+        top = m[k]
+        if _is_zero(top[k]):
             for i in range(k + 1, n):
                 if not _is_zero(m[i][k]):
-                    m[k], m[i] = m[i], m[k]
+                    m[k], m[i] = m[i], top
+                    top = m[k]
                     sign = -sign
                     break
             else:
-                return 0 * rows[0][0]
-        pivot = m[k][k]
-        for i in range(k + 1, n):
+                return top[k]
+        pivot = top[k]
+        for row in m[k + 1:]:
+            a = row[k]
             for j in range(k + 1, n):
-                num = m[i][j] * pivot - m[i][k] * m[k][j]
-                m[i][j] = _exact_div(num, prev) if not isinstance(prev, int) or prev != 1 else num
-            m[i][k] = 0
+                v = row[j] * pivot - a * top[j]
+                row[j] = v if prev is None else divide(v, prev)
         prev = pivot
-    out = m[n - 1][n - 1]
-    return -out if sign < 0 else out
+    d = m[n - 1][n - 1]
+    return -d if sign < 0 else d
 
 
 # -- JSON wire format ------------------------------------------------------

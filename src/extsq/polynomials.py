@@ -161,7 +161,8 @@ class Polynomial:
         return all(not e for e in self.terms)
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.is_constant() and self.constant_value() == 1
+        # packed key 0 is the constant monomial
+        return len(self.terms) == 1 and self.terms.get(0) == 1
 
     def constant_value(self):
         if not self.terms:
@@ -390,8 +391,20 @@ class Polynomial:
         dterms = d.terms
         de = max(dterms)
         dc = dterms[de]
-        rest = [(e2, c2) for e2, c2 in dterms.items() if e2 != de]
         guard = self.ring._guard
+        if len(dterms) == 1:
+            # a monomial divides term by term, with no remainder to carry
+            out = {}
+            for e, c in self.terms.items():
+                diff = e - de
+                if diff & guard:
+                    return None
+                if type(c) is int and type(dc) is int and not c % dc:
+                    out[diff] = c // dc
+                else:
+                    out[diff] = _as_coeff(Fraction(c) / dc)
+            return Polynomial._make(self.ring, out)
+        rest = [(e2, c2) for e2, c2 in dterms.items() if e2 != de]
         rem = dict(self.terms)
         # Remainder keys, negated into a max-heap.  A key that cancels stays
         # in the heap and is skipped when popped: every key a step adds is

@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 
 from extsq.matrices import (
     Matrix,
+    _clear_rational,
+    _div_int,
+    _div_poly,
     generic_matrix,
     genmatrix_from_json,
     genmatrix_to_json,
@@ -60,7 +63,7 @@ def test_det_multiplicative(a, b):
 @given(square_int_matrices(5))
 @settings(max_examples=15, deadline=None)
 def test_det_transpose_invariant(m):
-    # size 5 exercises the fraction-free elimination path
+    # size 5 takes four elimination steps, each dividing by the last pivot
     assert m.det() == m.transpose().det()
 
 
@@ -69,6 +72,83 @@ def test_det_known_values():
     assert Matrix.identity(6).det() == 1
     v = Matrix([[x**j for j in range(4)] for x in (1, 2, 3, 4)])
     assert v.det() == 12  # Vandermonde on 1,2,3,4
+
+
+def test_det_of_empty_matrix_is_one():
+    assert Matrix([]).det() == 1
+
+
+def test_det_result_types():
+    d = Matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]]).det()
+    assert type(d) is int and d == 18
+    q = Matrix([[Fraction(1, 2), 1], [1, 4]]).det()
+    assert type(q) is Fraction and q == 1
+
+
+def test_row_scale_is_the_lcm_of_its_denominators():
+    rows = [[Fraction(1, 4), Fraction(1, 6)], [1, Fraction(3)]]
+    # lcm(4, 6) = 12, not the product 24; the second row is left alone
+    assert _clear_rational(rows) == ([[3, 2], [1, 3]], 12)
+    assert Matrix(rows).det() == Fraction(3, 4) - Fraction(1, 6)
+
+
+def test_det_swaps_rows_for_zero_pivots():
+    assert Matrix([[0, 1], [1, 0]]).det() == -1
+    assert Matrix([[0, 2, 0], [3, 0, 0], [0, 0, 5]]).det() == -30
+    # the zero pivot turns up only at the second step
+    assert Matrix([[1, 0, 0], [0, 0, 7], [0, 2, 0]]).det() == -14
+    assert Matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det() == -1
+
+
+def test_det_of_singular_matrices():
+    assert Matrix([[1, 0, 2], [3, 0, 4], [5, 0, 6]]).det() == 0
+    assert Matrix([[Fraction(1, 2), 0], [Fraction(1, 3), 0]]).det() == 0
+    # rank 2: the first two pivots are nonzero, the last step gives 0
+    assert Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]).det() == 0
+    ring = PolyRing(("t",))
+    t = RatFunc.from_poly(ring.var("t"))
+    d = Matrix([[t, 1 / t], [t * t, 1]]).det()
+    assert isinstance(d, RatFunc) and d.is_zero()
+
+
+def test_det_with_int_fraction_and_ratfunc_entries():
+    ring = PolyRing(("s", "t"))
+    s, t = (RatFunc.from_poly(ring.var(v)) for v in ("s", "t"))
+    m = Matrix([
+        [t, Fraction(1, 2), 0],
+        [3, 1 / (t + 1), s],
+        [1, Fraction(-2, 3), 1 / (s - t)],
+    ])
+    want = (
+        t * (1 / (t + 1) * (1 / (s - t)) - s * Fraction(-2, 3))
+        - Fraction(1, 2) * (3 * (1 / (s - t)) - s)
+    )
+    assert m.det() == want
+
+
+def test_ratfunc_det_whose_denominator_cancels():
+    ring = PolyRing(("t",))
+    t = RatFunc.from_poly(ring.var("t"))
+    d = Matrix([[t / (t + 1), 1], [-1, t + 1]]).det()
+    assert d.is_polynomial()
+    assert d == t + 1
+
+
+def test_polynomial_entries_give_a_polynomial():
+    ring = PolyRing(("x", "y"))
+    x, y = ring.var("x"), ring.var("y")
+    assert Matrix([[x, y], [1, x]]).det() == x * x - y
+
+
+def test_bareiss_divisions_are_checked():
+    assert _div_int(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        _div_int(7, 2)
+    ring = PolyRing(("x",))
+    x = ring.var("x")
+    assert _div_poly(x * x - 1, x + 1) == x - 1
+    with pytest.raises(ArithmeticError):
+        _div_poly(x * x + 1, x + 1)
 
 
 def test_submatrix():

@@ -84,6 +84,20 @@ def test_exact_div_and_remainder():
         (X + 1).exact_div(R.zero())
 
 
+def test_exact_div_by_a_monomial():
+    assert (6 * X**2 * Y + 4 * X * Y).exact_div(2 * X * Y) == 3 * X + 2
+    assert (X * Y).exact_div(3 * X) == Fraction(1, 3) * Y
+    assert (X**2 * Y + 1).exact_div(X) is None
+    assert (X**2 * Y + X).exact_div(X * Y) is None
+
+
+@given(polys(), st.integers(0, 3), st.integers(0, 3), st.integers(-4, 4).filter(bool))
+@settings(max_examples=40, deadline=None)
+def test_exact_div_by_a_monomial_undoes_mul(p, i, j, c):
+    m = R.monomial((i, j), c)
+    assert (p * m).exact_div(m) == p
+
+
 @given(polys(max_terms=3, max_exp=2), polys(max_terms=3, max_exp=2))
 @settings(max_examples=30, deadline=None)
 def test_gcd_divides_both(a, b):
