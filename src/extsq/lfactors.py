@@ -20,12 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational import RationalComplex, parse_rational_complex
-from .specialfn import PoleError, as_parity, lgamma
+from .specialfn import _I_POW, _LN_2PI, _LN_PI, PoleError, as_parity, lgamma
 
-_LN_PI = math.log(math.pi)
-_LN_2PI = math.log(2.0 * math.pi)
 _LN_2 = math.log(2.0)
-_I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 _HALF = Fraction(1, 2)
 
 
@@ -370,9 +367,6 @@ class GammaExpr:
 
     def __repr__(self):
         return "GammaExpr(" + " ".join(self.describe()) + ")" if self.factors else "GammaExpr(1)"
-
-    def factor_multiset(self) -> dict:
-        return dict(self.factors)
 
     def describe(self) -> tuple:
         """Human-readable factor list in a deterministic order."""

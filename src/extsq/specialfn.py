@@ -22,6 +22,7 @@ from dataclasses import dataclass
 _LN_PI = math.log(math.pi)
 _LN_2PI = math.log(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
+_I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**k for k mod 4
 
 # Lanczos parameters (g = 607/128, 15 terms).
 _LANCZOS_G = 607.0 / 128.0
@@ -126,10 +127,6 @@ def gamma_c(s) -> complex:
     return 2.0 * cmath.exp(-s * _LN_2PI + lgamma(s))
 
 
-def _i_power(k: int) -> complex:
-    return (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[k % 4]
-
-
 def g_delta(delta, s) -> complex:
     """i^delta gamma_r(s+delta) / gamma_r(1-s+delta).
 
@@ -155,7 +152,7 @@ def g_delta(delta, s) -> complex:
         + 0.5 * (1.0 - s + delta) * _LN_PI
         - lgamma(den_arg)
     )
-    return _i_power(delta) * cmath.exp(log_ratio)
+    return _I_POW[delta % 4] * cmath.exp(log_ratio)
 
 
 # -- oscillatory-integral oracle -------------------------------------------
@@ -331,5 +328,5 @@ def gcancel(eta1, eta2, z1, z2, s):
     if abs(d.real - m) > 1e-9 or (m - (eta1 - eta2 + 1)) % 2 != 0:
         raise ValueError("z1 - z2 must lie in 2Z + eta1 - eta2 + 1")
     lhs = g_delta(eta1, s + z1) * g_delta(eta2, s + z2)
-    rhs = _i_power(m + 1) * gamma_c(s + z1) / gamma_c(1 - s - z2)
+    rhs = _I_POW[(m + 1) % 4] * gamma_c(s + z1) / gamma_c(1 - s - z2)
     return lhs, rhs

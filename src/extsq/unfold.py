@@ -124,10 +124,6 @@ class UnfoldVars:
             return self._c[(r, i)]
         return self._z[(r, i)]
 
-    @property
-    def cz_items(self):
-        return sorted(self._c), sorted(self._z)
-
     # -- constructors --------------------------------------------------
 
     @classmethod
