@@ -226,6 +226,14 @@ def test_suite_json_deterministic_across_processes():
     assert "wall_time_ms" not in json.dumps(doc)
 
 
+def test_python_dash_m_extsq_runs_the_cli():
+    cmd = [sys.executable, "-m", "extsq", "suite", "--seed", "42", "--check", "kappa", "--json"]
+    r = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["seed"] == 42
+
+
 def test_parser_covers_all_subcommands():
     parser = build_parser()
     sub = {
