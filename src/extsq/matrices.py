@@ -146,11 +146,10 @@ class Matrix:
         if not rows:
             return 1
         kinds = {type(e) for row in rows for e in row}
-        if kinds <= {int}:
-            return _bareiss([list(row) for row in rows], _div_int)
         if kinds <= {int, Fraction}:
             entries, scale = _clear_rational(rows)
-            return Fraction(_bareiss(entries, _div_int), scale)
+            d = _bareiss(entries, _div_int)
+            return d if kinds == {int} else Fraction(d, scale)
         if RatFunc in kinds or Polynomial in kinds:
             entries, scale = _clear_symbolic(rows)
             d = _bareiss(entries, _div_poly)
@@ -248,6 +247,7 @@ def _bareiss(m, divide):
                     sign = -sign
                     break
             else:
+                # no pivot in column k: the determinant is this zero entry
                 return top[k]
         pivot = top[k]
         for row in m[k + 1:]:
