@@ -146,10 +146,11 @@ class Matrix:
         if not rows:
             return 1
         kinds = {type(e) for row in rows for e in row}
+        if kinds <= {int}:
+            return _bareiss([list(row) for row in rows], _div_int)
         if kinds <= {int, Fraction}:
             entries, scale = _clear_rational(rows)
-            d = _bareiss(entries, _div_int)
-            return d if kinds == {int} else Fraction(d, scale)
+            return Fraction(_bareiss(entries, _div_int), scale)
         if RatFunc in kinds or Polynomial in kinds:
             entries, scale = _clear_symbolic(rows)
             d = _bareiss(entries, _div_poly)
