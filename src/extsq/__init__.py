@@ -36,6 +36,7 @@ from .lfactors import (
     FERatioResult,
     GammaExpr,
     HolomorphyReport,
+    IdentityMismatchError,
     PoleList,
     PoleProximityError,
     PoleRecord,

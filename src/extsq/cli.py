@@ -32,6 +32,7 @@ from .euler import (
     satake_from_json,
 )
 from .lfactors import (
+    IdentityMismatchError,
     PoleProximityError,
     fe_ratio_check,
     l_inf,
@@ -41,7 +42,7 @@ from .lfactors import (
 )
 from .matrices import genmatrix_from_json, genmatrix_to_json
 from .rational import parse_rational_complex
-from .specialfn import PoleError, g_delta, g_delta_integral
+from .specialfn import PoleError, QuadratureToleranceError, g_delta, g_delta_integral
 from .suite import (
     CHECKS,
     CheckResult,
@@ -271,17 +272,28 @@ def cmd_gamma(args) -> int:
     checks = []
     if args.oracle:
         tol = args.tol or 1e-6
-        quad = g_delta_integral(args.delta, s, ORACLE_CUTOFF)
-        diff = abs(closed - quad)
-        output["quadrature"] = _cx(quad)
-        output["difference"] = repr(diff)
-        checks.append(
-            CheckResult(
-                "oracle-agreement",
-                diff <= tol,
-                f"closed form and quadrature differ by {diff:.3e} (tol {tol:g})",
+        try:
+            quad = g_delta_integral(args.delta, s, ORACLE_CUTOFF)
+        except QuadratureToleranceError as exc:
+            checks.append(
+                CheckResult(
+                    "oracle-agreement",
+                    False,
+                    f"quadrature refused: error estimate {exc.achieved:.3e} "
+                    f"exceeds budget {exc.budget:.3e}",
+                )
             )
-        )
+        else:
+            diff = abs(closed - quad)
+            output["quadrature"] = _cx(quad)
+            output["difference"] = repr(diff)
+            checks.append(
+                CheckResult(
+                    "oracle-agreement",
+                    diff <= tol,
+                    f"closed form and quadrature differ by {diff:.3e} (tol {tol:g})",
+                )
+            )
     report = _make_report("gamma", None, checks, output, t0)
     return _emit(report, args.json)
 
@@ -345,7 +357,7 @@ def cmd_fe_check(args) -> int:
             res = fe_ratio_check(r, s, tol=tol)
         except PoleProximityError:
             continue
-        except AssertionError as exc:
+        except IdentityMismatchError as exc:
             report = _make_report(
                 "fe-check",
                 args.seed,
@@ -485,6 +497,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except IdentityMismatchError as exc:
+        print(f"error: identity mismatch: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

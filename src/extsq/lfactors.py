@@ -26,6 +26,10 @@ _LN_2 = math.log(2.0)
 _HALF = Fraction(1, 2)
 
 
+class IdentityMismatchError(ArithmeticError):
+    """Two computations of one identity disagree: a mathematical mismatch."""
+
+
 class PoleProximityError(ArithmeticError):
     """A sample point fell too close to a Gamma-argument pole; resample."""
 
@@ -355,10 +359,19 @@ class GammaExpr:
     def __mul__(self, other):
         if not isinstance(other, GammaExpr):
             return NotImplemented
+        # copying keeps the stored hashes, so only other's factors are
+        # hashed; existing keys keep their place, which fixes the order in
+        # which value() sums the log-Gammas
         merged = dict(self.factors)
         for fac, power in other.factors.items():
-            merged[fac] = merged.get(fac, 0) + power
-        return GammaExpr(self.unit_ipow + other.unit_ipow, merged)
+            total = merged.get(fac, 0) + power
+            if total:
+                merged[fac] = total
+            else:
+                del merged[fac]
+        out = GammaExpr(self.unit_ipow + other.unit_ipow)
+        out.factors = merged
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, GammaExpr):
@@ -564,7 +577,8 @@ def fe_ratio_check(
     Untwisted data uses the closed-form omega and asserts the match to the
     relative tolerance.  For twisted data the constant is solved from the
     ratio, snapped to the nearest fourth root of unity, and must be constant
-    in s.  Sample points too close to a pole raise PoleProximityError.
+    in s.  Sample points too close to a pole raise PoleProximityError, and
+    a mismatch raises IdentityMismatchError.
     """
     rn = normalize(r)
     _require_valid(rn)
@@ -591,7 +605,7 @@ def fe_ratio_check(
         raw = lhs / prod
         omega = min(_I_POW, key=lambda u: abs(raw - u))
         if abs(raw - omega) > max(tol, 1e-9):
-            raise AssertionError(f"twisted constant {raw} is not a fourth root of unity")
+            raise IdentityMismatchError(f"twisted constant {raw} is not a fourth root of unity")
         second = None
         for off in (0.37 + 0.11j, -0.29 + 0.07j, 0.53 - 0.13j, 0.41 + 0.23j):
             try:
@@ -603,10 +617,10 @@ def fe_ratio_check(
         if second is None:
             raise PoleProximityError(s, min_pole_distance)
         if abs(second - omega) > max(tol, 1e-9):
-            raise AssertionError(f"twisted constant drifts in s: {omega} vs {second}")
+            raise IdentityMismatchError(f"twisted constant drifts in s: {omega} vs {second}")
     rhs = omega * prod
     if abs(lhs - rhs) > tol * abs(lhs):
-        raise AssertionError(
+        raise IdentityMismatchError(
             f"functional-equation ratio mismatch at s={s}: lhs={lhs}, rhs={rhs}, "
             f"solved constant {lhs / prod}"
         )
@@ -639,7 +653,8 @@ def pole_enumeration(r: ReprData) -> PoleList:
 
     Scans the Gamma-argument lattices of the full factor and cross-checks
     the result against the three structural pole families (squared ds
-    shifts, sign-block pairs, equal-weight ds pairs); the lists must agree.
+    shifts, sign-block pairs, equal-weight ds pairs); the lists must agree,
+    or IdentityMismatchError is raised.
     """
     rn = normalize(r)
     _require_valid(rn)
@@ -665,7 +680,7 @@ def pole_enumeration(r: ReprData) -> PoleList:
                 )
     counted = {pt: len(tags) for pt, tags in families.items()}
     if counted != scanned:
-        raise AssertionError(
+        raise IdentityMismatchError(
             f"lattice scan {scanned} disagrees with the structural families {counted}"
         )
     entries = tuple(
@@ -683,7 +698,7 @@ def partial_products(r: ReprData) -> tuple:
     ds positions, classes 4 and 5 pair each ds block with itself and with
     its reflection, and class 6 covers the remaining ds cross pairs.  They
     are built independently from the block data, and their combined factor
-    multiset is asserted to reproduce script_g.
+    multiset must reproduce script_g, or IdentityMismatchError is raised.
     """
     rn = normalize(r)
     _require_valid(rn)
@@ -730,7 +745,7 @@ def partial_products(r: ReprData) -> tuple:
             g6 = g6 * GammaExpr.g_factor(eta, base - h1 - h2)
     combined = g1 * g2 * g3 * g4 * g5 * g6
     if combined != script_g(casselman_embedding(rn), eta):
-        raise AssertionError("partial products do not reassemble the G-product")
+        raise IdentityMismatchError("partial products do not reassemble the G-product")
     return (g1, g2, g3, g4, g5, g6)
 
 

@@ -44,8 +44,10 @@ class RationalComplex:
         raise TypeError(f"cannot make a RationalComplex from {type(value).__name__}")
 
     def __post_init__(self):
-        object.__setattr__(self, "real", Fraction(self.real))
-        object.__setattr__(self, "imag", Fraction(self.imag))
+        if type(self.real) is not Fraction:
+            object.__setattr__(self, "real", Fraction(self.real))
+        if type(self.imag) is not Fraction:
+            object.__setattr__(self, "imag", Fraction(self.imag))
 
     def __add__(self, other):
         other = RationalComplex.from_value(other)

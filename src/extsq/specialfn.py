@@ -197,24 +197,68 @@ def smooth_cutoff(x: float, spec: CutoffSpec) -> float:
 def _quad_complex(f, a, b, budget_acc, **kw):
     from scipy.integrate import quad
 
-    re, re_err = quad(lambda x: f(x).real, a, b, **kw)
-    im, im_err = quad(lambda x: f(x).imag, a, b, **kw)
+    # the real- and imaginary-part runs share many nodes; evaluate f once
+    # per node for the length of this call
+    values = {}
+
+    def value(x):
+        v = values.get(x)
+        if v is None:
+            v = values[x] = f(x)
+        return v
+
+    re, re_err = quad(lambda x: value(x).real, a, b, **kw)
+    im, im_err = quad(lambda x: value(x).imag, a, b, **kw)
     budget_acc.append(re_err + im_err)
     return complex(re, im)
 
 
 def _quad_weighted(f, a, weight, budget_acc):
-    import numpy as np
     from scipy.integrate import quad
 
-    val, err = quad(f, a, np.inf, weight=weight, wvar=_TWO_PI, limit=200)
+    val, err = quad(f, a, math.inf, weight=weight, wvar=_TWO_PI, limit=200)
     budget_acc.append(err)
     return val
 
 
-def _tail_oscillatory(s: complex, n_parts: int, a: float, c_sign: int, errs) -> complex:
+def _tail_remainders(s: complex, n_parts: int, a: float, errs) -> tuple:
+    """The weighted integrals f1..f4 of x^(s-1-N) against cos and sin of
+    2 pi x over [a, infinity), N = n_parts, which both signs of the tail
+    combine.  Their error estimates are appended once; the caller counts
+    them once per sign."""
+    sigma = s.real - 1.0 - n_parts
+    beta = s.imag
+    # every node's x^sigma and beta log x, shared by the four integrals
+    polar = {}
+
+    def power_and_phase(x):
+        got = polar.get(x)
+        if got is None:
+            got = polar[x] = (x**sigma, beta * math.log(x))
+        return got
+
+    def mag_cos(x):
+        mag, phase = power_and_phase(x)
+        return mag * math.cos(phase) if beta else mag
+
+    def mag_sin(x):
+        mag, phase = power_and_phase(x)
+        return mag * math.sin(phase)
+
+    f1 = _quad_weighted(mag_cos, a, "cos", errs)
+    f3 = _quad_weighted(mag_cos, a, "sin", errs)
+    if beta:
+        f2 = _quad_weighted(mag_sin, a, "cos", errs)
+        f4 = _quad_weighted(mag_sin, a, "sin", errs)
+    else:
+        f2 = f4 = 0.0
+    return f1, f2, f3, f4
+
+
+def _tail_oscillatory(s: complex, n_parts: int, a: float, c_sign: int, remainders) -> complex:
     """Integral of e^{c x} x^{s-1} over [a, infinity), c = c_sign * 2 pi i,
-    regularized by n_parts integrations by parts."""
+    regularized by n_parts integrations by parts; remainders are
+    _tail_remainders(s, n_parts, a)."""
     c = complex(0.0, c_sign * _TWO_PI)
     total = 0.0j
     k_m = 1.0 + 0.0j  # prod_{t=1..m} (s - t)
@@ -226,22 +270,7 @@ def _tail_oscillatory(s: complex, n_parts: int, a: float, c_sign: int, errs) -> 
         k_m *= s - (m + 1)
         coef *= -1.0 / c
     # remaining absolutely convergent piece: int_a^inf e^{cx} x^{s-1-N} dx
-    sigma = s.real - 1.0 - n_parts
-    beta = s.imag
-
-    def mag_cos(x):
-        return x**sigma * math.cos(beta * math.log(x)) if beta else x**sigma
-
-    def mag_sin(x):
-        return x**sigma * math.sin(beta * math.log(x)) if beta else 0.0
-
-    f1 = _quad_weighted(mag_cos, a, "cos", errs)
-    f3 = _quad_weighted(mag_cos, a, "sin", errs)
-    if beta:
-        f2 = _quad_weighted(mag_sin, a, "cos", errs)
-        f4 = _quad_weighted(mag_sin, a, "sin", errs)
-    else:
-        f2 = f4 = 0.0
+    f1, f2, f3, f4 = remainders
     if c_sign > 0:
         rest = complex(f1 - f4, f2 + f3)
     else:
@@ -297,8 +326,12 @@ def g_delta_integral(delta, s, cutoff: CutoffSpec, budget: float = 1e-7) -> comp
         return phi(x) * w * (x ** complex(s - 1))
 
     mid_val = _quad_complex(mid, r0, r1, errs, limit=200)
-    tail = _tail_oscillatory(s, n_parts, r1, +1, errs) + sign * _tail_oscillatory(
-        s, n_parts, r1, -1, errs
+    tail_errs: list[float] = []
+    remainders = _tail_remainders(s, n_parts, r1, tail_errs)
+    # one estimate per sign, as if each sign had integrated its own copy
+    errs += tail_errs + tail_errs
+    tail = _tail_oscillatory(s, n_parts, r1, +1, remainders) + sign * _tail_oscillatory(
+        s, n_parts, r1, -1, remainders
     )
     value = head_val + mid_val + tail
     achieved = sum(errs)

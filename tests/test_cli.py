@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+import extsq.cli
 from extsq.cli import build_parser, main
+from extsq.lfactors import IdentityMismatchError
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +125,19 @@ def test_gamma_oracle_check(capsys):
     )
 
 
+def test_gamma_oracle_refusal_is_a_failed_check(capsys):
+    # the quadrature's error estimate at this point is just over its budget
+    s = "2.4945091061002445+0.0454040291154052i"
+    code, out, err = run_cli(capsys, "gamma", "--delta", "0", "--s", s, "--oracle")
+    assert code == 1
+    assert err == ""
+    kv = _parse_kv(out)
+    assert kv["oracle-agreement"] == (
+        "FAIL\tquadrature refused: error estimate 1.021e-07 exceeds budget 1.000e-07"
+    )
+    assert "quadrature" not in kv
+
+
 def test_gamma_closed_form_only(capsys):
     code, out, err = run_cli(capsys, "gamma", "--delta", "1", "--s", "0.5")
     assert code == 0
@@ -157,6 +172,27 @@ def test_fe_check_command(capsys, repr_file):
     kv = _parse_kv(out)
     assert kv["identity"].startswith("PASS")
     assert kv["fourth-root"].startswith("PASS")
+
+
+def test_fe_check_reports_a_mismatch_as_a_failed_check(capsys, repr_file, monkeypatch):
+    def mismatch(*args, **kwargs):
+        raise IdentityMismatchError("functional-equation ratio mismatch")
+
+    monkeypatch.setattr(extsq.cli, "fe_ratio_check", mismatch)
+    code, out, err = run_cli(capsys, "fe-check", repr_file, "--samples", "5")
+    assert code == 1
+    assert _parse_kv(out)["identity"] == "FAIL\tfunctional-equation ratio mismatch"
+
+
+def test_identity_mismatch_is_a_one_line_error(capsys, repr_file, monkeypatch):
+    def mismatch(r):
+        raise IdentityMismatchError("lattice scan disagrees")
+
+    monkeypatch.setattr(extsq.cli, "pole_enumeration", mismatch)
+    code, out, err = run_cli(capsys, "poles", repr_file)
+    assert code == 1
+    assert out == ""
+    assert err == "error: identity mismatch: lattice scan disagrees\n"
 
 
 def test_euler_command(capsys, satake_file):

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import extsq.lfactors as lfactors
 from extsq.lfactors import (
     DSBlock,
     EmbeddingParams,
     GammaExpr,
+    IdentityMismatchError,
     PoleProximityError,
     ReprData,
     SignBlock,
@@ -146,6 +148,50 @@ def test_gamma_expr_structure():
     assert a != prod
 
 
+def reference_mul(a, b):
+    """The product rebuilt through the constructor, which drops zero powers."""
+    merged = dict(a.factors)
+    for fac, power in b.factors.items():
+        merged[fac] = merged.get(fac, 0) + power
+    return GammaExpr(a.unit_ipow + b.unit_ipow, merged)
+
+
+def test_gamma_expr_product_drops_cancelled_factors_in_place():
+    left = GammaExpr.g_factor(1, F(1, 3)) * GammaExpr.gamma_c(F(1, 4)) * GammaExpr.gamma_r(0)
+    cancel = GammaExpr(3, {next(iter(GammaExpr.g_factor(1, F(1, 3)).factors)): -1})
+    prod = left * cancel * GammaExpr.gamma_r(F(-1, 2))
+    assert prod == reference_mul(reference_mul(left, cancel), GammaExpr.gamma_r(F(-1, 2)))
+    assert [(f.kind, f.orient, str(f.const), p) for f, p in prod.factors.items()] == [
+        ("R", -1, "5/3", -1),
+        ("C", 1, "1/4", 1),
+        ("R", 1, "0", 1),
+        ("R", 1, "-1/2", 1),
+    ]
+    assert prod.describe() == (
+        "Gamma_C(s+1/4)",
+        "Gamma_R(s-1/2)",
+        "Gamma_R(s)",
+        "Gamma_R(-s+5/3)^-1",
+    )
+    assert prod.unit_ipow == 0
+    assert (prod * GammaExpr(0, {f: -p for f, p in prod.factors.items()})) == GammaExpr.one()
+
+
+def test_gamma_expr_product_keeps_the_reference_order():
+    rng = random.Random(29)
+    for _ in range(20):
+        e = casselman_embedding(random_repr_data(rng))
+        got, want = GammaExpr.one(), GammaExpr.one()
+        for i in range(len(e.lam)):
+            for j in range(i + 1, len(e.lam)):
+                factor = GammaExpr.g_factor(rng.randint(0, 1), -(e.lam[i] + e.lam[j]))
+                if rng.random() < 0.3:
+                    factor = GammaExpr(factor.unit_ipow, {f: -p for f, p in factor.factors.items()})
+                got, want = got * factor, reference_mul(want, factor)
+                assert list(got.factors.items()) == list(want.factors.items())
+                assert got.unit_ipow == want.unit_ipow
+
+
 def test_unfolded_table_matches_g_product():
     rng = random.Random(5)
     for _ in range(15):
@@ -279,6 +325,16 @@ def test_partial_products_cover_the_g_product():
     mid = ReprData(2, 0, (), ((2, RC(0, F(1, 10))), (3, RC(0, F(1, 5)))))
     assert validate(mid) == []
     partial_products(mid)
+
+
+def test_mismatches_raise_identity_mismatch_error(monkeypatch):
+    assert issubclass(IdentityMismatchError, ArithmeticError)
+    monkeypatch.setattr(lfactors, "script_g", lambda e, eta: GammaExpr.one())
+    with pytest.raises(IdentityMismatchError, match="reassemble"):
+        partial_products(SIGN4)
+    monkeypatch.setattr(lfactors, "omega_closed_form", lambda r: -1.0 + 0.0j)
+    with pytest.raises(IdentityMismatchError, match="ratio mismatch"):
+        fe_ratio_check(SIGN4, 0.8 + 0.1j)
 
 
 def test_holomorphy_report():

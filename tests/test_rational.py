@@ -74,6 +74,16 @@ def test_from_value_is_exact_on_floats():
     assert RationalComplex.from_value("1/2+i") == RationalComplex(Fraction(1, 2), 1)
 
 
+def test_parts_are_fractions_and_fractions_are_kept():
+    half = Fraction(1, 2)
+    z = RationalComplex(half, 3)
+    assert z.real is half
+    assert type(z.imag) is Fraction and z.imag == 3
+    w = RationalComplex(0.25, True)
+    assert (type(w.real), type(w.imag)) == (Fraction, Fraction)
+    assert w == RationalComplex(Fraction(1, 4), 1)
+
+
 def test_algebra():
     a = RationalComplex(Fraction(1, 2), Fraction(1, 3))
     b = RationalComplex(Fraction(-1, 4), 2)

@@ -5,9 +5,11 @@ import random
 import pytest
 import scipy.special
 
+import extsq.specialfn as specialfn
 from extsq.specialfn import (
     CutoffSpec,
     PoleError,
+    QuadratureToleranceError,
     as_parity,
     g_delta,
     g_delta_integral,
@@ -136,6 +138,52 @@ def test_quadrature_cutoff_independence():
     a = g_delta_integral(0, s, CutoffSpec(1.0, 2.0, 4))
     b = g_delta_integral(0, s, CutoffSpec(0.5, 3.0, 5))
     assert a == pytest.approx(b, abs=2e-6)
+
+
+def counting_weighted(monkeypatch):
+    calls = []
+    real = specialfn._quad_weighted
+
+    def counted(f, a, weight, budget_acc):
+        calls.append(weight)
+        return real(f, a, weight, budget_acc)
+
+    monkeypatch.setattr(specialfn, "_quad_weighted", counted)
+    return calls
+
+
+@pytest.mark.parametrize("s, weighted", [(complex(0.7, 0.4), 4), (complex(0.7, 0.0), 2)])
+def test_tail_integrals_are_shared_by_both_signs(monkeypatch, s, weighted):
+    calls = counting_weighted(monkeypatch)
+    got = g_delta_integral(0, s, CUTOFF, budget=1e-6)
+    assert len(calls) == weighted
+    assert got == pytest.approx(g_delta(0, s), abs=1e-6)
+
+
+def test_quad_complex_evaluates_each_node_once():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return complex(math.cos(7.0 * x), x * math.sin(3.0 * x))
+
+    errs = []
+    got = specialfn._quad_complex(f, 0.0, 2.0, errs, limit=200)
+    assert len(seen) == len(set(seen))
+    assert len(errs) == 1
+    want = complex(math.sin(14.0) / 7.0, (math.sin(6.0) - 6.0 * math.cos(6.0)) / 9.0)
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_error_budget_counts_each_tail_estimate_twice():
+    # the default budget refuses this point by a small margin; a looser one
+    # returns the very value the refusal carries
+    s = 2.4945091061002445 + 0.0454040291154052j
+    with pytest.raises(QuadratureToleranceError) as info:
+        g_delta_integral(0, s, CutoffSpec(1.0, 2.0, 4))
+    assert info.value.budget == 1e-7
+    assert info.value.achieved == pytest.approx(1.021e-07, rel=1e-3)
+    assert g_delta_integral(0, s, CutoffSpec(1.0, 2.0, 4), budget=1e-6) == info.value.value
 
 
 def test_quadrature_domain_check():
