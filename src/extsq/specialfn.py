@@ -238,8 +238,9 @@ def _tail_remainders(s: complex, n_parts: int, a: float, errs) -> tuple:
         return got
 
     def mag_cos(x):
+        # for real s the phase is a zero, whose cosine is exactly 1.0
         mag, phase = power_and_phase(x)
-        return mag * math.cos(phase) if beta else mag
+        return mag * math.cos(phase)
 
     def mag_sin(x):
         mag, phase = power_and_phase(x)
