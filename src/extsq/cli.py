@@ -275,25 +275,18 @@ def cmd_gamma(args) -> int:
         try:
             quad = g_delta_integral(args.delta, s, ORACLE_CUTOFF)
         except QuadratureToleranceError as exc:
-            checks.append(
-                CheckResult(
-                    "oracle-agreement",
-                    False,
-                    f"quadrature refused: error estimate {exc.achieved:.3e} "
-                    f"exceeds budget {exc.budget:.3e}",
-                )
+            ok = False
+            detail = (
+                f"quadrature refused: error estimate {exc.achieved:.3e} "
+                f"exceeds budget {exc.budget:.3e}"
             )
         else:
             diff = abs(closed - quad)
             output["quadrature"] = _cx(quad)
             output["difference"] = repr(diff)
-            checks.append(
-                CheckResult(
-                    "oracle-agreement",
-                    diff <= tol,
-                    f"closed form and quadrature differ by {diff:.3e} (tol {tol:g})",
-                )
-            )
+            ok = diff <= tol
+            detail = f"closed form and quadrature differ by {diff:.3e} (tol {tol:g})"
+        checks.append(CheckResult("oracle-agreement", ok, detail))
     report = _make_report("gamma", None, checks, output, t0)
     return _emit(report, args.json)
 

@@ -16,6 +16,7 @@ oscillatory integral handled by weighted quadrature.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -198,15 +199,8 @@ def _quad_complex(f, a, b, budget_acc, **kw):
     from scipy.integrate import quad
 
     # the real- and imaginary-part runs share many nodes; evaluate f once
-    # per node for the length of this call
-    values = {}
-
-    def value(x):
-        v = values.get(x)
-        if v is None:
-            v = values[x] = f(x)
-        return v
-
+    # per node, in a memo that lives as long as this call
+    value = functools.cache(f)
     re, re_err = quad(lambda x: value(x).real, a, b, **kw)
     im, im_err = quad(lambda x: value(x).imag, a, b, **kw)
     budget_acc.append(re_err + im_err)
@@ -229,13 +223,7 @@ def _tail_remainders(s: complex, n_parts: int, a: float, errs) -> tuple:
     sigma = s.real - 1.0 - n_parts
     beta = s.imag
     # every node's x^sigma and beta log x, shared by the four integrals
-    polar = {}
-
-    def power_and_phase(x):
-        got = polar.get(x)
-        if got is None:
-            got = polar[x] = (x**sigma, beta * math.log(x))
-        return got
+    power_and_phase = functools.cache(lambda x: (x**sigma, beta * math.log(x)))
 
     def mag_cos(x):
         # for real s the phase is a zero, whose cosine is exactly 1.0
