@@ -80,7 +80,6 @@ from .specialfn import (
     gamma_c,
     gamma_r,
     gcancel,
-    smooth_cutoff,
 )
 from .suite import CHECKS, CheckResult, run_check, run_suite
 from .unfold import (

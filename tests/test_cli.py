@@ -126,16 +126,22 @@ def test_gamma_oracle_check(capsys):
 
 
 def test_gamma_oracle_refusal_is_a_failed_check(capsys):
-    # the quadrature's error estimate at this point is just over its budget
-    s = "2.4945091061002445+0.0454040291154052i"
-    code, out, err = run_cli(capsys, "gamma", "--delta", "0", "--s", s, "--oracle")
+    # near Re s = 0 the head's untouched piece (0, x_min) exceeds the budget
+    code, out, err = run_cli(capsys, "gamma", "--delta", "0", "--s", "0.02", "--oracle")
     assert code == 1
     assert err == ""
     kv = _parse_kv(out)
     assert kv["oracle-agreement"] == (
-        "FAIL\tquadrature refused: error estimate 1.021e-07 exceeds budget 1.000e-07"
+        "FAIL\tquadrature refused: error estimate 3.170e-04 exceeds budget 1.000e-07"
     )
     assert "quadrature" not in kv
+
+
+def test_gamma_oracle_names_its_domain(capsys):
+    code, out, err = run_cli(capsys, "gamma", "--delta", "0", "--s", "4.5", "--oracle")
+    assert code == 2
+    assert out == ""
+    assert err == "error: quadrature oracle needs 0 < Re s < 4\n"
 
 
 def test_gamma_closed_form_only(capsys):

@@ -1,0 +1,31 @@
+"""A small pass of the benchmark's ``analytic`` workload.
+
+``perfbench/`` has its own tests (``python -m pytest perfbench``); this one
+keeps the harness's view of the quadrature oracle, the functional equation
+and the pole checks inside the default test run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_analytic_pass_is_correct():
+    workloads = load_workloads()
+    workload, first_quad_s = workloads.prepare(
+        "analytic", 1, points=20, repr_sizes=range(1, 3), per_size=1
+    )
+    tally = workloads.Tally()
+    workload.run_pass(tally)
+    assert first_quad_s >= 0.0
+    assert tally.attempted == 24
+    assert tally.failed == 0
+    assert tally.correct, tally.wrong

@@ -1,11 +1,11 @@
 import cmath
 import math
 import random
+import subprocess
+import sys
 
 import pytest
-import scipy.special
 
-import extsq.specialfn as specialfn
 from extsq.specialfn import (
     CutoffSpec,
     PoleError,
@@ -18,7 +18,6 @@ from extsq.specialfn import (
     gamma_r,
     gcancel,
     lgamma,
-    smooth_cutoff,
 )
 
 
@@ -37,18 +36,20 @@ def test_lgamma_matches_scipy_on_reals():
 
 
 def test_gamma_matches_scipy_complex():
+    scipy_special = pytest.importorskip("scipy.special")
     rng = random.Random(5)
     for _ in range(50):
         z = complex(rng.uniform(0.1, 6.0), rng.uniform(-5.0, 5.0))
-        want = scipy.special.gamma(z)
+        want = scipy_special.gamma(z)
         assert gamma(z) == pytest.approx(want, rel=1e-11)
 
 
 def test_gamma_reflection_into_left_halfplane():
+    scipy_special = pytest.importorskip("scipy.special")
     rng = random.Random(6)
     for _ in range(30):
         z = complex(rng.uniform(-6.0, -0.1), rng.uniform(0.2, 4.0))
-        want = scipy.special.gamma(z)
+        want = scipy_special.gamma(z)
         assert gamma(z) == pytest.approx(want, rel=1e-9)
 
 
@@ -101,18 +102,6 @@ def test_g_delta_num_pole_raises_den_pole_vanishes():
     assert g_delta(1, 2.0) == 0.0
 
 
-def test_smooth_cutoff_profile():
-    spec = CutoffSpec(1.0, 2.0, 4)
-    assert smooth_cutoff(0.3, spec) == 1.0
-    assert smooth_cutoff(1.0, spec) == 1.0
-    assert smooth_cutoff(2.0, spec) == 0.0
-    assert smooth_cutoff(5.0, spec) == 0.0
-    mid = smooth_cutoff(1.5, spec)
-    assert 0.0 < mid < 1.0
-    vals = [smooth_cutoff(1.0 + 0.1 * k, spec) for k in range(11)]
-    assert vals == sorted(vals, reverse=True)
-
-
 def test_cutoff_spec_validation():
     with pytest.raises(ValueError):
         CutoffSpec(2.0, 1.0, 4)
@@ -140,50 +129,60 @@ def test_quadrature_cutoff_independence():
     assert a == pytest.approx(b, abs=2e-6)
 
 
-def counting_weighted(monkeypatch):
-    calls = []
-    real = specialfn._quad_weighted
+# points where QUADPACK once missed the closed form by 1e-6 to 2.5e-5
+# while claiming an error under 1e-6
+KNOWN_MISSES = [
+    0.9180515991010545 - 0.8116496411862144j,
+    0.19279498119613647 + 1.4182889819567328j,
+    0.13529030667142977 - 0.04557395148819188j,
+    0.1819850989912683 - 0.5244313517832668j,
+    0.9684253544790208 - 1.6462646085556805j,
+]
 
-    def counted(f, a, weight, budget_acc):
-        calls.append(weight)
-        return real(f, a, weight, budget_acc)
 
-    monkeypatch.setattr(specialfn, "_quad_weighted", counted)
-    return calls
-
-
-@pytest.mark.parametrize("s, weighted", [(complex(0.7, 0.4), 4), (complex(0.7, 0.0), 2)])
-def test_tail_integrals_are_shared_by_both_signs(monkeypatch, s, weighted):
-    calls = counting_weighted(monkeypatch)
+@pytest.mark.parametrize("s", KNOWN_MISSES)
+def test_quadrature_known_misses(s):
     got = g_delta_integral(0, s, CUTOFF, budget=1e-6)
-    assert len(calls) == weighted
-    assert got == pytest.approx(g_delta(0, s), abs=1e-6)
+    assert abs(got - g_delta(0, s)) <= 1e-12
 
 
-def test_quad_complex_evaluates_each_node_once():
-    seen = []
-
-    def f(x):
-        seen.append(x)
-        return complex(math.cos(7.0 * x), x * math.sin(3.0 * x))
-
-    errs = []
-    got = specialfn._quad_complex(f, 0.0, 2.0, errs, limit=200)
-    assert len(seen) == len(set(seen))
-    assert len(errs) == 1
-    want = complex(math.sin(14.0) / 7.0, (math.sin(6.0) - 6.0 * math.cos(6.0)) / 9.0)
-    assert got == pytest.approx(want, abs=1e-12)
+@pytest.mark.parametrize("delta", [0, 1])
+@pytest.mark.parametrize("im", [-2.0, 0.0, 2.0])
+def test_quadrature_near_the_singular_end(delta, im):
+    # x^(s-1) at Re s = 0.1 needs the head's nodes far into (0, 1e-100)
+    s = complex(0.1, im)
+    got = g_delta_integral(delta, s, CUTOFF, budget=1e-9)
+    assert abs(got - g_delta(delta, s)) <= 1e-9
 
 
-def test_error_budget_counts_each_tail_estimate_twice():
-    # the default budget refuses this point by a small margin; a looser one
-    # returns the very value the refusal carries
-    s = 2.4945091061002445 + 0.0454040291154052j
+def test_refusal_estimate_covers_the_error():
+    # at Re s = 0.02 the untouched piece (0, x_min) of the head is too
+    # large for the default budget; the estimate counts it
+    s = 0.02
     with pytest.raises(QuadratureToleranceError) as info:
-        g_delta_integral(0, s, CutoffSpec(1.0, 2.0, 4))
-    assert info.value.budget == 1e-7
-    assert info.value.achieved == pytest.approx(1.021e-07, rel=1e-3)
-    assert g_delta_integral(0, s, CutoffSpec(1.0, 2.0, 4), budget=1e-6) == info.value.value
+        g_delta_integral(0, s, CUTOFF)
+    refusal = info.value
+    assert refusal.budget == 1e-7
+    assert refusal.achieved >= abs(refusal.value - g_delta(0, s))
+    assert g_delta_integral(0, s, CUTOFF, budget=1e-2) == refusal.value
+
+
+def test_overflow_is_a_refusal():
+    with pytest.raises(QuadratureToleranceError) as info:
+        g_delta_integral(0, complex(0.5, 500.0), CUTOFF)
+    assert info.value.achieved == math.inf
+
+
+def test_quadrature_imports_neither_scipy_nor_numpy():
+    code = (
+        "import sys, extsq\n"
+        "extsq.g_delta_integral(0, 0.5, extsq.CutoffSpec(1.0, 2.0, 4))\n"
+        "print(sorted({'scipy', 'numpy'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_quadrature_domain_check():
