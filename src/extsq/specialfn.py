@@ -276,7 +276,8 @@ def g_delta_integral(delta, s, cutoff: CutoffSpec, budget: float = 1e-7) -> comp
         raise QuadratureToleranceError(math.inf, budget, complex(math.nan, math.nan)) from None
     value = head_val + tail_val
 
-    x_min = a * math.exp(2.0 * _HALF_PI * math.sinh(_HEAD_RANGE[0]))
+    # above the head's first node, x = a q / (1 + q) < a e^(2u)
+    x_min = a * math.exp(math.pi * math.sinh(_HEAD_RANGE[0]))
     achieved = 2.0 * head_change + tail_change + 2.0 * x_min**sigma / sigma
     if not achieved <= budget:
         raise QuadratureToleranceError(achieved, budget, value)

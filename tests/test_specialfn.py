@@ -129,8 +129,8 @@ def test_quadrature_cutoff_independence():
     assert a == pytest.approx(b, abs=2e-6)
 
 
-# points where QUADPACK once missed the closed form by 1e-6 to 2.5e-5
-# while claiming an error under 1e-6
+# analytic-workload points where a quadrature that underestimated its error
+# missed the closed form by 1e-6 to 2.5e-5 while claiming under 1e-6
 KNOWN_MISSES = [
     0.9180515991010545 - 0.8116496411862144j,
     0.19279498119613647 + 1.4182889819567328j,
@@ -165,6 +165,15 @@ def test_refusal_estimate_covers_the_error():
     assert refusal.budget == 1e-7
     assert refusal.achieved >= abs(refusal.value - g_delta(0, s))
     assert g_delta_integral(0, s, CUTOFF, budget=1e-2) == refusal.value
+
+
+@pytest.mark.parametrize("delta, s", [(0, 0.7 - 2j), (1, 0.7 - 5j), (0, 2.0)])
+def test_estimate_covers_rounding(delta, s):
+    # successive sums can agree to the last bit while rounding leaves an
+    # error near 1e-15; budget 0 refuses every call, exposing the estimate
+    with pytest.raises(QuadratureToleranceError) as info:
+        g_delta_integral(delta, s, CUTOFF, budget=0.0)
+    assert info.value.achieved >= abs(info.value.value - g_delta(delta, s))
 
 
 def test_overflow_is_a_refusal():
