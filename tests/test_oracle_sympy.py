@@ -195,3 +195,118 @@ def test_ratfunc_det_matches_sympy(m):
     got = m.det()
     assert isinstance(got, RatFunc)
     assert sympy.cancel(to_sympy_entry(got) - sympy_det(m)) == 0
+
+
+# -- decompositions ----------------------------------------------------------
+
+
+def to_sympy_any(e):
+    """Any matrix entry in sympy, whatever ring a RatFunc lives in."""
+    if isinstance(e, RatFunc):
+        env = {name: sympy.Symbol(name) for name in e.ring.names}
+        return sympy.sympify(e.num.evaluate(env)) / sympy.sympify(e.den.evaluate(env))
+    return sympy.Rational(e.numerator, e.denominator)
+
+
+def sympy_matrix(m: Matrix):
+    return sympy.Matrix([[to_sympy_any(e) for e in row] for row in m.data])
+
+
+def sympy_equal(a, b) -> bool:
+    return sympy.cancel(a - b) == 0
+
+
+def sympy_trailing_minors(sg):
+    """d_1, ..., d_n: d_i is the det of rows and columns i..n (1-based)."""
+    n = sg.rows
+    return [sg[i:, i:].det(method="berkowitz") for i in range(n)]
+
+
+def assert_udl_matches_sympy(g: Matrix):
+    from extsq.decomp import DegenerateMinorError, udl_explicit
+
+    sg = sympy_matrix(g)
+    n = sg.rows
+    d = sympy_trailing_minors(sg)
+    zeros = [i + 1 for i in range(n) if sympy.cancel(d[i]) == 0]
+    if zeros:
+        with pytest.raises(DegenerateMinorError) as exc:
+            udl_explicit(g)
+        assert exc.value.minor_index == zeros[0]
+        return
+    udl = udl_explicit(g)
+    for i in range(n):
+        for j in range(n):
+            bp, bm, a = udl.b_plus[i, j], udl.b_minus[i, j], udl.a[i, j]
+            if i <= j:
+                # rows {i} u {j+1..n}, columns j..n (0-based here)
+                want = sg.extract([i] + list(range(j + 1, n)), list(range(j, n)))
+                assert sympy_equal(to_sympy_any(bp), want.det(method="berkowitz"))
+            else:
+                assert bp == 0
+            if i >= j:
+                want = sg.extract(list(range(i, n)), [j] + list(range(i + 1, n)))
+                assert sympy_equal(to_sympy_any(bm), want.det(method="berkowitz"))
+            else:
+                assert bm == 0
+            if i == j:
+                dd = d[i] * (d[i + 1] if i + 1 < n else 1)
+                assert sympy_equal(to_sympy_any(a), dd)
+            else:
+                assert a == 0
+
+
+def assert_nhn_matches_sympy(g: Matrix):
+    """nhn_decompose against sympy's LU of the reversal conjugate J g J."""
+    from extsq.decomp import DegenerateMinorError, nhn_decompose
+
+    sg = sympy_matrix(g)
+    n = sg.rows
+    d = sympy_trailing_minors(sg)
+    # elimination meets d_n, d_{n-1}, ..., d_2 as pivots, in that order
+    zeros = [i for i in range(n, 1, -1) if sympy.cancel(d[i - 1]) == 0]
+    if zeros:
+        with pytest.raises(DegenerateMinorError) as exc:
+            nhn_decompose(g)
+        assert (exc.value.minor_index, exc.value.size) == (zeros[0], n - zeros[0] + 1)
+        return
+    nhn = nhn_decompose(g)
+    rev = sympy.Matrix(n, n, lambda i, j: sg[n - 1 - i, n - 1 - j])
+    low, up, perm = rev.LUdecomposition(rankcheck=False)
+    assert perm == []
+    for i in range(n):
+        hi = up[n - 1 - i, n - 1 - i]
+        for j in range(n):
+            assert sympy_equal(to_sympy_any(nhn.n[i, j]), low[n - 1 - i, n - 1 - j])
+            lower = up[n - 1 - i, n - 1 - j]
+            assert sympy_equal(to_sympy_any(nhn.h[i, j]), hi if i == j else 0)
+            if j < i:
+                assert sympy_equal(to_sympy_any(nhn.n_minus[i, j]), lower / hi)
+            else:
+                assert nhn.n_minus[i, j] == (1 if i == j else 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_udl_explicit_generic_matches_sympy(n):
+    from extsq.matrices import generic_matrix
+
+    assert_udl_matches_sympy(generic_matrix(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nhn_decompose_generic_matches_sympy(n):
+    from extsq.matrices import generic_matrix
+
+    assert_nhn_matches_sympy(generic_matrix(n))
+
+
+@given(rational_matrices())
+@settings(max_examples=80, deadline=None)
+def test_udl_explicit_rational_matches_sympy(m):
+    assert_udl_matches_sympy(m)
+
+
+@given(rational_matrices())
+@settings(max_examples=80, deadline=None)
+def test_nhn_decompose_rational_matches_sympy(m):
+    assert_nhn_matches_sympy(m)
