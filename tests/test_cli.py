@@ -109,6 +109,16 @@ def test_decompose_singular_input_fails_cleanly(capsys, singular_file):
     assert "trailing principal minor d_1" in err
 
 
+def test_decompose_empty_matrix(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"rows": 0, "cols": 0, "entries": []}))
+    code, out, err = run_cli(capsys, "decompose", str(path), "--json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert all(c["passed"] for c in doc["checks"])
+    assert doc["output"]["h"] == {"rows": 0, "cols": 0, "entries": []}
+
+
 def test_decompose_missing_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "decompose", str(tmp_path / "nope.json"))
     assert code == 2

@@ -5,6 +5,7 @@ import pytest
 
 from extsq.decomp import (
     DegenerateMinorError,
+    NHNFactors,
     nhn_decompose,
     nhn_from_udl,
     nhn_matches_udl,
@@ -15,6 +16,7 @@ from extsq.decomp import (
     verify_udl_reconstruction,
 )
 from extsq.matrices import Matrix, generic_matrix, _is_zero
+from extsq.ratfunc import RatFunc
 
 
 def test_udl_known_values():
@@ -123,3 +125,212 @@ def test_nhn_matches_udl_detects_mismatch():
         Matrix([[Fraction(2), Fraction(2)], [Fraction(3), Fraction(4)]])
     )
     assert not nhn_matches_udl(udl, other)
+
+
+# -- edge cases of the elimination route -------------------------------------
+
+
+def _with_leading_pivots(rng, pivots):
+    """g with J g J = L U for a random unit lower L and the given diagonal of U.
+
+    The pivots of the elimination route are then exactly ``pivots``.
+    """
+    n = len(pivots)
+    low = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    up = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        up[i][i] = Fraction(pivots[i])
+        for j in range(n):
+            if j < i:
+                low[i][j] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            elif j > i:
+                up[i][j] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    rev = Matrix(low) * Matrix(up)
+    return Matrix([[rev[n - 1 - i, n - 1 - j] for j in range(n)] for i in range(n)])
+
+
+def _structure_is_int(nhn, n):
+    for i in range(n):
+        for j in range(n):
+            if i > j:
+                assert type(nhn.n[i, j]) is int and nhn.n[i, j] == 0
+            if j > i:
+                assert type(nhn.n_minus[i, j]) is int and nhn.n_minus[i, j] == 0
+            if i != j:
+                assert type(nhn.h[i, j]) is int and nhn.h[i, j] == 0
+        assert type(nhn.n[i, i]) is int and nhn.n[i, i] == 1
+        assert type(nhn.n_minus[i, i]) is int and nhn.n_minus[i, i] == 1
+
+
+def test_empty_matrix_decomposes():
+    empty = Matrix([])
+    nhn = nhn_decompose(empty, verify=True)
+    assert nhn.n == nhn.h == nhn.n_minus == empty
+    udl = udl_explicit(empty)
+    assert verify_udl_reconstruction(empty, udl)
+    assert nhn_matches_udl(udl, nhn)
+
+
+def test_zero_pivot_at_each_step_names_the_minor():
+    rng = random.Random(41)
+    n = 5
+    for k in range(n - 1):
+        pivots = [rng.choice((-3, -1, 2, 5)) for _ in range(n)]
+        pivots[k] = 0
+        g = _with_leading_pivots(rng, pivots)
+        with pytest.raises(DegenerateMinorError) as exc:
+            nhn_decompose(g)
+        # step k (0-based) divides by d_{n-k}, the minor of size k + 1
+        assert (exc.value.minor_index, exc.value.size) == (n - k, k + 1)
+        assert str(exc.value) == (
+            f"trailing principal minor d_{n - k} (size {k + 1}) vanishes"
+        )
+
+
+def test_zero_pivot_in_a_symbolic_matrix():
+    g = generic_matrix(3)
+    x, y = g[1, 1], g[1, 2]
+    g = Matrix([g.data[0], [g[1, 0], x, y], [g[2, 0], 2 * x, 2 * y]])
+    with pytest.raises(DegenerateMinorError) as exc:
+        nhn_decompose(g)
+    assert (exc.value.minor_index, exc.value.size) == (2, 2)
+
+
+def test_zero_last_pivot_is_allowed():
+    rng = random.Random(43)
+    for n in (1, 2, 4):
+        pivots = [rng.choice((-2, 1, 3)) for _ in range(n)]
+        pivots[-1] = 0
+        g = _with_leading_pivots(rng, pivots)
+        nhn = nhn_decompose(g)
+        # the last pivot is det g / d_2 and sits in the top corner of h
+        assert nhn.h[0, 0] == 0
+        assert all(nhn.h[i, i] != 0 for i in range(1, n))
+        assert nhn_reconstruct(nhn) == g
+        _structure_is_int(nhn, n)
+
+
+def test_int_input_gives_fraction_entries():
+    g = Matrix([[2, 1, 0], [1, 3, 1], [4, 1, 5]])
+    nhn = nhn_decompose(g)
+    _structure_is_int(nhn, 3)
+    for i in range(3):
+        for j in range(3):
+            if i < j:
+                assert type(nhn.n[i, j]) is Fraction
+            if i > j:
+                assert type(nhn.n_minus[i, j]) is Fraction
+        assert type(nhn.h[i, i]) is Fraction
+    assert nhn_reconstruct(nhn) == g
+    assert nhn.h == Matrix.diagonal([Fraction(27, 14), Fraction(14, 5), Fraction(5)])
+
+
+def _ratfunc_with_denominators():
+    """A generic 3 x 3 matrix with a non-unit denominator in every row.
+
+    The first row holds two different denominators, so its row scale is
+    their product.
+    """
+    base = generic_matrix(3)
+
+    def x(i, j):
+        return base[i, j]
+
+    return Matrix(
+        [
+            [x(0, 0) / (x(1, 1) + 1), x(0, 1), x(0, 2) / (x(2, 2) - 2)],
+            [x(1, 0), x(1, 1) / (x(0, 0) + 3), x(1, 2)],
+            [x(2, 0) / (x(0, 1) + 1), x(2, 1), x(2, 2)],
+        ]
+    )
+
+
+def test_ratfunc_entries_with_denominators():
+    g = _ratfunc_with_denominators()
+    assert all(any(not e.is_polynomial() for e in row) for row in g.data)
+    nhn = nhn_decompose(g, verify=True)
+    _structure_is_int(nhn, 3)
+    for i in range(3):
+        for j in range(3):
+            if i < j:
+                assert isinstance(nhn.n[i, j], RatFunc)
+            if i > j:
+                assert isinstance(nhn.n_minus[i, j], RatFunc)
+        assert isinstance(nhn.h[i, i], RatFunc)
+    via_udl = nhn_from_udl(udl_explicit(g))
+    assert via_udl.n == nhn.n
+    assert via_udl.h == nhn.h
+    assert via_udl.n_minus == nhn.n_minus
+    assert nhn_reconstruct(nhn) == g
+
+
+# -- the factor check --------------------------------------------------------
+
+
+def _corrupt(m: Matrix, i, j, value) -> Matrix:
+    rows = [list(r) for r in m.data]
+    rows[i][j] = value
+    return Matrix(rows)
+
+
+def _generic_pair(n):
+    g = generic_matrix(n)
+    return udl_explicit(g), nhn_decompose(g)
+
+
+def test_factor_check_rejects_a_corrupted_entry():
+    udl, nhn = _generic_pair(3)
+    assert nhn_matches_udl(udl, nhn)
+    # the same denominator, another numerator: the division succeeds, the
+    # numerators differ
+    bad = NHNFactors(_corrupt(nhn.n, 0, 1, nhn.n[0, 1] + 1), nhn.h, nhn.n_minus)
+    assert not nhn_matches_udl(udl, bad)
+    bad = NHNFactors(nhn.n, nhn.h, _corrupt(nhn.n_minus, 2, 0, nhn.n_minus[2, 0] * 2))
+    assert not nhn_matches_udl(udl, bad)
+
+
+def test_factor_check_rejects_a_foreign_denominator():
+    udl, nhn = _generic_pair(3)
+    entry = nhn.n[0, 2]
+    ring = entry.ring
+    foreign = ring.var("x11") + 7
+    # (b_plus)_33 = d_3 is not a multiple of the new denominator
+    assert udl.b_plus[2, 2].num.exact_div(foreign) is None
+    bad = NHNFactors(
+        _corrupt(nhn.n, 0, 2, RatFunc(entry.num, entry.den * foreign)), nhn.h, nhn.n_minus
+    )
+    assert not nhn_matches_udl(udl, bad)
+    bad = NHNFactors(
+        nhn.n, nhn.h, _corrupt(nhn.n_minus, 1, 0, nhn.n_minus[1, 0] / foreign)
+    )
+    assert not nhn_matches_udl(udl, bad)
+
+
+def test_factor_check_rejects_a_corrupted_diagonal():
+    udl, nhn = _generic_pair(3)
+    for i in range(3):
+        for wrong in (nhn.h[i, i] * 3, nhn.h[i, i] + 1):
+            bad = NHNFactors(nhn.n, _corrupt(nhn.h, i, i, wrong), nhn.n_minus)
+            assert not nhn_matches_udl(udl, bad)
+
+
+def test_factor_check_rejects_a_wrong_structure_entry():
+    udl, nhn = _generic_pair(2)
+    bad = NHNFactors(_corrupt(nhn.n, 1, 0, 1), nhn.h, nhn.n_minus)
+    assert not nhn_matches_udl(udl, bad)
+    bad = NHNFactors(nhn.n, nhn.h, _corrupt(nhn.n_minus, 0, 0, 2))
+    assert not nhn_matches_udl(udl, bad)
+
+
+def test_factor_check_with_denominators_in_the_minors():
+    g = _ratfunc_with_denominators()
+    udl = udl_explicit(g)
+    # the minors of g are RatFuncs with non-unit denominators
+    assert not udl.b_plus[0, 1].is_polynomial()
+    assert not udl.a[0, 0].is_polynomial()
+    nhn = nhn_decompose(g)
+    assert nhn_matches_udl(udl, nhn)
+    bad = NHNFactors(_corrupt(nhn.n, 0, 1, nhn.n[0, 1] + 1), nhn.h, nhn.n_minus)
+    assert not nhn_matches_udl(udl, bad)
+    bad = NHNFactors(nhn.n, _corrupt(nhn.h, 2, 2, nhn.h[2, 2] * 2), nhn.n_minus)
+    assert not nhn_matches_udl(udl, bad)
