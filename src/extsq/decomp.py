@@ -11,16 +11,28 @@ ways:
 
 Every entry of b_plus and b_minus is itself a single explicit minor of g, so
 the first form needs no elimination at all; the second follows by scaling
-rows and columns.  An independent elimination route (reversal conjugation
-plus Doolittle LU) cross-checks both.
+rows and columns.  An independent elimination route cross-checks both:
+conjugation by the reversal, then one fraction-free (Bareiss) LU of the
+whole matrix, with the factors read off its pivots and eliminated rows.
+The two routes share only the determinant kernel, which the sympy oracle
+tests guard.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import Matrix, _is_zero
+from .matrices import (
+    Matrix,
+    _bareiss,
+    _clear_rational,
+    _clear_symbolic,
+    _div_int,
+    _div_poly,
+    _is_zero,
+)
 from .polynomials import Polynomial
 from .ratfunc import FactorBasis, FactoredFraction, RatFunc
 
@@ -125,8 +137,22 @@ def _as_pair(e):
     return e, 1
 
 
+def _as_poly(e):
+    """e as a Polynomial when it is one (a RatFunc over 1 counts), else None."""
+    if isinstance(e, Polynomial):
+        return e
+    if isinstance(e, RatFunc) and e.den.is_one():
+        return e.num
+    return None
+
+
 def _cross_equal(a, b, c):
-    # a / b == c, written without any division
+    """a / b == c, decided exactly."""
+    pa, pb = _as_poly(a), _as_poly(b)
+    if pa is not None and pb is not None and isinstance(c, RatFunc):
+        # c = cn/cd is canonical, so gcd(cn, cd) = 1 and a/b == c forces cd | b
+        q = pb.exact_div(c.den)
+        return q is not None and pa == q * c.num
     an, ad = _as_pair(a)
     bn, bd = _as_pair(b)
     cn, cd = _as_pair(c)
@@ -134,10 +160,15 @@ def _cross_equal(a, b, c):
 
 
 def nhn_matches_udl(udl: UDLFactors, nhn: NHNFactors) -> bool:
-    """Division-free check that the rescaled minor factors equal nhn.
+    """Check that the rescaled minor factors equal nhn, entry by entry.
 
-    Cross-multiplied entry comparisons avoid the fraction reductions that
-    make nhn_from_udl expensive on large symbolic matrices.
+    Each entry of nhn must be a ratio of minors, a / b == c.  For
+    polynomial a and b and a canonical c = cn/cd this holds exactly when
+    cd divides b and a == (b / cd) * cn, so the check is one exact division
+    and one product of polynomials no larger than the minors, and a wrong c
+    usually fails at the division.  It never forms the reduced fractions
+    that make nhn_from_udl expensive on large symbolic matrices.  Other
+    operands are compared cross-multiplied.
     """
     n = udl.b_plus.nrows
     dp = [udl.b_plus[i, i] for i in range(n)]
@@ -158,94 +189,61 @@ def nhn_matches_udl(udl: UDLFactors, nhn: NHNFactors) -> bool:
     return True
 
 
-def _to_workfield(entry, basis):
-    if basis is not None:
-        if isinstance(entry, Polynomial):
-            return FactoredFraction(basis, entry)
-        if isinstance(entry, RatFunc):
-            return FactoredFraction.from_ratfunc(basis, entry)
-        if isinstance(entry, (int, Fraction)):
-            return FactoredFraction(basis, basis.ring.const(entry))
-        raise TypeError(f"cannot mix {type(entry).__name__} with symbolic entries")
-    if isinstance(entry, int):
-        return Fraction(entry)
-    return entry
-
-
-def _from_workfield(entry):
-    if isinstance(entry, FactoredFraction):
-        return entry.to_ratfunc()
-    return entry
-
-
 def nhn_decompose(g: Matrix, verify: bool = False) -> NHNFactors:
-    """Decompose by elimination: conjugate by the reversal, run Doolittle LU.
+    """Decompose by elimination: fraction-free LU of the reversal conjugate.
 
-    With J the reversal permutation and g' = J g J, an LU factorization
-    g' = L U (L unit lower, U upper) conjugates back to
-    g = (J L J)(J U J) = n_upper * lower, and splitting the diagonal off the
-    lower factor gives the normalized form.  A zero pivot at elimination step
-    i means the trailing minor d_{n-i} of g vanishes.
+    With J the reversal permutation, an LU factorization g' = J g J = L U
+    (L unit lower, U upper) conjugates back to g = (J L J)(J U J) =
+    n_upper * lower, and splitting the diagonal off the lower factor gives
+    the normalized form.
 
-    Polynomial and rational-function entries are processed as factored
-    fractions over a shared basis so pivot divisions stay cheap; other entry
-    types use their native arithmetic.
+    Row r of g' is first cleared of denominators by its scale s_r, then
+    Bareiss elimination without row swaps runs over the integers or Q[x],
+    every division checked exact (Bareiss, Math. Comp. 22, 1968; Zhou &
+    Jeffrey, Front. Comput. Sci. China 2, 2008).  With pivots p_i
+    (p_{-1} = 1) and m the eliminated rows, L[r][i] = m[r][i] s_i / (p_i s_r),
+    U[i][i] = p_i / (p_{i-1} s_i) and U[i][j] / U[i][i] = m[i][j] / p_i, so
+    every entry is built once as one fraction.  A zero pivot at step
+    i < n - 1 means the trailing minor d_{n-i} of g vanishes.
+
+    Rational input gives Fraction entries, and polynomial or rational-function
+    input gives RatFunc entries.  Other entry types (float, complex) run the
+    same elimination with their own division.  The structural 0 and 1 entries
+    are ints.
     """
     n = g.nrows
     if n != g.ncols:
         raise ValueError("matrix must be square")
-    basis = None
-    for row in g.data:
-        for e in row:
-            if isinstance(e, (Polynomial, RatFunc)):
-                basis = FactorBasis(e.ring)
-                break
-        if basis is not None:
-            break
-    gp = [
-        [_to_workfield(g.data[n - 1 - i][n - 1 - j], basis) for j in range(n)]
-        for i in range(n)
-    ]
-    low = [[0] * n for _ in range(n)]  # unit lower factor of g'
-    up = [[0] * n for _ in range(n)]
-    for i in range(n):
-        low[i][i] = 1
-        for j in range(i, n):
-            acc = gp[i][j]
-            for k in range(i):
-                term = low[i][k] * up[k][j]
-                acc = acc - term
-            if isinstance(acc, FactoredFraction):
-                acc = acc.reduce()
-            up[i][j] = acc
-        piv = up[i][i]
-        if i < n - 1 and _is_zero(piv):
+    rev = [row[::-1] for row in reversed(g.data)]
+    kinds = {type(e) for row in rev for e in row}
+    if kinds <= {int, Fraction}:
+        m, scales = _clear_rational(rev)
+        divide, ratio = _div_int, Fraction
+    elif RatFunc in kinds or Polynomial in kinds:
+        m, scales = _clear_symbolic(rev)
+        divide, ratio = _div_poly, RatFunc
+    else:
+        m, scales = [list(row) for row in rev], [1] * n
+        divide = ratio = operator.truediv
+    if n:
+        _bareiss(m, divide, swap=False)
+    piv = [m[i][i] for i in range(n)]
+    for i in range(n - 1):
+        if _is_zero(piv[i]):
             raise DegenerateMinorError(n - i, i + 1)
-        for r in range(i + 1, n):
-            acc = gp[r][i]
-            for k in range(i):
-                acc = acc - low[r][k] * up[k][i]
-            val = acc / piv
-            if isinstance(val, FactoredFraction):
-                val = val.reduce()
-            low[r][i] = val
-    # conjugate back: n_upper = J L J, lower = J U J
-    nu = [
-        [_from_workfield(low[n - 1 - i][n - 1 - j]) for j in range(n)]
-        for i in range(n)
-    ]
-    lower = [
-        [_from_workfield(up[n - 1 - i][n - 1 - j]) for j in range(n)]
-        for i in range(n)
-    ]
-    hdiag = [lower[i][i] for i in range(n)]
-    nl = [
-        [
-            lower[i][j] * _inv(hdiag[i]) if j < i else (1 if i == j else 0)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    # entry (i, j) of each factor comes from entry (n-1-i, n-1-j) of L or U
+    nu = [[int(i == j) for j in range(n)] for i in range(n)]
+    nl = [[int(i == j) for j in range(n)] for i in range(n)]
+    hdiag = []
+    for i in range(n):
+        a = n - 1 - i
+        den = scales[a] if a == 0 else piv[a - 1] * scales[a]
+        hdiag.append(ratio(piv[a], den))
+        for j in range(i):
+            nl[i][j] = ratio(m[a][n - 1 - j], piv[a])
+        for j in range(i + 1, n):
+            b = n - 1 - j
+            nu[i][j] = ratio(m[a][b] * scales[b], piv[b] * scales[a])
     out = NHNFactors(Matrix(nu), Matrix.diagonal(hdiag), Matrix(nl))
     if verify:
         _verify_superdiagonal(g, out)

@@ -5,7 +5,10 @@ int 0/1 interoperate with all of them, so identity and padding need no ring
 tag.  Determinants use one kernel at every size: each row is cleared of
 denominators, fraction-free Bareiss elimination runs over the integers or
 over polynomials with every division checked exact, and the product of the
-row scales is divided out once at the end.
+row scales is divided out once at the end.  The row-clearing helpers
+(``_clear_rational``, ``_clear_symbolic``) return the scale of every row, and
+the Bareiss kernel can run without row swaps, so the fraction-free LU in
+``decomp.nhn_decompose`` uses the same code.
 """
 
 from __future__ import annotations
@@ -149,22 +152,23 @@ class Matrix:
         if kinds <= {int}:
             return _bareiss([list(row) for row in rows], _div_int)
         if kinds <= {int, Fraction}:
-            entries, scale = _clear_rational(rows)
-            return Fraction(_bareiss(entries, _div_int), scale)
+            entries, scales = _clear_rational(rows)
+            return Fraction(_bareiss(entries, _div_int), math.prod(scales))
         if RatFunc in kinds or Polynomial in kinds:
-            entries, scale = _clear_symbolic(rows)
+            entries, scales = _clear_symbolic(rows)
             d = _bareiss(entries, _div_poly)
             if RatFunc not in kinds:
                 return d
-            return RatFunc.from_poly(d) if scale.is_one() else RatFunc(d, scale)
+            scale = math.prod(s for s in scales if not s.is_one())
+            return RatFunc(d, scale) if isinstance(scale, Polynomial) else RatFunc.from_poly(d)
         return _bareiss([list(row) for row in rows], operator.truediv)
 
 
 def _clear_rational(rows):
     """Integer rows, each scaled by the lcm of its denominators, and the
-    product of those scales."""
+    list of those row scales."""
     out = []
-    scale = 1
+    scales = []
     for row in rows:
         # a list, not a generator: star-unpacking a generator resizes the
         # argument tuple, and CPython parks each resized tuple on a free list
@@ -173,19 +177,19 @@ def _clear_rational(rows):
             out.append([e.numerator for e in row])
         else:
             out.append([e.numerator * (lcm // e.denominator) for e in row])
-            scale *= lcm
-    return out, scale
+        scales.append(lcm)
+    return out, scales
 
 
 def _clear_symbolic(rows):
     """Polynomial rows, each scaled by the lcm of its denominators, and the
-    product of those scales."""
+    list of those row scales (the ring's one for a row with none)."""
     ring = next(
         e.ring for row in rows for e in row if isinstance(e, (Polynomial, RatFunc))
     )
     one = ring.one()
     out = []
-    scale = one
+    scales = []
     for row in rows:
         fracs = [
             (e.num, e.den) if isinstance(e, RatFunc)
@@ -201,6 +205,7 @@ def _clear_symbolic(rows):
                 continue
             g = poly_gcd(lcm, den)
             lcm = lcm * (den if g.is_one() else den.exact_div(g))
+        scales.append(lcm)
         if lcm.is_one():
             out.append([num for num, _ in fracs])
             continue
@@ -211,8 +216,7 @@ def _clear_symbolic(rows):
                 for num, den in fracs
             ]
         )
-        scale = scale * lcm
-    return out, scale
+    return out, scales
 
 
 def _div_int(a: int, b: int) -> int:
@@ -229,11 +233,15 @@ def _div_poly(a: Polynomial, b: Polynomial) -> Polynomial:
     return q
 
 
-def _bareiss(m, divide):
+def _bareiss(m, divide, swap=True):
     """Determinant of the square rows m (at least 1x1), eliminated in place.
 
     After step k every entry below row k is a (k+1)-minor of the input, so
     dividing by the previous pivot is exact (Bareiss, Math. Comp. 22, 1968).
+    The pivots stay on the diagonal and the column below each pivot keeps
+    the entry it was eliminated with, which is the fraction-free LU form.
+    A zero pivot swaps in a later row; with ``swap`` false it ends the
+    elimination instead, leaving that zero as the first one on the diagonal.
     """
     n = len(m)
     sign = 1
@@ -241,6 +249,8 @@ def _bareiss(m, divide):
     for k in range(n - 1):
         top = m[k]
         if _is_zero(top[k]):
+            if not swap:
+                return top[k]
             for i in range(k + 1, n):
                 if not _is_zero(m[i][k]):
                     m[k], m[i] = m[i], top

@@ -548,7 +548,7 @@ def _gcd_core(f: Polynomial, g: Polynomial) -> Polynomial:
     dfx, dgx = f.degree_in(x), g.degree_in(x)
     rng = random.Random(0x5EED)
     for _ in range(4):
-        vals = {n: Fraction(rng.randint(1, 40) * rng.choice((1, -1))) for n in others}
+        vals = {n: rng.randint(1, 40) * rng.choice((1, -1)) for n in others}
         fi = f.eval_partial(vals)
         gi = g.eval_partial(vals)
         if fi.degree_in(x) != dfx or gi.degree_in(x) != dgx:

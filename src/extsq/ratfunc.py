@@ -3,9 +3,10 @@
 RatFunc keeps num/den fully cancelled with an integer-primitive denominator
 whose graded-lex leading coefficient is positive, so structural equality is
 mathematical equality.  FactoredFraction stores the denominator as exponents
-over a shared basis of primitive polynomials; Gaussian elimination produces
-exactly such denominators (powers of earlier pivots), and keeping them
-factored turns most cancellations into integer exponent arithmetic.
+over a shared basis of primitive polynomials, so most cancellations become
+integer exponent arithmetic.  It now serves only the reconstruction check
+``decomp.verify_udl_reconstruction``, whose sums have denominators that are
+products of the trailing minors; the elimination route runs fraction-free.
 """
 
 from __future__ import annotations

@@ -334,3 +334,18 @@ def test_factor_check_with_denominators_in_the_minors():
     assert not nhn_matches_udl(udl, bad)
     bad = NHNFactors(nhn.n, _corrupt(nhn.h, 2, 2, nhn.h[2, 2] * 2), nhn.n_minus)
     assert not nhn_matches_udl(udl, bad)
+
+
+def test_float_and_complex_entries_use_their_own_division():
+    exact = Matrix([[Fraction(2), Fraction(1), Fraction(0)],
+                    [Fraction(1), Fraction(3), Fraction(1)],
+                    [Fraction(4), Fraction(1), Fraction(5)]])
+    want = nhn_decompose(exact)
+    for convert in (float, complex):
+        got = nhn_decompose(exact.map(convert))
+        for name in ("n", "h", "n_minus"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert all(
+                abs(a[i, j] - b[i, j]) <= 1e-12 for i in range(3) for j in range(3)
+            )
+        assert type(got.h[0, 0]) is convert

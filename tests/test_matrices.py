@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from extsq.matrices import (
     Matrix,
     _clear_rational,
+    _clear_symbolic,
     _div_int,
     _div_poly,
     generic_matrix,
@@ -88,8 +89,15 @@ def test_det_result_types():
 def test_row_scale_is_the_lcm_of_its_denominators():
     rows = [[Fraction(1, 4), Fraction(1, 6)], [1, Fraction(3)]]
     # lcm(4, 6) = 12, not the product 24; the second row is left alone
-    assert _clear_rational(rows) == ([[3, 2], [1, 3]], 12)
+    assert _clear_rational(rows) == ([[3, 2], [1, 3]], [12, 1])
     assert Matrix(rows).det() == Fraction(3, 4) - Fraction(1, 6)
+    ring = PolyRing(("x",))
+    x = ring.var("x")
+    xr = RatFunc.from_poly(x)
+    rows = [[1 / (xr + 1), 1 / (xr * (xr + 1))], [xr, Fraction(1, 2)]]
+    cleared, scales = _clear_symbolic(rows)
+    assert scales == [x * (x + 1), ring.one()]
+    assert cleared == [[x, ring.one()], [x, ring.const(Fraction(1, 2))]]
 
 
 def test_det_swaps_rows_for_zero_pivots():
