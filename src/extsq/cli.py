@@ -7,14 +7,11 @@ Exit status is 0 exactly when every check in the run passed.
 """
 
 import argparse
-import cmath
-import itertools
 import json
 import random
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .decomp import (
     DegenerateMinorError,
@@ -47,20 +44,13 @@ from .suite import (
     CHECKS,
     CheckResult,
     ORACLE_CUTOFF,
+    altsum_draws,
+    kappa_sweep,
+    recursion_draws,
     run_suite,
+    superdiag_draws,
+    whittaker_draws,
 )
-from .unfold import (
-    UnfoldVars,
-    altsum_check,
-    build_B,
-    kappa_signs,
-    lower_factor_recursive,
-    shuffled_whittaker_eval,
-    shuffled_whittaker_oracle,
-    superdiag_closed_form,
-    superdiag_sum,
-)
-from .lfactors import EmbeddingParams
 
 
 @dataclass(frozen=True)
@@ -133,6 +123,20 @@ def _parse_s(text: str) -> complex:
     return complex(parse_rational_complex(text))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -185,77 +189,20 @@ def cmd_shuffle_verify(args) -> int:
         return 2
     rng = random.Random(f"{args.seed}:shuffle-verify:{n}")
     checks = []
-
-    def draw_x():
-        return {
-            (i, j): Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
-            for i in range(1, n)
-            for j in range(2 * i, 2 * n)
-        }
-
-    ok, why = True, f"{trials} rational draws at n_half={n}"
-    for _ in range(trials):
-        v = UnfoldVars.from_x(n, draw_x())
-        if superdiag_sum(v) != superdiag_closed_form(v):
-            ok, why = False, "superdiagonal closed form mismatch"
-            break
-    checks.append(CheckResult("superdiag", ok, why))
-
-    ok, why = True, f"{trials} rational draws at n_half={n}"
-    for _ in range(trials):
-        lhs, rhs = altsum_check(UnfoldVars.from_x(n, draw_x()))
-        if lhs != rhs:
-            ok, why = False, "alternating sum mismatch"
-            break
-    checks.append(CheckResult("altsum", ok, why))
-
-    ok, why = True, f"{trials} rational draws at n_half={n}"
-    for _ in range(trials):
-        x = draw_x()
-        nhn = nhn_decompose(build_B(UnfoldVars.from_x(n, x)))
-        rec = lower_factor_recursive(n, x)
-        prod = nhn.h * nhn.n_minus
-        if any(
-            prod[i, j] != rec[i, j]
-            for i in range(rec.nrows)
-            for j in range(rec.ncols)
-        ):
-            ok, why = False, "recursive lower factor mismatch"
-            break
-    checks.append(CheckResult("recursion", ok, why))
-
-    ok, worst = True, 0.0
-    for _ in range(trials):
-        v = UnfoldVars.from_x(n, draw_x())
-        lam = tuple(Fraction(rng.randint(-4, 4), 2) for _ in range(2 * n))
-        delta = tuple(rng.randint(0, 1) for _ in range(2 * n))
-        e = EmbeddingParams(lam, delta)
-        a = shuffled_whittaker_eval(v, e)
-        b = shuffled_whittaker_oracle(v, e)
-        err = abs(a - b) / max(abs(b), 1e-300)
-        worst = max(worst, err)
-        if err > tol:
-            ok = False
-            break
-    checks.append(
-        CheckResult("whittaker", ok, f"{trials} dual-path draws, worst {worst:.3e}")
-    )
-
-    count = 0
-    ok, why = True, ""
-    for delta in itertools.product((0, 1), repeat=2 * n):
-        for eta in (0, 1):
-            eps = (sum(delta) + n * eta) % 2
-            try:
-                kappa_signs(n, delta, eps, eta)
-            except ArithmeticError as exc:
-                ok, why = False, f"sign identity fails at delta={delta}, eta={eta}"
-                break
-            count += 1
-        if not ok:
-            break
-    checks.append(CheckResult("kappa", ok, why or f"{count} exhaustive choices"))
-
+    for name, draws in (
+        ("superdiag", superdiag_draws),
+        ("altsum", altsum_draws),
+        ("recursion", recursion_draws),
+    ):
+        failure = draws(rng, n, trials)
+        detail = failure or f"{trials} rational draws at n_half={n}"
+        checks.append(CheckResult(name, failure is None, detail))
+    failure, worst = whittaker_draws(rng, n, trials, tol)
+    detail = failure or f"{trials} dual-path draws, worst {worst:.3e}"
+    checks.append(CheckResult("whittaker", failure is None, detail))
+    failure, count = kappa_sweep(n)
+    detail = failure or f"{count} exhaustive choices"
+    checks.append(CheckResult("kappa", failure is None, detail))
     report = _make_report("shuffle-verify", args.seed, checks, {"n": n}, t0)
     return _emit(report, args.json)
 
@@ -431,9 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shuffle-verify", help="run the unfolding identities at one size")
     p.add_argument("--n", type=int, required=True, help="half-size n (2..6)")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_positive_float, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_shuffle_verify)
 
@@ -441,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, choices=(0, 1), required=True)
     p.add_argument("--s", required=True, help='point, e.g. "0.5" or "1/2+2i"')
     p.add_argument("--oracle", action="store_true", help="compare with quadrature")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_positive_float, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_gamma)
 
@@ -458,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fe-check", help="test the functional-equation ratio")
     p.add_argument("repr", help="JSON file with induction data")
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--samples", type=_positive_int, default=50)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_fe_check)
@@ -474,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the full seeded verification suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--trials", type=_positive_int, default=None)
+    p.add_argument("--tol", type=_positive_float, default=None)
     p.add_argument("--check", action="append", choices=sorted(CHECKS), default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_suite)

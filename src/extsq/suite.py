@@ -4,6 +4,12 @@ Every check draws randomness from its own stream, keyed by the run seed
 and the check name, so the report is reproducible and independent of
 execution order.  Each check returns a pass flag and a short detail
 string; tolerances are fixed here unless the caller overrides them.
+
+The five unfolding identities draw through one per-size loop each:
+``superdiag_draws``, ``altsum_draws``, ``recursion_draws``,
+``whittaker_draws`` and ``kappa_sweep``.  The suite checks and the
+``shuffle-verify`` command both call them, and each returns the failure
+text or None.
 """
 
 import cmath
@@ -28,6 +34,7 @@ from .euler import (
     standard_reciprocal_poly,
 )
 from .lfactors import (
+    EmbeddingParams,
     PoleProximityError,
     casselman_embedding,
     fe_ratio_check,
@@ -42,6 +49,7 @@ from .rational import RationalComplex
 from .specialfn import CutoffSpec, PoleError, g_delta, g_delta_integral, gamma_c, gamma_r
 from .unfold import (
     UnfoldVars,
+    _x_index_set,
     altsum_check,
     build_B,
     kappa_signs,
@@ -53,7 +61,6 @@ from .unfold import (
     superdiag_sum,
     unfolded_gamma_table,
 )
-from .lfactors import EmbeddingParams
 
 ORACLE_CUTOFF = CutoffSpec(1.0, 2.0, 4)
 
@@ -97,11 +104,78 @@ def _random_rational_matrix(rng, n: int) -> Matrix:
 
 
 def _random_x_vars(rng, n_half: int) -> dict:
-    out = {}
-    for i in range(1, n_half):
-        for j in range(2 * i, 2 * n_half):
-            out[(i, j)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
-    return out
+    return {
+        key: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        for key in _x_index_set(n_half)
+    }
+
+
+# -- rational draws of the unfolding identities, shared with shuffle-verify --
+
+
+def superdiag_draws(rng, n_half: int, draws: int):
+    for _ in range(draws):
+        v = UnfoldVars.from_x(n_half, _random_x_vars(rng, n_half))
+        if superdiag_sum(v) != superdiag_closed_form(v):
+            return f"rational mismatch at n_half={n_half}"
+        if superdiag_closed_form(v) != superdiag_closed_form_x(v):
+            return f"closed forms disagree at n_half={n_half}"
+    return None
+
+
+def altsum_draws(rng, n_half: int, draws: int):
+    for _ in range(draws):
+        lhs, rhs = altsum_check(UnfoldVars.from_x(n_half, _random_x_vars(rng, n_half)))
+        if lhs != rhs:
+            return f"rational mismatch at n_half={n_half}"
+    return None
+
+
+def recursion_draws(rng, n_half: int, draws: int):
+    for _ in range(draws):
+        x = _random_x_vars(rng, n_half)
+        rec = lower_factor_recursive(n_half, x)
+        nhn = nhn_decompose(build_B(UnfoldVars.from_x(n_half, x)))
+        if not _matrices_equal(nhn.h * nhn.n_minus, rec):
+            return f"rational mismatch at n_half={n_half}"
+    return None
+
+
+def whittaker_draws(rng, n_half: int, draws: int, tol: float):
+    """Return the failure text (or None) and the worst relative error."""
+    worst = 0.0
+    for _ in range(draws):
+        v = UnfoldVars.from_x(n_half, _random_x_vars(rng, n_half))
+        lam = tuple(Fraction(rng.randint(-4, 4), 2) for _ in range(2 * n_half))
+        delta = tuple(rng.randint(0, 1) for _ in range(2 * n_half))
+        e = EmbeddingParams(lam, delta)
+        a = shuffled_whittaker_eval(v, e)
+        b = shuffled_whittaker_oracle(v, e)
+        err = abs(a - b) / max(abs(b), 1e-300)
+        worst = max(worst, err)
+        if err > tol:
+            return f"dual paths differ by {err:.3e} at n_half={n_half}", worst
+    return None, worst
+
+
+def kappa_sweep(n_half: int):
+    """Return the failure text (or None) and the number of choices checked."""
+    count = 0
+    for delta in itertools.product((0, 1), repeat=2 * n_half):
+        for eta in (0, 1):
+            eps = (sum(delta) + n_half * eta) % 2
+            try:
+                kappa_signs(n_half, delta, eps, eta)
+            except ArithmeticError:
+                return f"sign identity fails at delta={delta}, eta={eta}", count
+            count += 1
+            try:
+                kappa_signs(n_half, delta, 1 - eps, eta)
+            except ValueError:
+                pass
+            else:
+                return "parity constraint is not enforced", count
+    return None, count
 
 
 # -- the twelve checks -------------------------------------------------------
@@ -171,12 +245,9 @@ def check_superdiag(ctx: CheckContext):
         if superdiag_sum(vx) != superdiag_closed_form_x(vx):
             return False, f"symbolic x-form mismatch at n_half={n_half}"
     draws = ctx.count(20)
-    for _ in range(draws):
-        v = UnfoldVars.from_x(4, _random_x_vars(ctx.rng, 4))
-        if superdiag_sum(v) != superdiag_closed_form(v):
-            return False, "rational mismatch at n_half=4"
-        if superdiag_closed_form(v) != superdiag_closed_form_x(v):
-            return False, "closed forms disagree at n_half=4"
+    failure = superdiag_draws(ctx.rng, 4, draws)
+    if failure:
+        return False, failure
     return True, f"symbolic n_half=2,3 and {draws} rational points at n_half=4"
 
 
@@ -187,73 +258,46 @@ def check_altsum(ctx: CheckContext):
         if lhs != rhs:
             return False, f"symbolic mismatch at n_half={n_half}"
     draws = ctx.count(10)
-    for _ in range(draws):
-        v = UnfoldVars.from_x(4, _random_x_vars(ctx.rng, 4))
-        lhs, rhs = altsum_check(v)
-        if lhs != rhs:
-            return False, "rational mismatch at n_half=4"
+    failure = altsum_draws(ctx.rng, 4, draws)
+    if failure:
+        return False, failure
     return True, f"symbolic n_half=2,3 and {draws} rational points at n_half=4"
 
 
 def check_recursion(ctx: CheckContext):
     for n_half in (2, 3):
         vx = UnfoldVars.symbolic_x(n_half)
-        x = {key: vx.x(*key) for key in _x_keys(n_half)}
+        x = {key: vx.x(*key) for key in _x_index_set(n_half)}
         rec = lower_factor_recursive(n_half, x)
         nhn = nhn_decompose(build_B(vx))
         if not _matrices_equal(nhn.h * nhn.n_minus, rec):
             return False, f"symbolic mismatch at n_half={n_half}"
     draws = ctx.count(10)
     for _ in range(draws):
-        n_half = ctx.rng.choice((2, 3))
-        x = _random_x_vars(ctx.rng, n_half)
-        rec = lower_factor_recursive(n_half, x)
-        nhn = nhn_decompose(build_B(UnfoldVars.from_x(n_half, x)))
-        if not _matrices_equal(nhn.h * nhn.n_minus, rec):
-            return False, f"rational mismatch at n_half={n_half}"
+        failure = recursion_draws(ctx.rng, ctx.rng.choice((2, 3)), 1)
+        if failure:
+            return False, failure
     return True, f"symbolic n_half=2,3 and {draws} rational draws"
-
-
-def _x_keys(n_half: int):
-    return [
-        (i, j) for i in range(1, n_half) for j in range(2 * i, 2 * n_half)
-    ]
 
 
 def check_whittaker(ctx: CheckContext):
     per = ctx.count(100)
-    tol = ctx.rel(1e-10)
     worst = 0.0
     for n_half in (2, 3):
-        for _ in range(per):
-            x = _random_x_vars(ctx.rng, n_half)
-            v = UnfoldVars.from_x(n_half, x)
-            lam = tuple(Fraction(ctx.rng.randint(-4, 4), 2) for _ in range(2 * n_half))
-            delta = tuple(ctx.rng.randint(0, 1) for _ in range(2 * n_half))
-            e = EmbeddingParams(lam, delta)
-            a = shuffled_whittaker_eval(v, e)
-            b = shuffled_whittaker_oracle(v, e)
-            err = abs(a - b) / max(abs(b), 1e-300)
-            worst = max(worst, err)
-            if err > tol:
-                return False, f"dual paths differ by {err:.3e} at n_half={n_half}"
+        failure, err = whittaker_draws(ctx.rng, n_half, per, ctx.rel(1e-10))
+        worst = max(worst, err)
+        if failure:
+            return False, failure
     return True, f"{per} draws per n_half in (2, 3), worst {worst:.3e}"
 
 
 def check_kappa(ctx: CheckContext):
     total = 0
     for n_half in (2, 3):
-        for delta in itertools.product((0, 1), repeat=2 * n_half):
-            for eta in (0, 1):
-                eps = (sum(delta) + n_half * eta) % 2
-                kappa_signs(n_half, delta, eps, eta)
-                total += 1
-                try:
-                    kappa_signs(n_half, delta, 1 - eps, eta)
-                except ValueError:
-                    pass
-                else:
-                    return False, "parity constraint is not enforced"
+        failure, count = kappa_sweep(n_half)
+        total += count
+        if failure:
+            return False, failure
     return True, f"{total} exhaustive parameter choices"
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import Matrix, _is_zero
-from .polynomials import PolyRing, Polynomial
+from .polynomials import PolyRing
 from .rational import format_rational, parse_rational
 from .ratfunc import RatFunc
 from .specialfn import as_parity, g_delta

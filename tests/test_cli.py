@@ -242,6 +242,61 @@ def test_shuffle_verify(capsys):
         assert kv[name].startswith("PASS")
 
 
+def test_suite_and_shuffle_verify_share_one_draw_path(capsys, monkeypatch):
+    import extsq.suite
+
+    real = extsq.suite.superdiag_closed_form
+    monkeypatch.setattr(extsq.suite, "superdiag_closed_form", lambda v: real(v) + 1)
+    assert not extsq.suite.run_check("superdiag", 0).passed
+    code, out, err = run_cli(capsys, "shuffle-verify", "--n", "2", "--trials", "3")
+    assert code == 1
+    kv = _parse_kv(out)
+    assert kv["superdiag"] == "FAIL\trational mismatch at n_half=2"
+    for name in ("altsum", "recursion", "whittaker", "kappa"):
+        assert kv[name].startswith("PASS")
+
+
+def test_shuffle_verify_checks_that_kappa_rejects_the_wrong_parity(capsys, monkeypatch):
+    import extsq.suite
+
+    real = extsq.suite.kappa_signs
+
+    def ignores_eps(n, delta, eps, eta):
+        return real(n, delta, (sum(delta) + n * eta) % 2, eta)
+
+    monkeypatch.setattr(extsq.suite, "kappa_signs", ignores_eps)
+    code, out, err = run_cli(capsys, "shuffle-verify", "--n", "2", "--trials", "1")
+    assert code == 1
+    assert _parse_kv(out)["kappa"] == "FAIL\tparity constraint is not enforced"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fe-check", "{repr}", "--samples", "0"),
+        ("fe-check", "{repr}", "--samples", "-2"),
+        ("fe-check", "{repr}", "--tol", "0"),
+        ("suite", "--trials", "-3", "--check", "whittaker"),
+        ("suite", "--trials", "0"),
+        ("suite", "--trials", "two"),
+        ("suite", "--tol", "0"),
+        ("suite", "--tol", "-1"),
+        ("suite", "--tol", "nan"),
+        ("shuffle-verify", "--n", "2", "--trials", "-1"),
+        ("shuffle-verify", "--n", "2", "--tol", "-0.5"),
+        ("gamma", "--delta", "0", "--s", "0.5", "--oracle", "--tol", "0"),
+    ],
+    ids=" ".join,
+)
+def test_non_positive_counts_and_tolerances_are_input_errors(capsys, repr_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(repr=repr_file) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --" in err
+    assert "Traceback" not in err
+
+
 def test_suite_subset(capsys):
     code, out, err = run_cli(capsys, "suite", "--check", "euler", "--check", "kappa")
     assert code == 0
