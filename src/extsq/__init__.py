@@ -7,7 +7,6 @@ from .decomp import (
     NHNFactors,
     UDLFactors,
     nhn_decompose,
-    nhn_from_udl,
     nhn_matches_udl,
     nhn_reconstruct,
     udl_explicit,

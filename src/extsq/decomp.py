@@ -11,11 +11,13 @@ ways:
 
 Every entry of b_plus and b_minus is itself a single explicit minor of g, so
 the first form needs no elimination at all; the second follows by scaling
-rows and columns.  An independent elimination route cross-checks both:
-conjugation by the reversal, then one fraction-free (Bareiss) LU of the
-whole matrix, with the factors read off its pivots and eliminated rows.
-The two routes share only the determinant kernel, which the sympy oracle
-tests guard.
+rows and columns.  An independent elimination route computes the
+normalized form: conjugation by the reversal, then one fraction-free
+(Bareiss) LU of the whole matrix, with the factors read off its pivots and
+eliminated rows.  nhn_matches_udl is the single check that the two routes
+agree; it compares each elimination entry with its ratio of minors without
+building a second normalized form.  The two routes share only the
+determinant kernel, which the sympy oracle tests guard.
 """
 
 from __future__ import annotations
@@ -110,27 +112,6 @@ def _inv(e):
     return 1 / e
 
 
-def nhn_from_udl(udl: UDLFactors) -> NHNFactors:
-    """Rescale minor-form factors to unit triangular form.
-
-    n_upper = b_plus * diag(b_plus)^{-1}, n_lower = diag(b_minus)^{-1} * b_minus,
-    h_jj = (b_plus)_{jj} * (b_minus)_{jj} / a_jj.
-    """
-    n = udl.b_plus.nrows
-    dp = [udl.b_plus[i, i] for i in range(n)]
-    dm = [udl.b_minus[i, i] for i in range(n)]
-    nu = Matrix(
-        [[udl.b_plus[i, j] * _inv(dp[j]) for j in range(n)] for i in range(n)]
-    )
-    nl = Matrix(
-        [[udl.b_minus[i, j] * _inv(dm[i]) for j in range(n)] for i in range(n)]
-    )
-    h = Matrix.diagonal(
-        [dp[j] * dm[j] * _inv(udl.a[j, j]) for j in range(n)]
-    )
-    return NHNFactors(nu, h, nl)
-
-
 def _as_pair(e):
     if isinstance(e, RatFunc):
         return e.num, e.den
@@ -162,13 +143,17 @@ def _cross_equal(a, b, c):
 def nhn_matches_udl(udl: UDLFactors, nhn: NHNFactors) -> bool:
     """Check that the rescaled minor factors equal nhn, entry by entry.
 
+    This is the one check that the elimination factors match the minor
+    formulas: n_upper = b_plus * diag(b_plus)^{-1}, n_lower =
+    diag(b_minus)^{-1} * b_minus and h_jj = (b_plus)_{jj} (b_minus)_{jj} /
+    a_jj, with every other entry of the three factors zero.
+
     Each entry of nhn must be a ratio of minors, a / b == c.  For
     polynomial a and b and a canonical c = cn/cd this holds exactly when
     cd divides b and a == (b / cd) * cn, so the check is one exact division
     and one product of polynomials no larger than the minors, and a wrong c
-    usually fails at the division.  It never forms the reduced fractions
-    that make nhn_from_udl expensive on large symbolic matrices.  Other
-    operands are compared cross-multiplied.
+    usually fails at the division.  It never reduces a ratio of minors to
+    lowest terms.  Other operands are compared cross-multiplied.
     """
     n = udl.b_plus.nrows
     dp = [udl.b_plus[i, i] for i in range(n)]
@@ -183,13 +168,15 @@ def nhn_matches_udl(udl: UDLFactors, nhn: NHNFactors) -> bool:
                 return False
             if i < j and not _is_zero(nhn.n_minus[i, j]):
                 return False
+            if i != j and not _is_zero(nhn.h[i, j]):
+                return False
     for j in range(n):
         if not _cross_equal(dp[j] * dm[j], udl.a[j, j], nhn.h[j, j]):
             return False
     return True
 
 
-def nhn_decompose(g: Matrix, verify: bool = False) -> NHNFactors:
+def nhn_decompose(g: Matrix) -> NHNFactors:
     """Decompose by elimination: fraction-free LU of the reversal conjugate.
 
     With J the reversal permutation, an LU factorization g' = J g J = L U
@@ -244,23 +231,7 @@ def nhn_decompose(g: Matrix, verify: bool = False) -> NHNFactors:
         for j in range(i + 1, n):
             b = n - 1 - j
             nu[i][j] = ratio(m[a][b] * scales[b], piv[b] * scales[a])
-    out = NHNFactors(Matrix(nu), Matrix.diagonal(hdiag), Matrix(nl))
-    if verify:
-        _verify_superdiagonal(g, out)
-    return out
-
-
-def _verify_superdiagonal(g: Matrix, nhn: NHNFactors):
-    """Check n_{i,i+1} = (b_plus)_{i,i+1} / d_{i+1} against explicit minors."""
-    n = g.nrows
-    for i in range(1, n):
-        lhs = nhn.n[i - 1, i]
-        num = minor_upper(g, i, i + 1)
-        den = trailing_minor(g, i + 1)
-        if not _entries_equal(lhs * den, num):
-            raise ArithmeticError(
-                f"superdiagonal entry ({i},{i + 1}) disagrees with its minor ratio"
-            )
+    return NHNFactors(Matrix(nu), Matrix.diagonal(hdiag), Matrix(nl))
 
 
 def _entries_equal(a, b, tol: float = 1e-9) -> bool:

@@ -21,7 +21,6 @@ from fractions import Fraction
 from .decomp import (
     DegenerateMinorError,
     nhn_decompose,
-    nhn_from_udl,
     nhn_matches_udl,
     udl_explicit,
     verify_udl_reconstruction,
@@ -73,10 +72,10 @@ class CheckContext:
     seed: int
 
     def count(self, default: int) -> int:
-        return self.trials if self.trials else default
+        return default if self.trials is None else self.trials
 
     def rel(self, default: float) -> float:
-        return self.tol if self.tol else default
+        return default if self.tol is None else self.tol
 
 
 @dataclass(frozen=True)
@@ -224,13 +223,7 @@ def check_udl_explicit(ctx: CheckContext):
             continue
         if not verify_udl_reconstruction(g, udl):
             return False, f"rational reconstruction fails for {g.data}"
-        nhn_a = nhn_from_udl(udl)
-        nhn_b = nhn_decompose(g)
-        if not (
-            _matrices_equal(nhn_a.n, nhn_b.n)
-            and _matrices_equal(nhn_a.h, nhn_b.h)
-            and _matrices_equal(nhn_a.n_minus, nhn_b.n_minus)
-        ):
+        if not nhn_matches_udl(udl, nhn_decompose(g)):
             return False, f"rational factor mismatch for {g.data}"
         done += 1
     return True, f"generic n=2..5 and {draws} rational matrices"
@@ -424,6 +417,11 @@ CHECKS = {
 
 
 def run_check(name: str, seed: int, trials=None, tol=None) -> CheckResult:
+    """Run one check; trials and tol override its defaults when given."""
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials}")
+    if tol is not None and not tol > 0:  # also rejects nan
+        raise ValueError(f"tol must be a positive number, got {tol}")
     fn = CHECKS[name]
     ctx = CheckContext(random.Random(f"{seed}:{name}"), trials, tol, seed)
     try:

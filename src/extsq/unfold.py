@@ -289,7 +289,6 @@ def _solve_affine(mat: Matrix, n: int, pos, target):
     alpha = sub.det()
     if k % 2 == 0:
         alpha = -alpha
-    old = mat.data[r - 1][c - 1]
     mat.data[r - 1][c - 1] = 0
     beta = mat.submatrix(rows, cols).det()
     if _is_zero(alpha):
@@ -298,11 +297,11 @@ def _solve_affine(mat: Matrix, n: int, pos, target):
         )
     new = _div(target - beta, alpha)
     mat.data[r - 1][c - 1] = new
-    return old, new
+    return new
 
 
 def build_B(vars: UnfoldVars) -> Matrix:
-    """Shift entries until the determinant conditions hold everywhere.
+    """Shift entries so the determinant conditions hold everywhere.
 
     Every shiftable coordinate (each z_{i,j} with i <= n-2 and each
     off-diagonal c_{i,j}) gets a new value at its right-block position p;
@@ -314,41 +313,36 @@ def build_B(vars: UnfoldVars) -> Matrix:
     the down-right neighbor being c_{i+1,j+1} for a z entry and z_{i,j+1}
     for a c entry.  A shifted c value also replaces the other occurrences of
     its variable: its left-block slot and its contribution to the middle
-    column, which carries the row sums of shifted values.  Each condition is
-    affine in its own entry and involves only entries in rows at or below
-    its own plus entries already shifted in its own row to the left, so one
-    bottom-up sweep (rightmost entry first within a row) settles generic
-    data; we re-sweep to fixpoint anyway, then verify every condition.
+    column, which carries the row sums of shifted values.
+
+    Each condition is affine in its own entry.  Its block has p as top-right
+    corner and its neighbor's block lies one row down, so it reads only
+    the rows below p and, in p's own row, p and the entries to its left.  A
+    shifted c value rewrites only the odd row above it.  So one bottom-up
+    sweep, leftmost entry first within a row, settles every entry once, and
+    nothing a condition reads changes after it is solved.
+    _assert_tilde_relations then checks every condition on the finished
+    matrix, independently of how the sweep solved it.
     """
     n = vars.n_half
     mat = build_block_A(vars)
-    if n == 2:
-        return mat  # no shiftable entries
-    for _ in range(n + 4):
-        changed = False
-        for row in range(2 * n - 2, 2, -1):
-            if row % 2 == 0:
-                i = row // 2
-                for j in range(i - 1, 0, -1):
-                    k = 2 * (n - i)
-                    partner = _det_block(mat, n, _z_position(n, i, j + 1))
-                    target = _sign_pow(k - 1) * vars.c(i, j) * partner
-                    old, new = _solve_affine(mat, n, _c_position(n, i, j), target)
-                    changed = changed or not _same(old, new)
-                    mat.data[2 * i - 2][j - 1] = new
-                _refresh_middle_sum(mat, vars, i)
-            else:
-                i = (row - 1) // 2
-                if i > n - 2:
-                    continue
-                for j in range(i, 0, -1):
-                    k = 2 * (n - i) - 1
-                    partner = _det_block(mat, n, _c_position(n, i + 1, j + 1))
-                    target = _sign_pow(k - 1) * vars.z(i, j) * partner
-                    old, new = _solve_affine(mat, n, _z_position(n, i, j), target)
-                    changed = changed or not _same(old, new)
-        if not changed:
-            break
+    for row in range(2 * n - 2, 2, -1):
+        if row % 2 == 0:
+            i = row // 2
+            for j in range(i - 1, 0, -1):
+                k = 2 * (n - i)
+                partner = _det_block(mat, n, _z_position(n, i, j + 1))
+                target = _sign_pow(k - 1) * vars.c(i, j) * partner
+                new = _solve_affine(mat, n, _c_position(n, i, j), target)
+                mat.data[2 * i - 2][j - 1] = new
+            _refresh_middle_sum(mat, vars, i)
+        else:
+            i = (row - 1) // 2
+            for j in range(i, 0, -1):
+                k = 2 * (n - i) - 1
+                partner = _det_block(mat, n, _c_position(n, i + 1, j + 1))
+                target = _sign_pow(k - 1) * vars.z(i, j) * partner
+                _solve_affine(mat, n, _z_position(n, i, j), target)
     _assert_tilde_relations(mat, vars)
     return mat
 

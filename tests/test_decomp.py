@@ -7,7 +7,6 @@ from extsq.decomp import (
     DegenerateMinorError,
     NHNFactors,
     nhn_decompose,
-    nhn_from_udl,
     nhn_matches_udl,
     nhn_reconstruct,
     trailing_minor,
@@ -99,15 +98,11 @@ def test_nhn_unipotent_shape():
         assert nhn_reconstruct(nhn) == g
 
 
-def test_nhn_from_udl_matches_direct():
+def test_rational_factors_match_minors():
     rng = random.Random(31)
     for n in (2, 3, 4):
         g = _nondegenerate(rng, n)
-        via_udl = nhn_from_udl(udl_explicit(g))
-        direct = nhn_decompose(g)
-        assert via_udl.n == direct.n
-        assert via_udl.h == direct.h
-        assert via_udl.n_minus == direct.n_minus
+        assert nhn_matches_udl(udl_explicit(g), nhn_decompose(g))
 
 
 def test_nhn_matches_udl_symbolic():
@@ -164,7 +159,7 @@ def _structure_is_int(nhn, n):
 
 def test_empty_matrix_decomposes():
     empty = Matrix([])
-    nhn = nhn_decompose(empty, verify=True)
+    nhn = nhn_decompose(empty)
     assert nhn.n == nhn.h == nhn.n_minus == empty
     udl = udl_explicit(empty)
     assert verify_udl_reconstruction(empty, udl)
@@ -248,7 +243,7 @@ def _ratfunc_with_denominators():
 def test_ratfunc_entries_with_denominators():
     g = _ratfunc_with_denominators()
     assert all(any(not e.is_polynomial() for e in row) for row in g.data)
-    nhn = nhn_decompose(g, verify=True)
+    nhn = nhn_decompose(g)
     _structure_is_int(nhn, 3)
     for i in range(3):
         for j in range(3):
@@ -257,10 +252,7 @@ def test_ratfunc_entries_with_denominators():
             if i > j:
                 assert isinstance(nhn.n_minus[i, j], RatFunc)
         assert isinstance(nhn.h[i, i], RatFunc)
-    via_udl = nhn_from_udl(udl_explicit(g))
-    assert via_udl.n == nhn.n
-    assert via_udl.h == nhn.h
-    assert via_udl.n_minus == nhn.n_minus
+    assert nhn_matches_udl(udl_explicit(g), nhn)
     assert nhn_reconstruct(nhn) == g
 
 
@@ -319,6 +311,8 @@ def test_factor_check_rejects_a_wrong_structure_entry():
     bad = NHNFactors(_corrupt(nhn.n, 1, 0, 1), nhn.h, nhn.n_minus)
     assert not nhn_matches_udl(udl, bad)
     bad = NHNFactors(nhn.n, nhn.h, _corrupt(nhn.n_minus, 0, 0, 2))
+    assert not nhn_matches_udl(udl, bad)
+    bad = NHNFactors(nhn.n, _corrupt(nhn.h, 0, 1, 1), nhn.n_minus)
     assert not nhn_matches_udl(udl, bad)
 
 

@@ -1,6 +1,8 @@
-"""Every module under src/extsq reads each name it imports."""
+"""Every module under src/extsq reads each name it imports, and every
+private helper it defines is used somewhere in the package."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -25,3 +27,39 @@ def _unused_imports(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    """Module-level _name functions and classes, and _name methods."""
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    found = []
+    for node in tree.body:
+        if not isinstance(node, defs):
+            continue
+        found.append(node)
+        if isinstance(node, ast.ClassDef):
+            found.extend(m for m in node.body if isinstance(m, defs))
+    return [
+        (n.lineno, n.name)
+        for n in found
+        if n.name.startswith("_") and not n.name.startswith("__")
+    ]
+
+
+@functools.cache
+def _referenced_names() -> set:
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_helper_is_used(path):
+    used = _referenced_names()
+    defined = _private_definitions(ast.parse(path.read_text()))
+    assert [(line, name) for line, name in defined if name not in used] == []

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from extsq.suite import CHECKS, CheckResult, run_check, run_suite
+from extsq.suite import CHECKS, CheckContext, CheckResult, run_check, run_suite
 
 
 EXPECTED_CHECKS = {
@@ -59,3 +61,24 @@ def test_trials_override_shrinks_work():
     small = run_check("whittaker", 1, trials=2)
     assert small.passed
     assert "2 draws" in small.detail
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"trials": 0}, {"trials": -3}, {"tol": 0}, {"tol": -1.0}, {"tol": float("nan")}],
+    ids=["trials=0", "trials=-3", "tol=0", "tol=-1", "tol=nan"],
+)
+def test_non_positive_overrides_are_rejected(override):
+    with pytest.raises(ValueError):
+        run_check("whittaker", 0, **override)
+    with pytest.raises(ValueError):
+        run_suite(0, names=["kappa"], **override)
+
+
+def test_only_a_missing_override_means_the_default():
+    rng = random.Random(0)
+    default = CheckContext(rng, None, None, 0)
+    assert default.count(7) == 7 and default.rel(1e-3) == 1e-3
+    # the entry points reject these values; the context passes them through
+    given = CheckContext(rng, 0, 0.0, 0)
+    assert given.count(7) == 0 and given.rel(1e-3) == 0.0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import extsq.unfold as unfold
 from extsq.decomp import nhn_decompose
 from extsq.lfactors import EmbeddingParams
 from extsq.matrices import Matrix
@@ -74,6 +75,36 @@ def _random_x(rng, n_half):
         for i in range(1, n_half)
         for j in range(2 * i, 2 * n_half)
     }
+
+
+@pytest.mark.parametrize("n_half", [3, 4, 5])
+def test_build_B_solves_each_entry_once(monkeypatch, n_half):
+    solve = unfold._solve_affine
+    positions = []
+
+    def counting(mat, n, pos, target):
+        positions.append(pos)
+        return solve(mat, n, pos, target)
+
+    monkeypatch.setattr(unfold, "_solve_affine", counting)
+    build_B(UnfoldVars.from_x(n_half, _random_x(random.Random(n_half), n_half)))
+    # (n-1)(n-2)/2 shifted z entries and as many off-diagonal c entries
+    assert len(positions) == (n_half - 1) * (n_half - 2)
+    assert len(set(positions)) == len(positions)
+
+
+def test_build_B_rejects_a_wrong_shift(monkeypatch):
+    solve = unfold._solve_affine
+
+    def off_by_one(mat, n, pos, target):
+        new = solve(mat, n, pos, target) + 1
+        mat.data[pos[0] - 1][pos[1] - 1] = new
+        return new
+
+    monkeypatch.setattr(unfold, "_solve_affine", off_by_one)
+    v = UnfoldVars.from_x(3, _random_x(random.Random(5), 3))
+    with pytest.raises(ArithmeticError, match="determinant condition failed"):
+        build_B(v)
 
 
 def test_superdiag_identity_symbolic():
