@@ -7,6 +7,10 @@ expressions: the local factor itself, the Gamma-ratio of its functional
 equation with its root-number constant, pole lists in a right half-plane,
 and the six partial products used in the holomorphy analysis.
 
+Each public function normalizes and validates its input once, then hands
+the checked data to private builders (``_l_inf``, ``_embed``,
+``_partial_products``) that take it as given and check nothing again.
+
 All shifts are kept as exact rational-complex numbers so that lattice
 membership (where Gamma arguments pole) is decidable; plain floats are
 accepted too and handled with a 1e-9 lattice tolerance.
@@ -128,10 +132,13 @@ def validate(r: ReprData) -> list:
     return out
 
 
-def _require_valid(r: ReprData):
-    problems = validate(r)
+def _checked(r: ReprData) -> ReprData:
+    """normalize(r), or ValueError naming each violation when it is not admissible."""
+    rn = normalize(r)
+    problems = validate(rn)
     if problems:
         raise ValueError("invalid representation data: " + "; ".join(problems))
+    return rn
 
 
 def normalize(r: ReprData) -> ReprData:
@@ -153,15 +160,62 @@ def dual_repr(r: ReprData) -> ReprData:
     )
 
 
+_REQUIRED = object()
+
+
+def _json_field(entry, key: str, where: str, convert, default=_REQUIRED):
+    """convert(entry[key]); a missing or ill-typed field raises ValueError naming it."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(entry).__name__}")
+    if key not in entry:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} has no {key!r} field")
+        return default
+    try:
+        return convert(entry[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where} field {key!r}: {exc}") from None
+
+
+def _json_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, not {type(value).__name__}")
+    return value
+
+
+def _json_int(value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, not {value!r}")
+    return value
+
+
+def _json_shift(value) -> RationalComplex:
+    return parse_rational_complex(str(value))
+
+
 def repr_from_json(obj) -> ReprData:
-    """Read {"n":..,"eta":..,"sign_blocks":[{"eps":..,"s":".."}],"ds_blocks":[..]}."""
+    """Read {"n":..,"eta":..,"sign_blocks":[{"eps":..,"s":".."}],"ds_blocks":[..]}.
+
+    A missing or ill-typed field raises ValueError naming it.
+    """
     if isinstance(obj, str):
         obj = json.loads(obj)
-    sign = tuple(
-        (e["eps"], parse_rational_complex(str(e["s"]))) for e in obj.get("sign_blocks", [])
-    )
-    ds = tuple((d["k"], parse_rational_complex(str(d["s"]))) for d in obj.get("ds_blocks", []))
-    return ReprData(int(obj["n"]), int(obj.get("eta", 0)), sign, ds)
+    top = "representation"
+    n = _json_field(obj, "n", top, _json_int)
+    eta = _json_field(obj, "eta", top, _json_int, 0)
+    blocks = []
+    for fam, label, convert in (("sign", "eps", as_parity), ("ds", "k", _json_int)):
+        entries = _json_field(obj, f"{fam}_blocks", top, _json_list, [])
+        blocks.append(
+            tuple(
+                (
+                    _json_field(e, label, f"{fam} block {j}", convert),
+                    _json_field(e, "s", f"{fam} block {j}", _json_shift),
+                )
+                for j, e in enumerate(entries, 1)
+            )
+        )
+    return ReprData(n, eta, *blocks)
 
 
 def repr_to_json(r: ReprData) -> dict:
@@ -251,8 +305,10 @@ def casselman_embedding(r: ReprData) -> EmbeddingParams:
     -s -+ (k-1)/2 with parities (k mod 2, 0), and the remaining sign blocks
     close the list.  Blocks are sorted first; permuting them is free.
     """
-    rn = normalize(r)
-    _require_valid(rn)
+    return _embed(_checked(r))
+
+
+def _embed(rn: ReprData) -> EmbeddingParams:
     h = len(rn.sign_blocks) // 2
     lam, delta = [], []
     for b in rn.sign_blocks[:h]:
@@ -488,8 +544,10 @@ def l_inf(r: ReprData) -> GammaExpr:
     Gamma_C pieces: one per sign-ds pair at s_i + t_j + (k_j-1)/2, and two
     per ds pair at t_j + t_l + (k_j+k_l-2)/2 and t_j + t_l + |k_j-k_l|/2.
     """
-    rn = normalize(r)
-    _require_valid(rn)
+    return _l_inf(_checked(r))
+
+
+def _l_inf(rn: ReprData) -> GammaExpr:
     eta = rn.eta
     sb, db = rn.sign_blocks, rn.ds_blocks
     out = GammaExpr.one()
@@ -580,13 +638,13 @@ def fe_ratio_check(
     in s.  Sample points too close to a pole raise PoleProximityError, and
     a mismatch raises IdentityMismatchError.
     """
-    rn = normalize(r)
-    _require_valid(rn)
+    rn = _checked(r)
     s = complex(s)
-    e = casselman_embedding(rn)
-    num = l_inf(rn)
-    den = l_inf(dual_repr(rn))
-    prod_expr = script_g_full(e, rn.eta)
+    num = _l_inf(rn)
+    # the dual of checked data is admissible: negation keeps the closure
+    # under s -> -conj(s), and re-sorting keeps the pairing of real parts
+    den = _l_inf(dual_repr(rn))
+    prod_expr = script_g_full(_embed(rn), rn.eta)
 
     def guarded(point):
         d = min(
@@ -656,9 +714,8 @@ def pole_enumeration(r: ReprData) -> PoleList:
     shifts, sign-block pairs, equal-weight ds pairs); the lists must agree,
     or IdentityMismatchError is raised.
     """
-    rn = normalize(r)
-    _require_valid(rn)
-    scanned = l_inf(rn).poles_in_halfplane(_HALF)
+    rn = _checked(r)
+    scanned = _l_inf(rn).poles_in_halfplane(_HALF)
     sb, db = rn.sign_blocks, rn.ds_blocks
     families = {}
     for j, b in enumerate(db, 1):
@@ -700,8 +757,11 @@ def partial_products(r: ReprData) -> tuple:
     are built independently from the block data, and their combined factor
     multiset must reproduce script_g, or IdentityMismatchError is raised.
     """
-    rn = normalize(r)
-    _require_valid(rn)
+    rn = _checked(r)
+    return _partial_products(rn, script_g(_embed(rn), rn.eta))
+
+
+def _partial_products(rn: ReprData, g_expr: GammaExpr) -> tuple:
     eta = rn.eta
     sb, db = rn.sign_blocks, rn.ds_blocks
     h = len(sb) // 2
@@ -744,7 +804,7 @@ def partial_products(r: ReprData) -> tuple:
             g6 = g6 * GammaExpr.g_factor((b2.k + eta) % 2, base - h1 + h2)
             g6 = g6 * GammaExpr.g_factor(eta, base - h1 - h2)
     combined = g1 * g2 * g3 * g4 * g5 * g6
-    if combined != script_g(casselman_embedding(rn), eta):
+    if combined != g_expr:
         raise IdentityMismatchError("partial products do not reassemble the G-product")
     return (g1, g2, g3, g4, g5, g6)
 
@@ -763,18 +823,17 @@ def holomorphy_check(r: ReprData) -> HolomorphyReport:
     every pole in Re s >= 1/2 is matched, with at least its multiplicity,
     by the G-product, without any partial product vanishing there.
     """
-    rn = normalize(r)
-    _require_valid(rn)
+    rn = _checked(r)
     notes = []
-    factor = l_inf(rn)
+    factor = _l_inf(rn)
     if any(p < 0 for p in factor.factors.values()):
         notes.append("local factor contains reciprocal Gamma factors")
     stray = factor.lattice_points_in_halfplane(1)
     if stray:
         notes.append(f"local factor is not pole- and zero-free in Re s >= 1: {stray}")
     poles = pole_enumeration(rn)
-    g_expr = script_g(casselman_embedding(rn), rn.eta)
-    partials = partial_products(rn)
+    g_expr = script_g(_embed(rn), rn.eta)
+    partials = _partial_products(rn, g_expr)
     for rec in poles:
         got = g_expr.pole_order_at(rec.location)
         if got < rec.order:

@@ -28,6 +28,8 @@ class RationalComplex:
 
     real: Fraction = Fraction(0)
     imag: Fraction = Fraction(0)
+    # not a field (no annotation): the hash, cached on first use
+    _hash = None
 
     @classmethod
     def from_value(cls, value) -> "RationalComplex":
@@ -48,6 +50,15 @@ class RationalComplex:
             object.__setattr__(self, "real", Fraction(self.real))
         if type(self.imag) is not Fraction:
             object.__setattr__(self, "imag", Fraction(self.imag))
+
+    def __hash__(self):
+        # the value the dataclass would generate; Fraction.__hash__ runs in
+        # Python, and neither it nor the tuple hash is salted per process
+        h = self._hash
+        if h is None:
+            h = hash((self.real, self.imag))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __add__(self, other):
         other = RationalComplex.from_value(other)

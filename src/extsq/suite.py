@@ -38,7 +38,6 @@ from .lfactors import (
     casselman_embedding,
     fe_ratio_check,
     holomorphy_check,
-    pole_enumeration,
     random_repr_data,
     repr_to_json,
     script_g,
@@ -341,7 +340,6 @@ def check_holomorphy(ctx: CheckContext):
         rep = holomorphy_check(rd)
         if not rep.ok:
             return False, f"analysis fails for {repr_to_json(rd)}: {rep.notes}"
-        pole_enumeration(rd)
     return True, f"{draws} random data, lattice scans agree with family lists"
 
 

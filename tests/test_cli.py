@@ -358,3 +358,23 @@ def test_parser_covers_all_subcommands():
         "euler",
         "suite",
     }
+
+
+@pytest.mark.parametrize("command", ["lfactor", "poles", "fe-check"])
+@pytest.mark.parametrize(
+    "doc,field",
+    [
+        ({"eta": 0, "sign_blocks": [{"eps": 0, "s": "0"}, {"eps": 0, "s": "0"}]}, "'n'"),
+        ({"n": 1, "ds_blocks": [{"k": 2}]}, "ds block 1 has no 's'"),
+        ([1], "must be a JSON object, not list"),
+        ({"n": 1.9, "sign_blocks": [{"eps": 0, "s": "0"}] * 2}, "field 'n': expected an integer"),
+    ],
+)
+def test_bad_representation_json_is_an_input_error(capsys, tmp_path, command, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import random
 from fractions import Fraction
 
@@ -70,6 +71,8 @@ MIXED = ReprData(
 def test_validate_accepts_the_fixtures():
     for r in (TRIVIAL, TEMPERED, SIGN4, DS_PAIR, MIXED):
         assert validate(r) == []
+        # fe_ratio_check relies on this and does not check the dual again
+        assert validate(dual_repr(r)) == []
 
 
 def test_validate_violation_labels():
@@ -332,6 +335,8 @@ def test_mismatches_raise_identity_mismatch_error(monkeypatch):
     monkeypatch.setattr(lfactors, "script_g", lambda e, eta: GammaExpr.one())
     with pytest.raises(IdentityMismatchError, match="reassemble"):
         partial_products(SIGN4)
+    with pytest.raises(IdentityMismatchError, match="reassemble"):
+        holomorphy_check(SIGN4)
     monkeypatch.setattr(lfactors, "omega_closed_form", lambda r: -1.0 + 0.0j)
     with pytest.raises(IdentityMismatchError, match="ratio mismatch"):
         fe_ratio_check(SIGN4, 0.8 + 0.1j)
@@ -382,4 +387,126 @@ def test_random_repr_data_is_always_valid():
     for _ in range(200):
         r = random_repr_data(rng)
         assert validate(r) == []
+        assert validate(dual_repr(r)) == []
         assert len(r.sign_blocks) % 2 == 0
+
+
+# -- one check per public call ------------------------------------------------
+
+ODD_R1 = ReprData(2, 0, ((0, 0),), ((2, RC(0, 0)),))
+WIDE_SHIFT = ReprData(1, 0, ((0, _rc(-1, 2)), (0, _rc(1, 2))), ())
+
+PUBLIC_CALLS = {
+    "l_inf": l_inf,
+    "casselman_embedding": casselman_embedding,
+    "pole_enumeration": pole_enumeration,
+    "partial_products": partial_products,
+    "fe_ratio_check": lambda r: fe_ratio_check(r, 0.83 + 0.17j),
+    "holomorphy_check": holomorphy_check,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_CALLS))
+def test_each_public_call_validates_its_input_once(monkeypatch, name):
+    calls = []
+    real_validate = lfactors.validate
+
+    def counting(r):
+        calls.append(r)
+        return real_validate(r)
+
+    monkeypatch.setattr(lfactors, "validate", counting)
+    for r in (SIGN4, MIXED, random_repr_data(random.Random(41), n_half=4, eta=1)):
+        calls.clear()
+        PUBLIC_CALLS[name](r)
+        # holomorphy_check's second check is the one inside the public
+        # pole_enumeration it calls
+        assert len(calls) == (2 if name == "holomorphy_check" else 1)
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_CALLS))
+@pytest.mark.parametrize("bad,label", [(ODD_R1, "r1-parity"), (WIDE_SHIFT, r"\(b\)")])
+def test_each_public_call_rejects_invalid_data(name, bad, label):
+    with pytest.raises(ValueError, match=label):
+        PUBLIC_CALLS[name](bad)
+
+
+def test_holomorphy_check_keeps_the_pole_family_guard(monkeypatch):
+    monkeypatch.setattr(GammaExpr, "poles_in_halfplane", lambda self, re_min: {})
+    with pytest.raises(IdentityMismatchError, match="structural families"):
+        holomorphy_check(SIGN4)
+
+
+# The suite's holomorphy FAILs at seeds 77 and 192 (partial product 6 vanishes).
+SEED77 = ReprData(4, 1, (), tuple((3, RC(F(re, 100), F(-4, 5))) for re in (-37, -13, 13, 37)))
+SEED192 = ReprData(
+    4,
+    1,
+    (),
+    (
+        (5, RC(F(-9, 20), F(-6, 5))),
+        (5, RC(F(-11, 100), F(6, 5))),
+        (5, RC(F(11, 100), F(6, 5))),
+        (5, RC(F(9, 20), F(-6, 5))),
+    ),
+)
+FE_POINTS = (0.83 + 0.17j, 0.61 - 0.29j)
+
+# sha256 prefixes of _public_outputs over _frozen_inputs(), computed with the
+# implementation that validated in every builder (commit 08a9827)
+FROZEN_DIGESTS = {
+    "l_inf": "6f49e2def876a1e6",
+    "embedding": "18046cfa57d460a7",
+    "poles": "5a039bcf75d13ea7",
+    "partials": "8458f1aef91025aa",
+    "holomorphy": "14a171f7f336fd3d",
+    "fe_ratio": "5ac0152af1557f31",
+}
+
+
+def _hex(z):
+    z = complex(z)
+    return f"{z.real.hex()},{z.imag.hex()}"
+
+
+def _public_outputs(r) -> dict:
+    """Every public result for r as text, floats bit for bit."""
+    e = casselman_embedding(r)
+    rep = holomorphy_check(r)
+    fe = []
+    for s in FE_POINTS:
+        try:
+            res = fe_ratio_check(r, s)
+        except ArithmeticError as exc:
+            fe.append(type(exc).__name__)
+        else:
+            fe.append(" ".join(map(_hex, (res.lhs, res.rhs, res.omega))))
+    return {
+        "l_inf": " ".join(l_inf(r).describe()),
+        "embedding": ";".join(map(str, e.lam)) + "|" + "".join(map(str, e.delta)),
+        "poles": ";".join(
+            f"{p.location}:{p.order}:{','.join(p.provenance)}" for p in pole_enumeration(r)
+        ),
+        "partials": "|".join(" ".join(g.describe()) for g in partial_products(r)),
+        "holomorphy": f"{rep.ok}|{len(rep.poles)}|" + "|".join(rep.notes),
+        "fe_ratio": "|".join(fe),
+    }
+
+
+def _frozen_inputs():
+    rng = random.Random(2027)
+    fixed = [TRIVIAL, TEMPERED, SIGN4, DS_PAIR, MIXED, SEED77, SEED192]
+    return fixed + [random_repr_data(rng) for _ in range(200)]
+
+
+def _output_digests() -> dict:
+    digests = {}
+    for r in _frozen_inputs():
+        for name, text in _public_outputs(r).items():
+            digests.setdefault(name, hashlib.sha256()).update(text.encode() + b"\n")
+    return {name: h.hexdigest()[:16] for name, h in digests.items()}
+
+
+def test_public_outputs_match_the_frozen_values():
+    assert not holomorphy_check(SEED77).ok and not holomorphy_check(SEED192).ok
+    assert _output_digests() == FROZEN_DIGESTS

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -141,3 +143,31 @@ def test_decimal_and_exponent_round_trip(re_lit, im_lit):
     assert z == RationalComplex(Fraction(re_lit), Fraction(im_lit))
     assert parse_rational_complex(f"{im_lit}i") == RationalComplex(0, Fraction(im_lit))
     assert parse_rational_complex(re_lit) == RationalComplex(Fraction(re_lit), 0)
+
+
+def test_hash_is_the_dataclass_value_and_cached():
+    a, b = Fraction(-3, 7), Fraction(5, 2)
+    z = RationalComplex(a, b)
+    assert hash(z) == hash((a, b))
+    assert hash(z) == hash((a, b))
+    assert [f.name for f in dataclasses.fields(RationalComplex)] == ["real", "imag"]
+    assert repr(z) == "RationalComplex(real=Fraction(-3, 7), imag=Fraction(5, 2))"
+
+
+def test_equal_values_from_different_arithmetic_hash_equal():
+    x = RationalComplex(Fraction(1, 3), Fraction(-1, 2))
+    hash(x)
+    y = RationalComplex(Fraction(2, 3), Fraction(1, 4)) * RationalComplex(0, -2)
+    y = y + RationalComplex(Fraction(-1, 6), Fraction(5, 6))
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y, parse_rational_complex("1/3-1/2i")}) == 1
+    assert hash(RationalComplex(2, 0)) == hash(RationalComplex.from_value(2)) == hash((2, 0))
+
+
+def test_hash_survives_a_pickle_round_trip():
+    z = RationalComplex(Fraction(9, 4), Fraction(-1, 3))
+    for warm in (False, True):
+        if warm:
+            hash(z)
+        back = pickle.loads(pickle.dumps(z))
+        assert back == z and hash(back) == hash(z) == hash((z.real, z.imag))
