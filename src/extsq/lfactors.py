@@ -375,9 +375,11 @@ class GammaExpr:
 
     Factors carry signed integer powers, so the same object represents
     ratios; structural equality is multiset equality including the unit.
+    An expression is not changed once it is evaluated: value() and
+    nearest_pole_distance() read its factors converted to floats once.
     """
 
-    __slots__ = ("unit_ipow", "factors")
+    __slots__ = ("unit_ipow", "factors", "_terms")
 
     def __init__(self, unit_ipow: int = 0, factors=None):
         self.unit_ipow = unit_ipow % 4
@@ -386,6 +388,22 @@ class GammaExpr:
             if power:
                 clean[fac] = power
         self.factors = clean
+        self._terms = None
+
+    def _float_terms(self) -> tuple:
+        """(kind, orient, complex shift, power) per factor, in factor order.
+
+        Built on the first numeric evaluation, so each exact shift is
+        converted to a complex once per expression, not once per point.
+        """
+        terms = self._terms
+        if terms is None:
+            terms = tuple(
+                (fac.kind, fac.orient, complex(fac.const), power)
+                for fac, power in self.factors.items()
+            )
+            self._terms = terms
+        return terms
 
     @classmethod
     def one(cls) -> "GammaExpr":
@@ -461,10 +479,10 @@ class GammaExpr:
         acc = 0.0j
         order = 0
         hit = False
-        for fac, power in self.factors.items():
-            z = fac.orient * s + complex(fac.const)
+        for kind, orient, shift, power in self._float_terms():
+            z = orient * s + shift
             try:
-                part = _log_gamma_r(z) if fac.kind == "R" else _log_gamma_c(z)
+                part = _log_gamma_r(z) if kind == "R" else _log_gamma_c(z)
             except PoleError:
                 hit = True
                 order -= power
@@ -494,9 +512,9 @@ class GammaExpr:
         """Distance from s to the nearest argument-lattice point of any factor."""
         s = complex(s)
         best = math.inf
-        for fac in self.factors:
-            z = fac.orient * s + complex(fac.const)
-            step = 2 if fac.kind == "R" else 1
+        for kind, orient, shift, _ in self._float_terms():
+            z = orient * s + shift
+            step = 2 if kind == "R" else 1
             m = min(0, round(z.real / step))
             best = min(best, math.hypot(z.real - step * m, z.imag))
         return best

@@ -10,9 +10,11 @@ the normalized Fourier transform of sgn(x)^delta |x|^(s-1).  An independent
 oracle evaluates that Fourier integral directly, without any Gamma function:
 it splits the integral at CutoffSpec.inner_radius, integrates the piece
 next to 0 on the real axis and the rest on a path rotated into the complex
-plane, both by double-exponential quadrature.  CutoffSpec.parts_count bounds
-the accepted domain 0 < Re s < parts_count; outer_radius is validated but
-no longer read.
+plane, both by double-exponential quadrature.  Only the powers x^s and
+(a +- i t)^(s-1) depend on s: the nodes, weights and trig values of each
+step level are built once per (inner radius, parity, level), on first use,
+and kept in a bounded cache.  CutoffSpec.parts_count bounds the accepted
+domain 0 < Re s < parts_count; outer_radius is validated but no longer read.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 _LN_PI = math.log(math.pi)
 _LN_2PI = math.log(2.0 * math.pi)
@@ -170,6 +173,9 @@ _HEAD_RANGE = (-6.0, 4.0)
 # t = 28, where e^(-2 pi t) is below 1e-77
 _TAIL_RANGE = (-4.5, 1.5)
 _HALF_PI = 0.5 * math.pi
+# Tables kept per builder: every level of one inner radius and both
+# parities fits, and memory stays bounded however many radii callers pass.
+_NODE_TABLES = 32
 
 
 @dataclass(frozen=True)
@@ -192,22 +198,74 @@ class CutoffSpec:
             raise ValueError("parts_count must be >= 1")
 
 
-def _double_exponential(g, lo: float, hi: float) -> tuple[complex, float]:
-    """Trapezoid sums of g over [lo, hi], the step halved until two
+def _abscissae(lo: float, hi: float, level: int) -> list:
+    """The trapezoid nodes in [lo, hi] new at a level: the integers at level 0,
+    the odd multiples of the step 2^-level after."""
+    if not level:
+        return [float(k) for k in range(math.ceil(lo), math.floor(hi) + 1)]
+    h = 0.5**level
+    k_lo = math.ceil(lo / h)
+    return [k * h for k in range(k_lo + 1 - k_lo % 2, math.floor(hi / h) + 1, 2)]
+
+
+@lru_cache(maxsize=_NODE_TABLES)
+def _head_nodes(a, delta: int, level: int) -> tuple:
+    """The tuples of trig(2 pi x), x and weight over the head's new nodes of a
+    level, where the integrand is trig(2 pi x) x^s weight.  Three tuples of
+    floats take a third less memory than one tuple per node."""
+    # e(x) + (-1)^delta e(-x) is 2 cos(2 pi x) or 2i sin(2 pi x)
+    trig = math.sin if delta else math.cos
+    cs, xs, ws = [], [], []
+    for t in _abscissae(*_HEAD_RANGE, level):
+        # x = a / (1 + e^(-2u)), u = (pi/2) sinh t.  With q = e^(-2|u|) the
+        # nodes near 0 are x = a q / (1 + q), so no exponential overflows
+        u = _HALF_PI * math.sinh(t)
+        q = math.exp(-2.0 * abs(u))
+        if u < 0.0:
+            x = a * q / (1.0 + q)
+            weight = 2.0 / (1.0 + q)
+        else:
+            x = a / (1.0 + q)
+            weight = 2.0 * q / (1.0 + q)
+        # x^(s-1) dx/dt = x^s weight (pi/2) cosh t
+        cs.append(trig(_TWO_PI * x))
+        xs.append(x)
+        ws.append(weight * _HALF_PI * math.cosh(t))
+    return tuple(cs), tuple(xs), tuple(ws)
+
+
+@lru_cache(maxsize=_NODE_TABLES)
+def _tail_nodes(a, level: int) -> tuple:
+    """The tuples of weight, a + i t and a - i t over the tail's new nodes of a
+    level, where the integrand is
+    weight (c_plus (a + i t)^(s-1) + c_minus (a - i t)^(s-1))."""
+    ws, zps, zms = [], [], []
+    for tau in _abscissae(*_TAIL_RANGE, level):
+        # t = exp((pi/2) sinh tau) on the rotated paths x = a + i t, a - i t
+        t = math.exp(_HALF_PI * math.sinh(tau))
+        weight = math.exp(-_TWO_PI * t) * t * _HALF_PI * math.cosh(tau)
+        ws.append(weight)
+        zps.append(complex(a, t))
+        zms.append(complex(a, -t))
+    return tuple(ws), tuple(zps), tuple(zms)
+
+
+def _double_exponential(level_values) -> tuple[complex, float]:
+    """Trapezoid sums on a double-exponential grid, the step halved until two
     successive sums agree near machine precision or _DE_LEVELS is reached.
 
+    level_values(level) gives the weighted integrand at the nodes new at
+    that level (see _abscissae); it is asked only for the levels reached.
     Returns the last sum and its change from the one before, which is never
-    taken below the rounding level of the sum of |g|.
+    taken below the rounding level of the sum of |values|.
     """
-    values = [g(float(k)) for k in range(math.ceil(lo), math.floor(hi) + 1)]
+    values = level_values(0)
     total = sum(values)
     mass = sum(map(abs, values))
     h = 1.0
-    for _ in range(_DE_LEVELS):
+    for level in range(1, _DE_LEVELS + 1):
         h *= 0.5
-        # the nodes new at this level are the odd multiples of h
-        k_lo = math.ceil(lo / h)
-        values = [g(k * h) for k in range(k_lo + 1 - k_lo % 2, math.floor(hi / h) + 1, 2)]
+        values = level_values(level)
         refined = 0.5 * total + h * sum(values)
         mass = 0.5 * mass + h * sum(map(abs, values))
         change = abs(refined - total)
@@ -238,24 +296,11 @@ def g_delta_integral(delta, s, cutoff: CutoffSpec, budget: float = 1e-7) -> comp
         raise ValueError(f"quadrature oracle needs 0 < Re s < {cutoff.parts_count}")
     sign = -1.0 if delta else 1.0
     a = cutoff.inner_radius
-    # e(x) + sign e(-x) is 2 cos(2 pi x) or 2i sin(2 pi x)
-    trig = math.sin if delta else math.cos
 
-    def head(t: float) -> complex:
-        # x = a / (1 + e^(-2u)), u = (pi/2) sinh t.  With q = e^(-2|u|) the
-        # nodes near 0 are x = a q / (1 + q), so no exponential overflows
-        u = _HALF_PI * math.sinh(t)
-        q = math.exp(-2.0 * abs(u))
-        if u < 0.0:
-            x = a * q / (1.0 + q)
-            weight = 2.0 / (1.0 + q)
-        else:
-            x = a / (1.0 + q)
-            weight = 2.0 * q / (1.0 + q)
-        # x^(s-1) dx/dt = x^s weight (pi/2) cosh t
-        return trig(_TWO_PI * x) * x**s * (weight * _HALF_PI * math.cosh(t))
+    def head(level: int) -> list:
+        return [c * x**s * w for c, x, w in zip(*_head_nodes(a, delta, level))]
 
-    head_val, head_change = _double_exponential(head, *_HEAD_RANGE)
+    head_val, head_change = _double_exponential(head)
     head_val *= 2j if delta else 2.0
 
     s1 = s - 1.0
@@ -263,14 +308,11 @@ def g_delta_integral(delta, s, cutoff: CutoffSpec, budget: float = 1e-7) -> comp
     c_plus = 1j * e_a
     c_minus = -sign * 1j * e_a.conjugate()
 
-    def tail(tau: float) -> complex:
-        # t = exp((pi/2) sinh tau) on the rotated paths x = a + i t, a - i t
-        t = math.exp(_HALF_PI * math.sinh(tau))
-        weight = math.exp(-_TWO_PI * t) * t * _HALF_PI * math.cosh(tau)
-        return weight * (c_plus * complex(a, t) ** s1 + c_minus * complex(a, -t) ** s1)
+    def tail(level: int) -> list:
+        return [w * (c_plus * zp**s1 + c_minus * zm**s1) for w, zp, zm in zip(*_tail_nodes(a, level))]
 
     try:
-        tail_val, tail_change = _double_exponential(tail, *_TAIL_RANGE)
+        tail_val, tail_change = _double_exponential(tail)
     except OverflowError:
         # once |Im s| is in the hundreds the rotated integrand outgrows floats
         raise QuadratureToleranceError(math.inf, budget, complex(math.nan, math.nan)) from None

@@ -195,6 +195,26 @@ def test_gamma_expr_product_keeps_the_reference_order():
                 assert got.unit_ipow == want.unit_ipow
 
 
+def test_each_shift_is_converted_to_complex_once(monkeypatch):
+    calls = []
+    to_complex = RC.__complex__
+
+    def counting(self):
+        calls.append(self)
+        return to_complex(self)
+
+    expr = l_inf(MIXED) * script_g(casselman_embedding(MIXED), 0)
+    point = complex(0.3, 0.7)
+    want = (expr.value(point), expr.nearest_pole_distance(point))
+    fresh = expr * GammaExpr.one()
+    monkeypatch.setattr(RC, "__complex__", counting)
+    assert (fresh.value(point), fresh.nearest_pole_distance(point)) == want
+    assert sorted(map(str, calls)) == sorted(str(fac.const) for fac in fresh.factors)
+    fresh.value(1 - point)
+    fresh.nearest_pole_distance(1 - point)
+    assert len(calls) == len(fresh.factors)
+
+
 def test_unfolded_table_matches_g_product():
     rng = random.Random(5)
     for _ in range(15):

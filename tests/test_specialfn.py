@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from extsq import specialfn
 from extsq.specialfn import (
     CutoffSpec,
     PoleError,
@@ -199,6 +200,165 @@ def test_quadrature_domain_check():
         g_delta_integral(0, complex(-0.2, 0.0), CUTOFF)
     with pytest.raises(ValueError):
         g_delta_integral(0, complex(4.5, 0.0), CUTOFF)
+
+
+# -- the per-node quadrature as it was before the node tables --------------
+
+
+def _reference_double_exponential(g, lo, hi):
+    values = [g(float(k)) for k in range(math.ceil(lo), math.floor(hi) + 1)]
+    total = sum(values)
+    mass = sum(map(abs, values))
+    h = 1.0
+    for _ in range(9):
+        h *= 0.5
+        k_lo = math.ceil(lo / h)
+        values = [g(k * h) for k in range(k_lo + 1 - k_lo % 2, math.floor(hi / h) + 1, 2)]
+        refined = 0.5 * total + h * sum(values)
+        mass = 0.5 * mass + h * sum(map(abs, values))
+        change = abs(refined - total)
+        total = refined
+        if change <= 1e-14 * mass:
+            break
+    return total, max(change, 1e-14 * mass)
+
+
+def _reference_g_delta_integral(delta, s, cutoff, budget):
+    """g_delta_integral recomputing every node's abscissa, weight and trig
+    value at every call; returns the value or the refusal's fields."""
+    s = complex(s)
+    sigma = s.real
+    half_pi, two_pi = 0.5 * math.pi, 2.0 * math.pi
+    sign = -1.0 if delta else 1.0
+    a = cutoff.inner_radius
+    trig = math.sin if delta else math.cos
+
+    def head(t):
+        u = half_pi * math.sinh(t)
+        q = math.exp(-2.0 * abs(u))
+        if u < 0.0:
+            x = a * q / (1.0 + q)
+            weight = 2.0 / (1.0 + q)
+        else:
+            x = a / (1.0 + q)
+            weight = 2.0 * q / (1.0 + q)
+        return trig(two_pi * x) * x**s * (weight * half_pi * math.cosh(t))
+
+    head_val, head_change = _reference_double_exponential(head, -6.0, 4.0)
+    head_val *= 2j if delta else 2.0
+    s1 = s - 1.0
+    e_a = complex(math.cos(two_pi * a), math.sin(two_pi * a))
+    c_plus = 1j * e_a
+    c_minus = -sign * 1j * e_a.conjugate()
+
+    def tail(tau):
+        t = math.exp(half_pi * math.sinh(tau))
+        weight = math.exp(-two_pi * t) * t * half_pi * math.cosh(tau)
+        return weight * (c_plus * complex(a, t) ** s1 + c_minus * complex(a, -t) ** s1)
+
+    try:
+        tail_val, tail_change = _reference_double_exponential(tail, -4.5, 1.5)
+    except OverflowError:
+        return ("refused", math.inf, "nan")
+    value = head_val + tail_val
+    x_min = a * math.exp(math.pi * math.sinh(-6.0))
+    achieved = 2.0 * head_change + tail_change + 2.0 * x_min**sigma / sigma
+    if not achieved <= budget:
+        return ("refused", achieved, value)
+    return ("value", value)
+
+
+def _outcome(delta, s, cutoff, budget):
+    try:
+        return ("value", g_delta_integral(delta, s, cutoff, budget))
+    except QuadratureToleranceError as refusal:
+        assert refusal.budget == budget
+        value = "nan" if cmath.isnan(refusal.value) else refusal.value
+        return ("refused", refusal.achieved, value)
+
+
+def test_quadrature_matches_the_per_node_reference_bit_for_bit():
+    rng = random.Random(12)
+    points = [(0, complex(0.5, 500.0), 1.0, 1e-7)]
+    for i in range(200):
+        re = rng.uniform(0.01, 0.1) if i % 10 == 0 else rng.uniform(0.05, 3.9)
+        im = rng.uniform(-30.0, 30.0) if i % 4 == 0 else rng.uniform(-3.0, 3.0)
+        points.append((i % 2, complex(re, im), (0.5, 1.0, 1.5)[i % 3], (1e-7, 1e-6)[i // 2 % 2]))
+    refused = 0
+    for delta, s, radius, budget in points:
+        cutoff = CutoffSpec(radius, 4.0, 4)
+        want = _reference_g_delta_integral(delta, s, cutoff, budget)
+        assert _outcome(delta, s, cutoff, budget) == want, (delta, s, radius, budget)
+        refused += want[0] == "refused"
+    assert refused >= 10
+
+
+# -- the node tables ------------------------------------------------------
+
+
+def _clear_node_tables():
+    specialfn._head_nodes.cache_clear()
+    specialfn._tail_nodes.cache_clear()
+
+
+def test_a_second_call_builds_no_node_table(monkeypatch):
+    _clear_node_tables()
+    builds = []
+    abscissae = specialfn._abscissae
+
+    def counting(lo, hi, level):
+        builds.append((lo, hi, level))
+        return abscissae(lo, hi, level)
+
+    monkeypatch.setattr(specialfn, "_abscissae", counting)
+    cutoff = CutoffSpec(0.75, 2.0, 4)
+    s = complex(0.6, 1.3)
+    first = g_delta_integral(1, s, cutoff, budget=1e-6)
+    assert builds
+    del builds[:]
+    assert g_delta_integral(1, s, cutoff, budget=1e-6) == first
+    assert builds == []
+
+
+def test_node_tables_stay_within_their_bound():
+    _clear_node_tables()
+    for i in range(80):
+        g_delta_integral(i % 2, complex(1.2, 0.4), CutoffSpec(0.3 + 0.01 * i, 4.0, 4), budget=1e-6)
+    for table in (specialfn._head_nodes, specialfn._tail_nodes):
+        info = table.cache_info()
+        assert info.maxsize == specialfn._NODE_TABLES
+        assert info.currsize <= info.maxsize
+
+
+def test_node_tables_are_tuples():
+    g_delta_integral(0, complex(0.8, -0.5), CUTOFF, budget=1e-6)
+    for level in range(3):
+        for table in (specialfn._head_nodes(1.0, 0, level), specialfn._tail_nodes(1.0, level)):
+            assert type(table) is tuple and len(table) == 3
+            assert all(type(column) is tuple for column in table)
+            assert len(set(map(len, table))) == 1 and table[0]
+
+
+def test_a_failed_build_leaves_no_table(monkeypatch):
+    _clear_node_tables()
+    cosh = math.cosh
+    calls = []
+
+    def failing(t):
+        calls.append(t)
+        if len(calls) > 5:
+            raise RuntimeError("cosh failed mid-table")
+        return cosh(t)
+
+    s = complex(0.9, 0.2)
+    with monkeypatch.context() as patch:
+        patch.setattr(specialfn.math, "cosh", failing)
+        with pytest.raises(RuntimeError):
+            g_delta_integral(0, s, CUTOFF, budget=1e-6)
+    assert specialfn._head_nodes.cache_info().currsize == 0
+    assert specialfn._tail_nodes.cache_info().currsize == 0
+    want = _reference_g_delta_integral(0, s, CUTOFF, 1e-6)
+    assert _outcome(0, s, CUTOFF, 1e-6) == want
 
 
 def test_gcancel_pair_agrees():
