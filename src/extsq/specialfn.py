@@ -173,7 +173,7 @@ _HEAD_RANGE = (-6.0, 4.0)
 # t = 28, where e^(-2 pi t) is below 1e-77
 _TAIL_RANGE = (-4.5, 1.5)
 _HALF_PI = 0.5 * math.pi
-# Tables kept per builder: every level of one inner radius and both
+# Tables kept per cache: every level of one inner radius and both
 # parities fits, and memory stays bounded however many radii callers pass.
 _NODE_TABLES = 32
 
