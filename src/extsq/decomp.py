@@ -18,11 +18,14 @@ eliminated rows.  nhn_matches_udl is the single check that the two routes
 agree; it compares each elimination entry with its ratio of minors without
 building a second normalized form.  The two routes share only the
 determinant kernel, which the sympy oracle tests guard.
+
+Entries must be exact: int, Fraction, Polynomial or RatFunc.  Both routes
+are compared with exact equality, so float or complex input is refused with
+TypeError rather than checked with a tolerance.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,6 +67,15 @@ class NHNFactors:
     n_minus: Matrix
 
 
+def _require_exact(g: Matrix):
+    for row in g.data:
+        for e in row:
+            if not isinstance(e, (int, Fraction, Polynomial, RatFunc)):
+                raise TypeError(
+                    f"decompositions need exact entries, not {type(e).__name__}"
+                )
+
+
 def trailing_minor(g: Matrix, i: int):
     """det of the lower-right block on rows/columns i..n (1-based); d_{n+1} = 1."""
     n = g.nrows
@@ -90,7 +102,13 @@ def minor_lower(g: Matrix, i: int, j: int):
 
 
 def udl_explicit(g: Matrix) -> UDLFactors:
-    """Minor-formula decomposition g = b_plus * a^{-1} * b_minus."""
+    """Minor-formula decomposition g = b_plus * a^{-1} * b_minus.
+
+    The diagonal entries of b_plus and b_minus are the trailing minors d_i
+    themselves: minor_upper(g, i, i) and minor_lower(g, i, i) are the
+    determinant of the same submatrix.
+    """
+    _require_exact(g)
     n = g.nrows
     d = [trailing_minor(g, i) for i in range(1, n + 2)]
     for i in range(1, n + 1):
@@ -99,7 +117,8 @@ def udl_explicit(g: Matrix) -> UDLFactors:
     bp = [[0] * n for _ in range(n)]
     bm = [[0] * n for _ in range(n)]
     for i in range(1, n + 1):
-        for j in range(i, n + 1):
+        bp[i - 1][i - 1] = bm[i - 1][i - 1] = d[i - 1]
+        for j in range(i + 1, n + 1):
             bp[i - 1][j - 1] = minor_upper(g, i, j)
             bm[j - 1][i - 1] = minor_lower(g, j, i)
     a = Matrix.diagonal([d[i] * d[i + 1] for i in range(n)])
@@ -194,24 +213,21 @@ def nhn_decompose(g: Matrix) -> NHNFactors:
     i < n - 1 means the trailing minor d_{n-i} of g vanishes.
 
     Rational input gives Fraction entries, and polynomial or rational-function
-    input gives RatFunc entries.  Other entry types (float, complex) run the
-    same elimination with their own division.  The structural 0 and 1 entries
-    are ints.
+    input gives RatFunc entries.  The structural 0 and 1 entries are ints.
+    Entries of any other type raise TypeError.
     """
     n = g.nrows
     if n != g.ncols:
         raise ValueError("matrix must be square")
+    _require_exact(g)
     rev = [row[::-1] for row in reversed(g.data)]
     kinds = {type(e) for row in rev for e in row}
-    if kinds <= {int, Fraction}:
-        m, scales = _clear_rational(rev)
-        divide, ratio = _div_int, Fraction
-    elif RatFunc in kinds or Polynomial in kinds:
+    if RatFunc in kinds or Polynomial in kinds:
         m, scales = _clear_symbolic(rev)
         divide, ratio = _div_poly, RatFunc
     else:
-        m, scales = [list(row) for row in rev], [1] * n
-        divide = ratio = operator.truediv
+        m, scales = _clear_rational(rev)
+        divide, ratio = _div_int, Fraction
     if n:
         _bareiss(m, divide, swap=False)
     piv = [m[i][i] for i in range(n)]
@@ -232,13 +248,6 @@ def nhn_decompose(g: Matrix) -> NHNFactors:
             b = n - 1 - j
             nu[i][j] = ratio(m[a][b] * scales[b], piv[b] * scales[a])
     return NHNFactors(Matrix(nu), Matrix.diagonal(hdiag), Matrix(nl))
-
-
-def _entries_equal(a, b, tol: float = 1e-9) -> bool:
-    if isinstance(a, complex) or isinstance(b, complex) or isinstance(a, float) or isinstance(b, float):
-        scale = max(abs(complex(a)), abs(complex(b)), 1.0)
-        return abs(complex(a) - complex(b)) <= tol * scale
-    return a == b
 
 
 def udl_oracle(g: Matrix) -> UDLFactors:
@@ -269,9 +278,10 @@ def verify_udl_reconstruction(g: Matrix, udl: UDLFactors) -> bool:
     For polynomial-valued matrices the check clears denominators: with
     d_i = (b_minus)_{ii}, each entry must satisfy
     sum_k (b_plus)_{ik} (b_minus)_{kj} / (d_k d_{k+1}) = g_{ij}, verified in
-    factored-fraction form over the basis {d_1, ..., d_n}.  Field entries are
-    multiplied out directly.
+    factored-fraction form over the basis {d_1, ..., d_n}.  Rational entries
+    are multiplied out directly.  Entries that are not exact raise TypeError.
     """
+    _require_exact(g)
     n = g.nrows
     poly_like = all(
         isinstance(e, (Polynomial, RatFunc)) for row in g.data for e in row
@@ -279,10 +289,7 @@ def verify_udl_reconstruction(g: Matrix, udl: UDLFactors) -> bool:
     if poly_like and n > 0:
         return _verify_reconstruction_poly(g, udl)
     ainv = Matrix.diagonal([_inv(udl.a[i, i]) for i in range(n)])
-    prod = udl.b_plus * ainv * udl.b_minus
-    return all(
-        _entries_equal(prod[i, j], g[i, j]) for i in range(n) for j in range(n)
-    )
+    return udl.b_plus * ainv * udl.b_minus == g
 
 
 def _as_ratfunc(e, ring):

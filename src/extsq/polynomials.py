@@ -19,10 +19,16 @@ finds the leading term without rescanning the remainder (after Monagan &
 Pearce, "Sparse polynomial division using a heap", J. Symbolic Comput.
 46(7), 2011).
 
-The gcd is layered: monomial content, trial division, an evaluation
+The gcd is layered: monomial content, trial division, an exact
 coprimality certificate, and a primitive pseudo-remainder sequence as the
 last resort.  This is enough to keep rational functions canonical without a
-computer-algebra dependency.
+computer-algebra dependency.  The certificate substitutes one seeded integer
+point for all variables but one, v, for every shared v in one pass over the
+terms.  When lc_v(f) or lc_v(g) survives and the two univariate images have
+a constant gcd, v does not occur in gcd(f, g): the gcd's lc_v divides both,
+so its image keeps its degree in v and divides both images.  Most coprime
+pairs, such as two distinct minors of a generic matrix, are settled by that
+alone.
 """
 
 from __future__ import annotations
@@ -456,29 +462,6 @@ class Polynomial:
             total = term if total is None else total + term
         return 0 if total is None else total
 
-    def eval_partial(self, values: dict) -> "Polynomial":
-        """Substitute rationals for a subset of variables, staying in the ring."""
-        ring = self.ring
-        idxs = [(ring._shifts[i], ring._unit(i), v)
-                for i, v in ((ring.index[n], v) for n, v in values.items())]
-        out: dict = {}
-        for e, c in self.terms.items():
-            coeff = c
-            key = e
-            for s, unit, v in idxs:
-                k = (e >> s) & _FIELD_MASK
-                if k:
-                    coeff = coeff * v**k
-                    key -= k * unit
-            if not coeff:
-                continue
-            n = out.get(key, 0) + coeff
-            if n:
-                out[key] = n
-            else:
-                out.pop(key, None)
-        return Polynomial._make(self.ring, out)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -526,6 +509,18 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def _gcd_core(f: Polynomial, g: Polynomial) -> Polynomial:
+    """gcd of two primitive polynomials that have no monomial factor.
+
+    After the cheap cases (a constant, equal inputs, one dividing the other)
+    an exact certificate decides each shared variable v at a seeded integer
+    point: if lc_v(f) or lc_v(g) is nonzero there and the univariate images
+    of f and g in v have a constant gcd, then v does not occur in
+    gcd(f, g).  Proof: the gcd G divides f and g, so lc_v(G) divides
+    lc_v(f) and lc_v(g), so the image of G keeps its degree in v and
+    divides both images.  With every shared variable proved absent the gcd
+    is 1.  Otherwise it is the gcd of the contents in a variable proved
+    absent, or the primitive PRS gcd when none was.
+    """
     ring = f.ring
     if f.is_constant() or g.is_constant():
         return ring.one()
@@ -537,66 +532,113 @@ def _gcd_core(f: Polynomial, g: Polynomial) -> Polynomial:
         return f
     if f.exact_div(g) is not None:
         return g
-    shared = sorted(set(f.support_vars()) & set(g.support_vars()))
+    fvars, gvars = f.support_vars(), g.support_vars()
+    shared = [n for n in fvars if n in gvars]
     if not shared:
         return ring.one()
-    x = min(shared, key=lambda n: max(f.degree_in(n), g.degree_in(n)))
-    others = sorted((set(f.support_vars()) | set(g.support_vars())) - {x})
-    if not others:
-        u = _univar_gcd(f, g, x)
-        return u.content_and_primitive()[1]
-    dfx, dgx = f.degree_in(x), g.degree_in(x)
+    if len(fvars) == len(gvars) == 1:
+        return _univar_gcd(f, g, shared[0])
+    absent = []
+    open_vars = shared
+    for point in _gcd_points(ring.nvars):
+        undecided = []
+        for v, a, b in zip(open_vars, _images(f, open_vars, point), _images(g, open_vars, point)):
+            if not (a[-1] or b[-1]):
+                undecided.append(v)
+            elif len(_euclid(_trim(a), _trim(b))) == 1:
+                absent.append(v)
+        if len(absent) == len(shared):
+            return ring.one()
+        if not undecided:
+            break
+        open_vars = undecided
+
+    def degree(n):
+        return max(f.degree_in(n), g.degree_in(n))
+
+    if absent:
+        v = min(absent, key=degree)
+        return poly_gcd(_content_in(f, v), _content_in(g, v))
+    return _prs_gcd(f, g, min(shared, key=degree))
+
+
+def _gcd_points(nvars: int):
+    """The seeded integer points of the certificate, nonzero in every variable."""
     rng = random.Random(0x5EED)
     for _ in range(4):
-        vals = {n: rng.randint(1, 40) * rng.choice((1, -1)) for n in others}
-        fi = f.eval_partial(vals)
-        gi = g.eval_partial(vals)
-        if fi.degree_in(x) != dfx or gi.degree_in(x) != dgx:
-            continue
-        u = _univar_gcd(fi, gi, x)
-        if u.degree_in(x) == 0:
-            cf = _content_in(f, x)
-            cg = _content_in(g, x)
-            return poly_gcd(cf, cg)
-        break
-    return _prs_gcd(f, g, x)
+        yield [rng.randint(1, 40) * rng.choice((1, -1)) for _ in range(nvars)]
+
+
+def _images(p: Polynomial, names, point) -> list:
+    """The univariate images of the integer polynomial p in each named variable.
+
+    Entry k of the image in v is the sum of c * prod_{u != v} point[u]^e_u
+    over the terms c * x^e with e_v = k, and the list runs up to p's degree
+    in v, so its last entry is lc_v(p) at the point.  One pass over the
+    terms forms each term's value at the whole point, then divides out
+    point[v]^k exactly, which needs the point nonzero.
+    """
+    ring = p.ring
+    used = 0
+    for e in p.terms:
+        used |= e
+    support = [(s, val) for s, val in zip(ring._shifts, point) if (used >> s) & _FIELD_MASK]
+    named = [(ring._shifts[ring.index[v]], point[ring.index[v]]) for v in names]
+    images = [{} for _ in names]
+    for e, c in p.terms.items():
+        for s, val in support:
+            k = (e >> s) & _FIELD_MASK
+            if k:
+                c *= val**k
+        for image, (s, val) in zip(images, named):
+            k = (e >> s) & _FIELD_MASK
+            image[k] = image.get(k, 0) + (c // val**k if k else c)
+    return [[image.get(k, 0) for k in range(max(image) + 1)] for image in images]
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _euclid(a: list, b: list) -> list:
+    """Primitive gcd of two integer coefficient lists, lowest degree first.
+
+    Each step replaces a by the primitive part of its pseudo-remainder by b,
+    so the arithmetic stays in the integers.  Both lists must be trimmed;
+    the result is trimmed and empty only when both are.
+    """
+    while b:
+        while len(a) >= len(b):
+            la, lb = a[-1], b[-1]
+            off = len(a) - len(b)
+            a = [c * lb for c in a]
+            for k, c in enumerate(b):
+                a[off + k] -= la * c
+            _trim(a)
+        if a:
+            h = _igcd(*a)
+            a = [c // h for c in a]
+        a, b = b, a
+    return a
 
 
 def _univar_gcd(f: Polynomial, g: Polynomial, x: str) -> Polynomial:
-    """Euclidean gcd of polynomials supported on the single variable x."""
+    """gcd of primitive polynomials supported on the single variable x."""
     ring = f.ring
     i = ring.index[x]
-    s = ring._shifts[i]
+    s, unit = ring._shifts[i], ring._unit(i)
 
     def to_list(p):
-        d = p.degree_in(x)
-        coeffs = [Fraction(0)] * (d + 1)
+        coeffs = [0] * (p.degree_in(x) + 1)
         for e, c in p.terms.items():
-            coeffs[(e >> s) & _FIELD_MASK] += Fraction(c)
+            coeffs[(e >> s) & _FIELD_MASK] = c
         return coeffs
 
-    def trim(a):
-        while a and not a[-1]:
-            a.pop()
-        return a
-
-    a, b = trim(to_list(f)), trim(to_list(g))
-    while b:
-        # a mod b
-        while len(a) >= len(b) and a:
-            q = a[-1] / b[-1]
-            off = len(a) - len(b)
-            for k in range(len(b)):
-                a[off + k] -= q * b[k]
-            trim(a)
-        a, b = b, a
-    prim = ring.zero()
-    for k, c in enumerate(a):
-        if c:
-            exps = [0] * ring.nvars
-            exps[i] = k
-            prim = prim + ring.monomial(exps, _as_coeff(c))
-    return prim.content_and_primitive()[1] if not prim.is_zero() else ring.one()
+    h = _euclid(to_list(f), to_list(g))
+    sign = -1 if h[-1] < 0 else 1
+    return Polynomial._make(ring, {k * unit: sign * c for k, c in enumerate(h) if c})
 
 
 def _content_in(f: Polynomial, x: str) -> Polynomial:

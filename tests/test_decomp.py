@@ -330,16 +330,21 @@ def test_factor_check_with_denominators_in_the_minors():
     assert not nhn_matches_udl(udl, bad)
 
 
-def test_float_and_complex_entries_use_their_own_division():
+def test_float_and_complex_entries_are_refused():
     exact = Matrix([[Fraction(2), Fraction(1), Fraction(0)],
                     [Fraction(1), Fraction(3), Fraction(1)],
                     [Fraction(4), Fraction(1), Fraction(5)]])
-    want = nhn_decompose(exact)
+    udl = udl_explicit(exact)
     for convert in (float, complex):
-        got = nhn_decompose(exact.map(convert))
-        for name in ("n", "h", "n_minus"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert all(
-                abs(a[i, j] - b[i, j]) <= 1e-12 for i in range(3) for j in range(3)
-            )
-        assert type(got.h[0, 0]) is convert
+        inexact = exact.map(convert)
+        with pytest.raises(TypeError, match=convert.__name__):
+            nhn_decompose(inexact)
+        with pytest.raises(TypeError, match=convert.__name__):
+            udl_explicit(inexact)
+        with pytest.raises(TypeError, match=convert.__name__):
+            verify_udl_reconstruction(inexact, udl)
+        # one inexact entry is enough
+        rows = [list(row) for row in exact.data]
+        rows[1][2] = convert(1)
+        with pytest.raises(TypeError):
+            nhn_decompose(Matrix(rows))

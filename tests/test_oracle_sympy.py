@@ -6,6 +6,7 @@ symbols, and back only through the tuple-keyed constructor, so these tests
 hold whatever monomial encoding the kernel uses internally.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,17 +23,17 @@ NAMES = ("x", "y", "z")
 R = PolyRing(NAMES)
 R2 = PolyRing(NAMES[:2])
 SYMS = sympy.symbols(NAMES)
-ENV = dict(zip(NAMES, SYMS))
 
 
 def to_sympy(p: Polynomial):
-    return sympy.expand(sympy.sympify(p.evaluate(ENV)))
+    env = {name: sympy.Symbol(name) for name in p.ring.names}
+    return sympy.expand(sympy.sympify(p.evaluate(env)))
 
 
-def from_sympy(expr) -> Polynomial:
-    poly = sympy.Poly(expr, *SYMS, domain="QQ")
+def from_sympy(expr, ring=R) -> Polynomial:
+    poly = sympy.Poly(expr, *sympy.symbols(ring.names), domain="QQ")
     return Polynomial(
-        R, {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()}
+        ring, {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()}
     )
 
 
@@ -107,6 +108,41 @@ def test_poly_gcd_matches_sympy(common, a, b):
         return
     # equal up to a nonzero rational constant: sign and content
     assert is_nonzero_number(to_sympy(got) / want)
+
+
+R6 = PolyRing(("a", "b", "c", "d", "e", "f"))
+
+
+def multilinear(rng, nterms):
+    """A nonzero integer polynomial of R6 with every exponent 0 or 1."""
+    while True:
+        p = Polynomial(R6, {
+            tuple(rng.randint(0, 1) for _ in R6.names): rng.randint(-4, 4)
+            for _ in range(nterms)
+        })
+        if not p.is_zero():
+            return p
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_poly_gcd_matches_sympy_on_multilinear_polynomials(planted):
+    # exact equality: both sides are primitive with a positive leading
+    # coefficient, so the gcd is unique
+    rng = random.Random(61 + planted)
+    trivial = 0
+    for _ in range(30):
+        f, g = multilinear(rng, rng.randint(2, 6)), multilinear(rng, rng.randint(2, 6))
+        common = R6.one()
+        if planted:
+            common = multilinear(rng, rng.randint(2, 4))
+            f, g = common * f, common * g
+        got = poly_gcd(f, g)
+        want = sympy.gcd(to_sympy(f), to_sympy(g))
+        assert got == from_sympy(want, R6).content_and_primitive()[1]
+        assert got.exact_div(common) is not None
+        trivial += got.is_one()
+    # both kinds of pair really occur
+    assert trivial >= 20 if not planted else trivial == 0
 
 
 @given(nonzero_polys(max_terms=3, max_exp=2), polys(max_terms=3, max_exp=2),

@@ -1,8 +1,9 @@
-"""A small pass of the benchmark's ``analytic`` workload.
+"""Small passes of the benchmark's ``analytic`` and ``decomp`` workloads.
 
-``perfbench/`` has its own tests (``python -m pytest perfbench``); this one
-keeps the harness's view of the quadrature oracle, the functional equation
-and the pole checks inside the default test run.
+``perfbench/`` has its own tests (``python -m pytest perfbench``); these
+keep the harness's view of the quadrature oracle, the functional equation,
+the pole checks and both triangular decompositions inside the default test
+run.
 """
 
 import importlib.util
@@ -27,5 +28,18 @@ def test_analytic_pass_is_correct():
     workload.run_pass(tally)
     assert first_quad_s >= 0.0
     assert tally.attempted == 24
+    assert tally.failed == 0
+    assert tally.correct, tally.wrong
+
+
+def test_decomp_pass_is_correct():
+    workloads = load_workloads()
+    workload, first_quad_s = workloads.prepare(
+        "decomp", 1, generic_sizes=(3, 4), rational_sizes=range(2, 5), per_size=2
+    )
+    tally = workloads.Tally()
+    workload.run_pass(tally)
+    assert first_quad_s == 0.0
+    assert tally.attempted == 8
     assert tally.failed == 0
     assert tally.correct, tally.wrong

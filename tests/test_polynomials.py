@@ -69,13 +69,6 @@ def test_evaluate_is_hom(p):
     assert q.evaluate(vals) == p.evaluate(vals) * (vals["x"] + vals["y"]) + 1
 
 
-def test_eval_partial():
-    p = X**2 * Y + 3 * X
-    q = p.eval_partial({"x": 2})
-    assert q == 4 * Y + R.const(6)
-    assert q.degree_in("x") == 0
-
-
 def test_exact_div_and_remainder():
     p = (X + Y) * (X - Y)
     assert p.exact_div(X + Y) == X - Y
@@ -184,3 +177,43 @@ def test_total_degree_beyond_the_packed_bound_raises():
     with pytest.raises(DegreeOverflowError):
         (top + 1) * (Y + 1)
     assert issubclass(DegreeOverflowError, OverflowError)
+
+
+# -- the coprimality certificate in the gcd ---------------------------------
+
+
+def _refuse(*args):
+    raise AssertionError("the certificate should have settled this gcd")
+
+
+def test_coprime_generic_minors_settle_by_the_certificate(monkeypatch):
+    from itertools import combinations
+
+    from extsq import polynomials
+    from extsq.matrices import generic_matrix
+
+    g = generic_matrix(4)
+    minors = [
+        g.submatrix(rows, cols).det().num
+        for rows, cols in [((0, 1), (2, 3)), ((1, 2, 3), (1, 2, 3)), ((0, 2, 3), (1, 2, 3)),
+                           ((0, 1, 2, 3), (0, 1, 2, 3)), ((1, 3), (0, 1))]
+    ]
+    monkeypatch.setattr(polynomials, "_content_in", _refuse)
+    monkeypatch.setattr(polynomials, "_prs_gcd", _refuse)
+    for a, b in combinations(minors, 2):
+        assert poly_gcd(a, b).is_one()
+
+
+def test_a_point_that_zeroes_a_leading_coefficient_proves_nothing():
+    from extsq.polynomials import _gcd_points, _images
+
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = (ring.var(n) for n in ring.names)
+    point = next(_gcd_points(ring.nvars))
+    # lc_x(common) = y - y0 vanishes at the first point, where the images in
+    # x of f and g are coprime although x divides their gcd.
+    common = x * (y - point[1]) + z
+    f, g = common * (x + z + 1), common * (x - 2 * z + 3)
+    (fx,), (gx,) = _images(f, ["x"], point), _images(g, ["x"], point)
+    assert fx[-1] == gx[-1] == 0
+    assert poly_gcd(f, g) == common
