@@ -1,14 +1,19 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extsq import polynomials
+from extsq.matrices import generic_matrix
 from extsq.polynomials import (
     MAX_TOTAL_DEGREE,
     DegreeOverflowError,
     PolyRing,
     Polynomial,
+    _gcd_points,
+    _images,
     poly_gcd,
 )
 
@@ -187,11 +192,6 @@ def _refuse(*args):
 
 
 def test_coprime_generic_minors_settle_by_the_certificate(monkeypatch):
-    from itertools import combinations
-
-    from extsq import polynomials
-    from extsq.matrices import generic_matrix
-
     g = generic_matrix(4)
     minors = [
         g.submatrix(rows, cols).det().num
@@ -205,13 +205,11 @@ def test_coprime_generic_minors_settle_by_the_certificate(monkeypatch):
 
 
 def test_a_point_that_zeroes_a_leading_coefficient_proves_nothing():
-    from extsq.polynomials import _gcd_points, _images
-
     ring = PolyRing(("x", "y", "z"))
     x, y, z = (ring.var(n) for n in ring.names)
     point = next(_gcd_points(ring.nvars))
     # lc_x(common) = y - y0 vanishes at the first point, where the images in
-    # x of f and g are coprime although x divides their gcd.
+    # x of f and g are coprime although x occurs in their gcd.
     common = x * (y - point[1]) + z
     f, g = common * (x + z + 1), common * (x - 2 * z + 3)
     (fx,), (gx,) = _images(f, ["x"], point), _images(g, ["x"], point)
