@@ -30,8 +30,6 @@ from .euler import (
 )
 from .lfactors import (
     IdentityMismatchError,
-    PoleProximityError,
-    fe_ratio_check,
     l_inf,
     omega_closed_form,
     pole_enumeration,
@@ -45,6 +43,7 @@ from .suite import (
     CheckResult,
     ORACLE_CUTOFF,
     altsum_draws,
+    fe_draws,
     kappa_sweep,
     recursion_draws,
     run_suite,
@@ -285,44 +284,13 @@ def cmd_fe_check(args) -> int:
     t0 = time.monotonic()
     r = repr_from_json(_load_json(args.repr))
     rng = random.Random(f"{args.seed}:fe-check")
-    tol = args.tol
-    worst, omega, done, attempts = 0.0, None, 0, 0
-    while done < args.samples:
-        attempts += 1
-        if attempts > 50 * args.samples:
-            print("error: could not sample away from poles", file=sys.stderr)
-            return 2
-        s = complex(rng.uniform(0.2, 1.2), rng.uniform(-1.0, 1.0))
-        try:
-            res = fe_ratio_check(r, s, tol=tol)
-        except PoleProximityError:
-            continue
-        except IdentityMismatchError as exc:
-            report = _make_report(
-                "fe-check",
-                args.seed,
-                [CheckResult("identity", False, str(exc))],
-                {},
-                t0,
-            )
-            return _emit(report, args.json)
-        worst = max(worst, abs(res.lhs - res.rhs) / max(abs(res.lhs), 1e-300))
-        omega = res.omega
-        done += 1
-    checks = [
-        CheckResult(
-            "identity",
-            worst <= tol,
-            f"{done} samples, worst relative deviation {worst:.3e} (tol {tol:g})",
-        ),
-        CheckResult(
-            "fourth-root",
-            abs(abs(omega) - 1.0) <= 1e-12 and abs(omega**4 - 1.0) <= 1e-12,
-            "the solved constant is a fourth root of unity",
-        ),
-    ]
+    failure, worst = fe_draws(rng, args.samples, args.tol, r)
+    detail = failure or (
+        f"{args.samples} samples, worst relative deviation {worst:.3e} (tol {args.tol:g})"
+    )
+    output = {} if failure else {"omega": _cx(omega_closed_form(r)), "samples": args.samples}
     report = _make_report(
-        "fe-check", args.seed, checks, {"omega": _cx(omega), "samples": done}, t0
+        "fe-check", args.seed, [CheckResult("identity", not failure, detail)], output, t0
     )
     return _emit(report, args.json)
 

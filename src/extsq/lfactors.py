@@ -12,8 +12,7 @@ the checked data to private builders (``_l_inf``, ``_embed``,
 ``_partial_products``) that take it as given and check nothing again.
 
 All shifts are kept as exact rational-complex numbers so that lattice
-membership (where Gamma arguments pole) is decidable; plain floats are
-accepted too and handled with a 1e-9 lattice tolerance.
+membership (where Gamma arguments pole) is decidable.
 """
 
 import cmath
@@ -24,10 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational import RationalComplex, parse_rational_complex
-from .specialfn import _I_POW, _LN_2PI, _LN_PI, PoleError, as_parity, lgamma
+from .specialfn import _I_POW, PoleError, as_parity, log_gamma_c, log_gamma_r
 
-_LN_2 = math.log(2.0)
 _HALF = Fraction(1, 2)
+# fe_ratio_check refuses sample points closer than this to a Gamma pole
+_MIN_POLE_DISTANCE = 1e-6
 
 
 class IdentityMismatchError(ArithmeticError):
@@ -343,31 +343,14 @@ class GammaFactor:
     const: RationalComplex
 
 
-def _log_gamma_r(z: complex) -> complex:
-    return -0.5 * z * _LN_PI + lgamma(0.5 * z)
-
-
-def _log_gamma_c(z: complex) -> complex:
-    return _LN_2 - z * _LN_2PI + lgamma(z)
-
-
-def _pole_lattice_hit(fac: GammaFactor, point, tol: float = 1e-9) -> bool:
-    """Does the factor's Gamma argument at the point lie on the pole lattice?
-
-    Exact for rational-complex points, tolerance-based for plain floats.
-    """
+def _pole_lattice_hit(fac: GammaFactor, point) -> bool:
+    """Does the factor's Gamma argument at the exact point lie on the pole lattice?"""
     step = 2 if fac.kind == "R" else 1
-    if isinstance(point, (RationalComplex, int, Fraction)):
-        point = RationalComplex.from_value(point)
-        z = fac.const + point if fac.orient == 1 else fac.const - point
-        if z.imag != 0 or z.real > 0:
-            return False
-        return z.real.denominator == 1 and int(z.real) % step == 0
-    z = fac.orient * complex(point) + complex(fac.const)
-    if abs(z.imag) > tol or z.real > tol:
+    point = RationalComplex.from_value(point)
+    z = fac.const + point if fac.orient == 1 else fac.const - point
+    if z.imag != 0 or z.real > 0:
         return False
-    m = round(z.real / step)
-    return m <= 0 and abs(z.real - step * m) <= tol
+    return z.real.denominator == 1 and int(z.real) % step == 0
 
 
 class GammaExpr:
@@ -482,7 +465,7 @@ class GammaExpr:
         for kind, orient, shift, power in self._float_terms():
             z = orient * s + shift
             try:
-                part = _log_gamma_r(z) if kind == "R" else _log_gamma_c(z)
+                part = log_gamma_r(z) if kind == "R" else log_gamma_c(z)
             except PoleError:
                 hit = True
                 order -= power
@@ -645,16 +628,13 @@ class FERatioResult:
     omega: complex
 
 
-def fe_ratio_check(
-    r: ReprData, s, tol: float = 1e-8, min_pole_distance: float = 1e-6
-) -> FERatioResult:
+def fe_ratio_check(r: ReprData, s, tol: float = 1e-8) -> FERatioResult:
     """Check l_inf(s) over the dual l_inf(1-s) against omega times the G-product.
 
-    Untwisted data uses the closed-form omega and asserts the match to the
-    relative tolerance.  For twisted data the constant is solved from the
-    ratio, snapped to the nearest fourth root of unity, and must be constant
-    in s.  Sample points too close to a pole raise PoleProximityError, and
-    a mismatch raises IdentityMismatchError.
+    omega is omega_closed_form for either parity of the twist, and the
+    match is asserted to the relative tolerance.  A sample point closer
+    than _MIN_POLE_DISTANCE to a pole raises PoleProximityError, and a
+    mismatch raises IdentityMismatchError.
     """
     rn = _checked(r)
     s = complex(s)
@@ -663,37 +643,16 @@ def fe_ratio_check(
     # under s -> -conj(s), and re-sorting keeps the pairing of real parts
     den = _l_inf(dual_repr(rn))
     prod_expr = script_g_full(_embed(rn), rn.eta)
-
-    def guarded(point):
-        d = min(
-            num.nearest_pole_distance(point),
-            den.nearest_pole_distance(1 - point),
-            prod_expr.nearest_pole_distance(point),
-        )
-        if d < min_pole_distance:
-            raise PoleProximityError(point, d)
-        return num.value(point) / den.value(1 - point), prod_expr.value(point)
-
-    lhs, prod = guarded(s)
-    if rn.eta == 0:
-        omega = omega_closed_form(rn)
-    else:
-        raw = lhs / prod
-        omega = min(_I_POW, key=lambda u: abs(raw - u))
-        if abs(raw - omega) > max(tol, 1e-9):
-            raise IdentityMismatchError(f"twisted constant {raw} is not a fourth root of unity")
-        second = None
-        for off in (0.37 + 0.11j, -0.29 + 0.07j, 0.53 - 0.13j, 0.41 + 0.23j):
-            try:
-                lhs2, prod2 = guarded(s + off)
-            except PoleProximityError:
-                continue
-            second = lhs2 / prod2
-            break
-        if second is None:
-            raise PoleProximityError(s, min_pole_distance)
-        if abs(second - omega) > max(tol, 1e-9):
-            raise IdentityMismatchError(f"twisted constant drifts in s: {omega} vs {second}")
+    d = min(
+        num.nearest_pole_distance(s),
+        den.nearest_pole_distance(1 - s),
+        prod_expr.nearest_pole_distance(s),
+    )
+    if d < _MIN_POLE_DISTANCE:
+        raise PoleProximityError(s, d)
+    lhs = num.value(s) / den.value(1 - s)
+    prod = prod_expr.value(s)
+    omega = omega_closed_form(rn)
     rhs = omega * prod
     if abs(lhs - rhs) > tol * abs(lhs):
         raise IdentityMismatchError(

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+_LN_2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 _LN_2PI = math.log(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
@@ -120,16 +121,24 @@ def gamma(z) -> complex:
     return cmath.exp(lgamma(z))
 
 
+def log_gamma_r(z: complex) -> complex:
+    """log gamma_r(z) up to multiples of 2 pi i; PoleError at the poles."""
+    return -0.5 * z * _LN_PI + lgamma(0.5 * z)
+
+
+def log_gamma_c(z: complex) -> complex:
+    """log gamma_c(z) up to multiples of 2 pi i; PoleError at the poles."""
+    return _LN_2 - z * _LN_2PI + lgamma(z)
+
+
 def gamma_r(s) -> complex:
     """pi^(-s/2) Gamma(s/2); poles at s in {0, -2, -4, ...}."""
-    s = complex(s)
-    return cmath.exp(-0.5 * s * _LN_PI + lgamma(0.5 * s))
+    return cmath.exp(log_gamma_r(complex(s)))
 
 
 def gamma_c(s) -> complex:
     """2 (2 pi)^(-s) Gamma(s); poles at nonpositive integers."""
-    s = complex(s)
-    return 2.0 * cmath.exp(-s * _LN_2PI + lgamma(s))
+    return cmath.exp(log_gamma_c(complex(s)))
 
 
 def g_delta(delta, s) -> complex:

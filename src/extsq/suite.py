@@ -9,7 +9,8 @@ The five unfolding identities draw through one per-size loop each:
 ``superdiag_draws``, ``altsum_draws``, ``recursion_draws``,
 ``whittaker_draws`` and ``kappa_sweep``.  The suite checks and the
 ``shuffle-verify`` command both call them, and each returns the failure
-text or None.
+text or None.  The functional-equation ratio draws through ``fe_draws``,
+which the ``fe-ratio`` check and the ``fe-check`` command share.
 """
 
 import cmath
@@ -34,6 +35,7 @@ from .euler import (
 )
 from .lfactors import (
     EmbeddingParams,
+    IdentityMismatchError,
     PoleProximityError,
     casselman_embedding,
     fe_ratio_check,
@@ -84,14 +86,6 @@ class CheckResult:
     detail: str
 
 
-def _matrices_equal(a: Matrix, b: Matrix) -> bool:
-    if a.nrows != b.nrows or a.ncols != b.ncols:
-        return False
-    return all(
-        a[i, j] == b[i, j] for i in range(a.nrows) for j in range(a.ncols)
-    )
-
-
 def _random_rational_matrix(rng, n: int) -> Matrix:
     return Matrix(
         [
@@ -134,7 +128,7 @@ def recursion_draws(rng, n_half: int, draws: int):
         x = _random_x_vars(rng, n_half)
         rec = lower_factor_recursive(n_half, x)
         nhn = nhn_decompose(build_B(UnfoldVars.from_x(n_half, x)))
-        if not _matrices_equal(nhn.h * nhn.n_minus, rec):
+        if nhn.h * nhn.n_minus != rec:
             return f"rational mismatch at n_half={n_half}"
     return None
 
@@ -154,6 +148,30 @@ def whittaker_draws(rng, n_half: int, draws: int, tol: float):
         if err > tol:
             return f"dual paths differ by {err:.3e} at n_half={n_half}", worst
     return None, worst
+
+
+def fe_draws(rng, samples: int, tol: float, r=None):
+    """Return the failure text (or None) and the worst relative deviation.
+
+    Each sample draws induction data, unless r is given, and then a point
+    s; a point too close to a pole is redrawn, within 50 * samples
+    attempts in all.
+    """
+    worst, done = 0.0, 0
+    for _ in range(50 * samples):
+        rd = random_repr_data(rng) if r is None else r
+        s = complex(rng.uniform(0.2, 1.2), rng.uniform(-1.0, 1.0))
+        try:
+            res = fe_ratio_check(rd, s, tol=tol)
+        except PoleProximityError:
+            continue
+        except IdentityMismatchError as exc:
+            return (str(exc) if r is not None else f"{exc} for {repr_to_json(rd)}"), worst
+        worst = max(worst, abs(res.lhs - res.rhs) / abs(res.lhs))
+        done += 1
+        if done == samples:
+            return None, worst
+    return f"could not sample away from poles in {50 * samples} attempts", worst
 
 
 def kappa_sweep(n_half: int):
@@ -262,7 +280,7 @@ def check_recursion(ctx: CheckContext):
         x = {key: vx.x(*key) for key in _x_index_set(n_half)}
         rec = lower_factor_recursive(n_half, x)
         nhn = nhn_decompose(build_B(vx))
-        if not _matrices_equal(nhn.h * nhn.n_minus, rec):
+        if nhn.h * nhn.n_minus != rec:
             return False, f"symbolic mismatch at n_half={n_half}"
     draws = ctx.count(10)
     for _ in range(draws):
@@ -316,20 +334,9 @@ def check_gamma_table(ctx: CheckContext):
 
 def check_fe_ratio(ctx: CheckContext):
     samples = ctx.count(50)
-    tol = ctx.rel(1e-8)
-    done = 0
-    while done < samples:
-        rd = random_repr_data(ctx.rng)
-        s = complex(ctx.rng.uniform(0.2, 1.2), ctx.rng.uniform(-1.0, 1.0))
-        try:
-            res = fe_ratio_check(rd, s, tol=tol)
-        except PoleProximityError:
-            continue
-        if abs(res.lhs - res.rhs) > tol * max(abs(res.lhs), 1e-300):
-            return False, f"ratio identity fails for {repr_to_json(rd)} at s={s!r}"
-        if abs(abs(res.omega) - 1.0) > 1e-12 or abs(res.omega**4 - 1.0) > 1e-12:
-            return False, f"constant is not a fourth root of unity for {repr_to_json(rd)}"
-        done += 1
+    failure, _ = fe_draws(ctx.rng, samples, ctx.rel(1e-8))
+    if failure:
+        return False, failure
     return True, f"{samples} samples across random data"
 
 

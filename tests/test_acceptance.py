@@ -2,10 +2,12 @@
 
 Criteria 1 through 11 run the corresponding named suite check at seed 42
 with its canonical trial counts and tolerances; criterion 12 re-runs the
-full suite twice in separate processes and compares the JSON reports byte
-for byte.  Each test prints a single PASS/FAIL line.
+full suite twice in separate processes, compares the JSON reports byte
+for byte and pins the report's md5.  Each test prints a single PASS/FAIL
+line.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -76,5 +78,7 @@ def test_criterion_12_report_determinism():
     assert a.returncode == 0, a.stderr
     assert b.returncode == 0, b.stderr
     assert a.stdout == b.stdout, "seeded suite reports differ between processes"
+    # the behavioural contract: a change that keeps behaviour keeps this report
+    assert hashlib.md5(a.stdout.encode()).hexdigest() == "576207b5a13bd99dd75d8ccf3ec77be7"
     doc = json.loads(a.stdout)
     assert all(c["passed"] for c in doc["checks"])

@@ -273,18 +273,20 @@ def test_fe_ratio_random_sweep():
         done += 1
 
 
-def test_fe_ratio_twisted_matches_closed_form():
+def test_fe_ratio_twisted_sweep_at_every_size():
+    # omega is the closed form for twisted data too, so passing the ratio
+    # test at the default tolerance confirms it at each size
     rng = random.Random(11)
-    done = 0
-    while done < 10:
-        r = random_repr_data(rng, eta=1)
-        s = complex(rng.uniform(0.2, 1.2), rng.uniform(-1.0, 1.0))
-        try:
-            res = fe_ratio_check(r, s)
-        except PoleProximityError:
-            continue
-        assert res.omega == omega_closed_form(r)
-        done += 1
+    for n_half in range(1, 7):
+        done = 0
+        while done < 10:
+            r = random_repr_data(rng, n_half=n_half, eta=1)
+            s = complex(rng.uniform(0.2, 1.2), rng.uniform(-1.0, 1.0))
+            try:
+                fe_ratio_check(r, s)
+            except PoleProximityError:
+                continue
+            done += 1
 
 
 def test_weight_order_sensitivity():
@@ -311,6 +313,31 @@ def test_omega_is_permutation_invariant():
         rng.shuffle(blocks)
         vals.add(omega_closed_form(ReprData(3, 0, (), tuple(blocks))))
     assert len(vals) == 1
+
+
+def _orders(expr, point):
+    return expr.pole_order_at(point), expr.zero_order_at(point), expr.order_at(point)
+
+
+@pytest.mark.parametrize("kind,step", [("R", 2), ("C", 1)])
+@pytest.mark.parametrize("orient", [1, -1])
+def test_orders_at_exact_points_on_and_off_the_lattice(kind, step, orient):
+    const = _rc(1, 3, F(1, 2))
+    fac = lfactors.GammaFactor(kind, orient, const)
+    pole, zero = GammaExpr(0, {fac: 2}), GammaExpr(0, {fac: -1})
+
+    def point(arg):
+        # the s at which the argument orient * s + const equals arg
+        return arg - const if orient == 1 else const - arg
+
+    for m in range(3):
+        on = point(_rc(-step * m))
+        assert _orders(pole, on) == (2, 0, -2)
+        assert _orders(zero, on) == (0, 1, 1)
+    off_args = [_rc(1), _rc(-1, 2), _rc(-2, 1, F(1, 10))] + ([_rc(-1)] if kind == "R" else [])
+    for arg in off_args:
+        assert _orders(pole, point(arg)) == (0, 0, 0)
+        assert _orders(zero, point(arg)) == (0, 0, 0)
 
 
 def test_pole_enumeration_sign_pair():
@@ -357,9 +384,11 @@ def test_mismatches_raise_identity_mismatch_error(monkeypatch):
         partial_products(SIGN4)
     with pytest.raises(IdentityMismatchError, match="reassemble"):
         holomorphy_check(SIGN4)
-    monkeypatch.setattr(lfactors, "omega_closed_form", lambda r: -1.0 + 0.0j)
-    with pytest.raises(IdentityMismatchError, match="ratio mismatch"):
-        fe_ratio_check(SIGN4, 0.8 + 0.1j)
+    closed_form = lfactors.omega_closed_form
+    monkeypatch.setattr(lfactors, "omega_closed_form", lambda r: -closed_form(r))
+    for r in (SIGN4, ReprData(2, 1, SIGN4.sign_blocks, ())):
+        with pytest.raises(IdentityMismatchError, match="ratio mismatch"):
+            fe_ratio_check(r, 0.8 + 0.1j)
 
 
 def test_holomorphy_report():
