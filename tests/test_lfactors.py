@@ -502,7 +502,8 @@ SEED192 = ReprData(
 FE_POINTS = (0.83 + 0.17j, 0.61 - 0.29j)
 
 # sha256 prefixes of _public_outputs over _frozen_inputs(), computed with the
-# implementation that validated in every builder (commit 08a9827)
+# implementation that validated in every builder (commit 08a9827); factor_order
+# with the builders that multiplied one factor at a time (commit c6f1e92)
 FROZEN_DIGESTS = {
     "l_inf": "6f49e2def876a1e6",
     "embedding": "18046cfa57d460a7",
@@ -510,12 +511,19 @@ FROZEN_DIGESTS = {
     "partials": "8458f1aef91025aa",
     "holomorphy": "14a171f7f336fd3d",
     "fe_ratio": "5ac0152af1557f31",
+    "factor_order": "99f407b3ee792a3a",
 }
 
 
 def _hex(z):
     z = complex(z)
     return f"{z.real.hex()},{z.imag.hex()}"
+
+
+def _factor_order(expr) -> str:
+    """The unit and the factors in stored order, the order value() sums them in."""
+    terms = (f"{f.kind}{f.orient:+d}{f.const}^{p}" for f, p in expr.factors.items())
+    return f"{expr.unit_ipow}:" + " ".join(terms)
 
 
 def _public_outputs(r) -> dict:
@@ -539,6 +547,9 @@ def _public_outputs(r) -> dict:
         "partials": "|".join(" ".join(g.describe()) for g in partial_products(r)),
         "holomorphy": f"{rep.ok}|{len(rep.poles)}|" + "|".join(rep.notes),
         "fe_ratio": "|".join(fe),
+        "factor_order": "|".join(
+            map(_factor_order, (l_inf(r), script_g_full(e, r.eta), *partial_products(r)))
+        ),
     }
 
 
