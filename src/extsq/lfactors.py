@@ -10,6 +10,8 @@ and the six partial products used in the holomorphy analysis.
 Each public function normalizes and validates its input once, then hands
 the checked data to private builders (``_l_inf``, ``_embed``,
 ``_partial_products``) that take it as given and check nothing again.
+The Gamma-product builders accumulate factor powers in one dict and
+construct each expression once, rather than multiplying factor by factor.
 
 All shifts are kept as exact rational-complex numbers so that lattice
 membership (where Gamma arguments pole) is decidable.
@@ -353,12 +355,34 @@ def _pole_lattice_hit(fac: GammaFactor, point) -> bool:
     return z.real.denominator == 1 and int(z.real) % step == 0
 
 
+def _accumulate(factors: dict, fac: GammaFactor, power: int = 1) -> None:
+    """Add power to the factor's entry; an entry whose power reaches 0 goes.
+
+    A new factor goes to the end, so the dict keeps the order of the
+    multiplications, which fixes the order in which value() sums log-Gammas.
+    """
+    total = factors.get(fac, 0) + power
+    if total:
+        factors[fac] = total
+    else:
+        factors.pop(fac, None)
+
+
+def _accumulate_g(factors: dict, parity: int, shift: RationalComplex) -> int:
+    """Accumulate the two factors of G(parity, shift); return its unit power."""
+    _accumulate(factors, GammaFactor("R", 1, shift + parity))
+    _accumulate(factors, GammaFactor("R", -1, (1 + parity) - shift), -1)
+    return parity
+
+
 class GammaExpr:
     """Product of shifted Gamma_R/Gamma_C factors with a unit constant i^k.
 
     Factors carry signed integer powers, so the same object represents
     ratios; structural equality is multiset equality including the unit.
-    An expression is not changed once it is evaluated: value() and
+    An expression is never changed once constructed: the builders collect
+    factor powers in one dict through _accumulate, the helper __mul__ also
+    uses, and construct each expression once.  value() and
     nearest_pole_distance() read its factors converted to floats once.
     """
 
@@ -394,38 +418,30 @@ class GammaExpr:
 
     @classmethod
     def gamma_r(cls, const, power: int = 1) -> "GammaExpr":
-        return cls(0, {GammaFactor("R", 1, RationalComplex.from_value(const)): power})
+        factors = {}
+        _accumulate(factors, GammaFactor("R", 1, RationalComplex.from_value(const)), power)
+        return cls(0, factors)
 
     @classmethod
     def gamma_c(cls, const, power: int = 1) -> "GammaExpr":
-        return cls(0, {GammaFactor("C", 1, RationalComplex.from_value(const)): power})
+        factors = {}
+        _accumulate(factors, GammaFactor("C", 1, RationalComplex.from_value(const)), power)
+        return cls(0, factors)
 
     @classmethod
     def g_factor(cls, parity, shift) -> "GammaExpr":
         """The ratio form i^p Gamma_R(s+shift+p) / Gamma_R(1-s-shift+p)."""
-        parity = as_parity(parity)
-        shift = RationalComplex.from_value(shift)
-        return cls(
-            parity,
-            {
-                GammaFactor("R", 1, shift + parity): 1,
-                GammaFactor("R", -1, (1 + parity) - shift): -1,
-            },
-        )
+        factors = {}
+        unit = _accumulate_g(factors, as_parity(parity), RationalComplex.from_value(shift))
+        return cls(unit, factors)
 
     def __mul__(self, other):
         if not isinstance(other, GammaExpr):
             return NotImplemented
-        # copying keeps the stored hashes, so only other's factors are
-        # hashed; existing keys keep their place, which fixes the order in
-        # which value() sums the log-Gammas
+        # copying keeps the stored hashes, so only other's factors are hashed
         merged = dict(self.factors)
         for fac, power in other.factors.items():
-            total = merged.get(fac, 0) + power
-            if total:
-                merged[fac] = total
-            else:
-                del merged[fac]
+            _accumulate(merged, fac, power)
         out = GammaExpr(self.unit_ipow + other.unit_ipow)
         out.factors = merged
         return out
@@ -551,36 +567,36 @@ def l_inf(r: ReprData) -> GammaExpr:
 def _l_inf(rn: ReprData) -> GammaExpr:
     eta = rn.eta
     sb, db = rn.sign_blocks, rn.ds_blocks
-    out = GammaExpr.one()
+    factors = {}
     for b in db:
-        out = out * GammaExpr.gamma_r(b.s * 2 + (b.k + eta) % 2)
+        _accumulate(factors, GammaFactor("R", 1, b.s * 2 + (b.k + eta) % 2))
     for a in sb:
         for b in db:
-            out = out * GammaExpr.gamma_c(a.s + b.s + Fraction(b.k - 1, 2))
+            _accumulate(factors, GammaFactor("C", 1, a.s + b.s + Fraction(b.k - 1, 2)))
     for i in range(len(sb)):
         for k in range(i + 1, len(sb)):
             e = (sb[i].eps + sb[k].eps + eta) % 2
-            out = out * GammaExpr.gamma_r(sb[i].s + sb[k].s + e)
+            _accumulate(factors, GammaFactor("R", 1, sb[i].s + sb[k].s + e))
     for j in range(len(db)):
         for l in range(j + 1, len(db)):
             base = db[j].s + db[l].s
-            out = out * GammaExpr.gamma_c(base + Fraction(db[j].k + db[l].k - 2, 2))
-            out = out * GammaExpr.gamma_c(base + Fraction(abs(db[j].k - db[l].k), 2))
-    return out
+            _accumulate(factors, GammaFactor("C", 1, base + Fraction(db[j].k + db[l].k - 2, 2)))
+            _accumulate(factors, GammaFactor("C", 1, base + Fraction(abs(db[j].k - db[l].k), 2)))
+    return GammaExpr(0, factors)
 
 
 def _g_product(e: EmbeddingParams, eta, keep) -> GammaExpr:
     eta = as_parity(eta)
     lam, delta = e.lam, e.delta
     two_n = len(lam)
-    out = GammaExpr.one()
+    factors, unit = {}, 0
     for i in range(1, two_n + 1):
         for j in range(i + 1, two_n + 1):
             if not keep(i, j, two_n):
                 continue
             parity = (delta[i - 1] + delta[j - 1] + eta) % 2
-            out = out * GammaExpr.g_factor(parity, -(lam[i - 1] + lam[j - 1]))
-    return out
+            unit += _accumulate_g(factors, parity, -(lam[i - 1] + lam[j - 1]))
+    return GammaExpr(unit, factors)
 
 
 def script_g(e: EmbeddingParams, eta) -> GammaExpr:
@@ -606,9 +622,13 @@ def omega_closed_form(r: ReprData) -> complex:
     weights of both parities occur, and only the nonincreasing enumeration
     reproduces the constant solved from the ratio itself (the solved value
     is invariant under permuting the induction data, so the enumeration is
-    a normalization choice, not extra structure).
+    a normalization choice, not extra structure).  Inadmissible data
+    raises ValueError, as in every public function here.
     """
-    rn = normalize(r)
+    return _omega(_checked(r))
+
+
+def _omega(rn: ReprData) -> complex:
     n = 2 * rn.n_half
     expo = 0
     sb = rn.sign_blocks
@@ -652,7 +672,7 @@ def fe_ratio_check(r: ReprData, s, tol: float = 1e-8) -> FERatioResult:
         raise PoleProximityError(s, d)
     lhs = num.value(s) / den.value(1 - s)
     prod = prod_expr.value(s)
-    omega = omega_closed_form(rn)
+    omega = _omega(rn)
     rhs = omega * prod
     if abs(lhs - rhs) > tol * abs(lhs):
         raise IdentityMismatchError(
@@ -743,32 +763,30 @@ def _partial_products(rn: ReprData, g_expr: GammaExpr) -> tuple:
     sb, db = rn.sign_blocks, rn.ds_blocks
     h = len(sb) // 2
     r2 = len(db)
-    g1 = GammaExpr.one()
+    factors = [{} for _ in range(6)]
+    units = [0] * 6
+
+    def put(cls, parity, shift):
+        units[cls - 1] += _accumulate_g(factors[cls - 1], parity, shift)
+
     for i in range(h):
         for m in range(i + 1, h):
-            g1 = g1 * GammaExpr.g_factor((sb[i].eps + sb[m].eps + eta) % 2, sb[i].s + sb[m].s)
-    g2 = GammaExpr.one()
+            put(1, (sb[i].eps + sb[m].eps + eta) % 2, sb[i].s + sb[m].s)
     for i in range(1, h + 1):
         for m in range(1, h - i + 1):
             a, b = sb[i - 1], sb[h + m - 1]
-            g2 = g2 * GammaExpr.g_factor((a.eps + b.eps + eta) % 2, a.s + b.s)
-    g3 = GammaExpr.one()
+            put(2, (a.eps + b.eps + eta) % 2, a.s + b.s)
     for a in sb[:h]:
         for b in db:
             half = Fraction(b.k - 1, 2)
-            g3 = g3 * GammaExpr.g_factor((a.eps + b.k + eta) % 2, a.s + b.s + half)
-            g3 = g3 * GammaExpr.g_factor((a.eps + eta) % 2, a.s + b.s - half)
-    g4 = GammaExpr.one()
+            put(3, (a.eps + b.k + eta) % 2, a.s + b.s + half)
+            put(3, (a.eps + eta) % 2, a.s + b.s - half)
     for l in range(1, r2 // 2 + 1):
         b = db[l - 1]
-        g4 = g4 * GammaExpr.g_factor((b.k + eta) % 2, b.s * 2)
-    g5 = GammaExpr.one()
+        put(4, (b.k + eta) % 2, b.s * 2)
     for l in range(1, r2 // 2 + 1):
         b1, b2 = db[l - 1], db[r2 - l]
-        g5 = g5 * GammaExpr.g_factor(
-            (b1.k + b2.k + eta) % 2, b1.s + b2.s + Fraction(b1.k + b2.k - 2, 2)
-        )
-    g6 = GammaExpr.one()
+        put(5, (b1.k + b2.k + eta) % 2, b1.s + b2.s + Fraction(b1.k + b2.k - 2, 2))
     for l1 in range(1, r2 + 1):
         for l2 in range(l1 + 1, r2 + 1):
             if l1 + l2 > r2:
@@ -776,10 +794,11 @@ def _partial_products(rn: ReprData, g_expr: GammaExpr) -> tuple:
             b1, b2 = db[l1 - 1], db[l2 - 1]
             base = b1.s + b2.s
             h1, h2 = Fraction(b1.k - 1, 2), Fraction(b2.k - 1, 2)
-            g6 = g6 * GammaExpr.g_factor((b1.k + b2.k + eta) % 2, base + h1 + h2)
-            g6 = g6 * GammaExpr.g_factor((b1.k + eta) % 2, base + h1 - h2)
-            g6 = g6 * GammaExpr.g_factor((b2.k + eta) % 2, base - h1 + h2)
-            g6 = g6 * GammaExpr.g_factor(eta, base - h1 - h2)
+            put(6, (b1.k + b2.k + eta) % 2, base + h1 + h2)
+            put(6, (b1.k + eta) % 2, base + h1 - h2)
+            put(6, (b2.k + eta) % 2, base - h1 + h2)
+            put(6, eta, base - h1 - h2)
+    g1, g2, g3, g4, g5, g6 = map(GammaExpr, units, factors)
     combined = g1 * g2 * g3 * g4 * g5 * g6
     if combined != g_expr:
         raise IdentityMismatchError("partial products do not reassemble the G-product")

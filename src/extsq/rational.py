@@ -23,7 +23,10 @@ def format_rational(q: Fraction) -> str:
 class RationalComplex:
     """A complex number with exact rational real and imaginary parts.
 
-    Used wherever pole-lattice membership must be decided exactly.
+    Used wherever pole-lattice membership must be decided exactly.  The
+    arithmetic operators take int and Fraction operands on a fast path that
+    works on the real part alone (or scales both parts), so shifting by a
+    real constant never builds a zero imaginary part; parts stay Fraction.
     """
 
     real: Fraction = Fraction(0)
@@ -60,23 +63,42 @@ class RationalComplex:
             object.__setattr__(self, "_hash", h)
         return h
 
+    # dispatch on the exact type: bool, float, complex and str operands, and
+    # subclasses, go through from_value
     def __add__(self, other):
-        other = RationalComplex.from_value(other)
+        kind = type(other)
+        if kind is not RationalComplex:
+            if kind is int or kind is Fraction:
+                return RationalComplex(self.real + other, self.imag)
+            other = RationalComplex.from_value(other)
         return RationalComplex(self.real + other.real, self.imag + other.imag)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-RationalComplex.from_value(other))
+        kind = type(other)
+        if kind is not RationalComplex:
+            if kind is int or kind is Fraction:
+                return RationalComplex(self.real - other, self.imag)
+            other = RationalComplex.from_value(other)
+        return RationalComplex(self.real - other.real, self.imag - other.imag)
 
     def __rsub__(self, other):
-        return RationalComplex.from_value(other) + (-self)
+        kind = type(other)
+        if kind is int or kind is Fraction:
+            return RationalComplex(other - self.real, -self.imag)
+        other = RationalComplex.from_value(other)
+        return RationalComplex(other.real - self.real, other.imag - self.imag)
 
     def __neg__(self):
         return RationalComplex(-self.real, -self.imag)
 
     def __mul__(self, other):
-        other = RationalComplex.from_value(other)
+        kind = type(other)
+        if kind is not RationalComplex:
+            if kind is int or kind is Fraction:
+                return RationalComplex(self.real * other, self.imag * other)
+            other = RationalComplex.from_value(other)
         return RationalComplex(
             self.real * other.real - self.imag * other.imag,
             self.real * other.imag + self.imag * other.real,

@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,34 @@ def test_each_shift_is_converted_to_complex_once(monkeypatch):
     assert len(calls) == len(fresh.factors)
 
 
+def test_each_builder_constructs_its_expression_once(monkeypatch):
+    # multiplying factor by factor copies the whole dict at every step
+    r = random_repr_data(random.Random(43), n_half=5, eta=1)
+    assert r.sign_blocks and r.ds_blocks
+    e = casselman_embedding(r)
+    counts = Counter()
+    init, mul = GammaExpr.__init__, GammaExpr.__mul__
+
+    def counting_init(self, *args):
+        counts["init"] += 1
+        init(self, *args)
+
+    def counting_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(GammaExpr, "__init__", counting_init)
+    monkeypatch.setattr(GammaExpr, "__mul__", counting_mul)
+    for build in (lambda: script_g_full(e, r.eta), lambda: l_inf(r)):
+        counts.clear()
+        build()
+        assert counts == {"init": 1}
+    counts.clear()
+    partial_products(r)
+    # script_g and the six parts, then the five products of the reassembly check
+    assert counts == {"init": 1 + 6 + 5, "mul": 5}
+
+
 def test_unfolded_table_matches_g_product():
     rng = random.Random(5)
     for _ in range(15):
@@ -384,8 +413,8 @@ def test_mismatches_raise_identity_mismatch_error(monkeypatch):
         partial_products(SIGN4)
     with pytest.raises(IdentityMismatchError, match="reassemble"):
         holomorphy_check(SIGN4)
-    closed_form = lfactors.omega_closed_form
-    monkeypatch.setattr(lfactors, "omega_closed_form", lambda r: -closed_form(r))
+    closed_form = lfactors._omega
+    monkeypatch.setattr(lfactors, "_omega", lambda rn: -closed_form(rn))
     for r in (SIGN4, ReprData(2, 1, SIGN4.sign_blocks, ())):
         with pytest.raises(IdentityMismatchError, match="ratio mismatch"):
             fe_ratio_check(r, 0.8 + 0.1j)
@@ -452,6 +481,7 @@ PUBLIC_CALLS = {
     "partial_products": partial_products,
     "fe_ratio_check": lambda r: fe_ratio_check(r, 0.83 + 0.17j),
     "holomorphy_check": holomorphy_check,
+    "omega_closed_form": omega_closed_form,
 }
 
 
@@ -478,6 +508,20 @@ def test_each_public_call_validates_its_input_once(monkeypatch, name):
 def test_each_public_call_rejects_invalid_data(name, bad, label):
     with pytest.raises(ValueError, match=label):
         PUBLIC_CALLS[name](bad)
+
+
+@pytest.mark.parametrize(
+    "bad,label",
+    [
+        (ODD_R1, "r1-parity"),
+        (WIDE_SHIFT, r"\(b\)"),
+        (ReprData(3, 0, ((0, 0), (0, 0)), ()), "size"),
+    ],
+)
+def test_omega_closed_form_rejects_inadmissible_data(bad, label):
+    # each of these used to give the constant 1
+    with pytest.raises(ValueError, match=label):
+        omega_closed_form(bad)
 
 
 def test_holomorphy_check_keeps_the_pole_family_guard(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 import pickle
 from fractions import Fraction
 
@@ -121,6 +122,41 @@ rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4
 def test_str_round_trip(re, im):
     z = RationalComplex(re, im)
     assert parse_rational_complex(str(z)) == z
+
+
+complex_rationals = st.builds(RationalComplex, rationals, rationals)
+finite_floats = st.floats(-1e6, 1e6, allow_nan=False)
+operands = st.one_of(
+    complex_rationals,
+    st.integers(-10**6, 10**6),
+    rationals,
+    st.booleans(),
+    finite_floats,
+    st.builds(complex, finite_floats, finite_floats),
+    complex_rationals.map(str),
+)
+OPERATORS = {
+    operator.add: lambda a, b: (a.real + b.real, a.imag + b.imag),
+    operator.sub: lambda a, b: (a.real - b.real, a.imag - b.imag),
+    operator.mul: lambda a, b: (
+        a.real * b.real - a.imag * b.imag,
+        a.real * b.imag + a.imag * b.real,
+    ),
+}
+
+
+@given(complex_rationals, operands)
+@settings(max_examples=300, deadline=None)
+def test_operators_match_the_componentwise_reference(z, x):
+    # int and Fraction operands take the real fast paths; the reference
+    # converts every operand with from_value first
+    w = RationalComplex.from_value(x)
+    for op, reference in OPERATORS.items():
+        for got, pair in ((op(z, x), (z, w)), (op(x, z), (w, z))):
+            assert type(got) is RationalComplex
+            assert (got.real, got.imag) == reference(*pair)
+            assert type(got.real) is Fraction and type(got.imag) is Fraction
+            assert hash(got) == hash((got.real, got.imag))
 
 
 def decimal_literals():
