@@ -766,8 +766,8 @@ def _partial_products(rn: ReprData, g_expr: GammaExpr) -> tuple:
     factors = [{} for _ in range(6)]
     units = [0] * 6
 
-    def put(cls, parity, shift):
-        units[cls - 1] += _accumulate_g(factors[cls - 1], parity, shift)
+    def put(part, parity, shift):
+        units[part - 1] += _accumulate_g(factors[part - 1], parity, shift)
 
     for i in range(h):
         for m in range(i + 1, h):

@@ -473,6 +473,8 @@ def test_random_repr_data_is_always_valid():
 
 ODD_R1 = ReprData(2, 0, ((0, 0),), ((2, RC(0, 0)),))
 WIDE_SHIFT = ReprData(1, 0, ((0, _rc(-1, 2)), (0, _rc(1, 2))), ())
+# two slots do not fill GL(6)
+SHORT = ReprData(3, 0, ((0, 0), (0, 0)), ())
 
 PUBLIC_CALLS = {
     "l_inf": l_inf,
@@ -504,24 +506,12 @@ def test_each_public_call_validates_its_input_once(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", sorted(PUBLIC_CALLS))
-@pytest.mark.parametrize("bad,label", [(ODD_R1, "r1-parity"), (WIDE_SHIFT, r"\(b\)")])
+@pytest.mark.parametrize(
+    "bad,label", [(ODD_R1, "r1-parity"), (WIDE_SHIFT, r"\(b\)"), (SHORT, "size")]
+)
 def test_each_public_call_rejects_invalid_data(name, bad, label):
     with pytest.raises(ValueError, match=label):
         PUBLIC_CALLS[name](bad)
-
-
-@pytest.mark.parametrize(
-    "bad,label",
-    [
-        (ODD_R1, "r1-parity"),
-        (WIDE_SHIFT, r"\(b\)"),
-        (ReprData(3, 0, ((0, 0), (0, 0)), ()), "size"),
-    ],
-)
-def test_omega_closed_form_rejects_inadmissible_data(bad, label):
-    # each of these used to give the constant 1
-    with pytest.raises(ValueError, match=label):
-        omega_closed_form(bad)
 
 
 def test_holomorphy_check_keeps_the_pole_family_guard(monkeypatch):
