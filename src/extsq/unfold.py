@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .matrices import Matrix, _is_zero
 from .polynomials import PolyRing
-from .rational import format_rational, parse_rational
 from .ratfunc import RatFunc
 from .specialfn import as_parity, g_delta
 
@@ -185,36 +184,6 @@ class UnfoldVars:
         }
         return cls.from_x(n_half, x)
 
-    # -- JSON -----------------------------------------------------------
-
-    @classmethod
-    def from_json(cls, obj) -> "UnfoldVars":
-        n = obj["n"]
-        if "x" in obj:
-            x = {_parse_key(k): parse_rational(v) for k, v in obj["x"].items()}
-            return cls.from_x(n, x)
-        c = {_parse_key(k): parse_rational(v) for k, v in obj["c"].items()}
-        z = {_parse_key(k): parse_rational(v) for k, v in obj["z"].items()}
-        return cls.from_cz(n, c, z)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n_half,
-            "c": {f"{i},{j}": _fmt(v) for (i, j), v in sorted(self._c.items())},
-            "z": {f"{i},{j}": _fmt(v) for (i, j), v in sorted(self._z.items())},
-        }
-
-
-def _parse_key(k: str):
-    i, j = k.split(",")
-    return int(i), int(j)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, Fraction):
-        return format_rational(v)
-    return str(v)
-
 
 def _div(a, b):
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
@@ -269,34 +238,89 @@ def _c_position(n: int, i: int, j: int):
     return (2 * i, 2 * n - j)
 
 
-def _det_block(mat: Matrix, n: int, pos):
-    """Determinant of the block whose top-right corner is pos."""
+def _block(n: int, pos):
+    """First row (0-based) and columns of the block whose top-right corner is
+    pos; the block runs down to the last row, so it is (2n - r) x (2n - r)."""
     r, c = pos
     k = 2 * n - r
-    rows = range(r - 1, 2 * n - 1)
-    cols = range(c - k, c)
-    return mat.submatrix(rows, cols).det()
+    return r - 1, tuple(range(c - k, c))
 
 
-def _solve_affine(mat: Matrix, n: int, pos, target):
-    """Set the entry at pos so the block determinant at pos equals target."""
-    r, c = pos
-    k = 2 * n - r
-    rows = list(range(r - 1, 2 * n - 1))
-    cols = list(range(c - k, c))
-    # determinant is alpha * entry + beta; alpha is the corner cofactor
-    sub = mat.submatrix(rows[1:], cols[:-1])
-    alpha = sub.det()
-    if k % 2 == 0:
-        alpha = -alpha
-    mat.data[r - 1][c - 1] = 0
-    beta = mat.submatrix(rows, cols).det()
+class _Minors:
+    """The table M(r, cols) = det rows[r.., cols] of one matrix.
+
+    cols is an increasing tuple with one column per row from r to the last.
+    Each minor is the Laplace expansion along row r over minors of row
+    r + 1, memoised on (r, cols), so blocks that share their lower rows
+    share those sub-minors, and no division or gcd runs.  Zero entries are
+    skipped, which keeps the sparse unfolded block cheap.  A memoised minor
+    holds only while rows r.. keep their values.
+    """
+
+    def __init__(self, mat: Matrix):
+        self.rows = mat.data
+        self._memo = {}
+
+    def __call__(self, r: int, cols: tuple):
+        if r == len(self.rows):
+            return 1
+        if (r, cols) not in self._memo:
+            self._memo[r, cols] = self.expand(r, cols, cols)
+        return self._memo[r, cols]
+
+    def expand(self, r: int, cols: tuple, along: tuple):
+        """Sum of the terms of det rows[r.., cols] expanded along row r at
+        the columns along, a prefix of cols; not memoised."""
+        row = self.rows[r]
+        total = 0
+        for idx, c in enumerate(along):
+            if _is_zero(row[c]):
+                continue
+            term = row[c] * self(r + 1, cols[:idx] + cols[idx + 1:])
+            total = total - term if idx % 2 else total + term
+        return total
+
+
+def _conditions(vars: UnfoldVars):
+    """(position, neighbour, original value, name) of every shifted entry,
+    in build_B's sweep order: rows bottom-up, leftmost entry first."""
+    n = vars.n_half
+    for row in range(2 * n - 2, 2, -1):
+        if row % 2 == 0:
+            i = row // 2
+            for j in range(i - 1, 0, -1):
+                pos, neighbour = _c_position(n, i, j), _z_position(n, i, j + 1)
+                yield pos, neighbour, vars.c(i, j), f"c({i},{j})"
+        else:
+            i = (row - 1) // 2
+            for j in range(i, 0, -1):
+                pos, neighbour = _z_position(n, i, j), _c_position(n, i + 1, j + 1)
+                yield pos, neighbour, vars.z(i, j), f"z({i},{j})"
+
+
+def _target(minors: _Minors, n: int, pos, neighbour, value):
+    """Right side of the condition at pos, with k the block size there:
+    (-1)^(k-1) * (original value at pos) * det(block at neighbour)."""
+    k = 2 * n - pos[0]
+    return _sign_pow(k - 1) * value * minors(*_block(n, neighbour))
+
+
+def _solve_affine(minors: _Minors, n: int, pos, target):
+    """Set the entry at pos so the determinant of its block equals target.
+
+    Along its top row the block determinant is alpha * entry + beta: alpha
+    is the corner cofactor, one minor of the rows below, and beta is the
+    expansion of the rest of the row.
+    """
+    r, cols = _block(n, pos)
+    alpha = _sign_pow(len(cols) - 1) * minors(r + 1, cols[:-1])
     if _is_zero(alpha):
         raise ZeroDivisionError(
             f"vanishing pivot determinant while shifting entry at {pos}"
         )
+    beta = minors.expand(r, cols, cols[:-1])
     new = _div(target - beta, alpha)
-    mat.data[r - 1][c - 1] = new
+    minors.rows[r][cols[-1]] = new
     return new
 
 
@@ -321,28 +345,23 @@ def build_B(vars: UnfoldVars) -> Matrix:
     shifted c value rewrites only the odd row above it.  So one bottom-up
     sweep, leftmost entry first within a row, settles every entry once, and
     nothing a condition reads changes after it is solved.
+
+    Every determinant is read from one _Minors table, whose invariant is
+    that a row is never changed once a minor starting at it is memoised: the
+    sweep writes only the row it solves and the row above.
     _assert_tilde_relations then checks every condition on the finished
-    matrix, independently of how the sweep solved it.
+    matrix from a fresh table, independently of how the sweep solved it.
     """
     n = vars.n_half
     mat = build_block_A(vars)
-    for row in range(2 * n - 2, 2, -1):
-        if row % 2 == 0:
-            i = row // 2
-            for j in range(i - 1, 0, -1):
-                k = 2 * (n - i)
-                partner = _det_block(mat, n, _z_position(n, i, j + 1))
-                target = _sign_pow(k - 1) * vars.c(i, j) * partner
-                new = _solve_affine(mat, n, _c_position(n, i, j), target)
-                mat.data[2 * i - 2][j - 1] = new
+    minors = _Minors(mat)
+    for pos, neighbour, value, _ in _conditions(vars):
+        target = _target(minors, n, pos, neighbour, value)
+        new = _solve_affine(minors, n, pos, target)
+        if pos[0] % 2 == 0:  # a shifted c_{i,j}, which also sits in row 2i-1
+            i, j = pos[0] // 2, 2 * n - pos[1]
+            mat.data[2 * i - 2][j - 1] = new
             _refresh_middle_sum(mat, vars, i)
-        else:
-            i = (row - 1) // 2
-            for j in range(i, 0, -1):
-                k = 2 * (n - i) - 1
-                partner = _det_block(mat, n, _c_position(n, i + 1, j + 1))
-                target = _sign_pow(k - 1) * vars.z(i, j) * partner
-                _solve_affine(mat, n, _z_position(n, i, j), target)
     _assert_tilde_relations(mat, vars)
     return mat
 
@@ -359,35 +378,13 @@ def _sign_pow(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-def _same(a, b) -> bool:
-    r = a == b
-    return bool(r) if r is not NotImplemented else False
-
-
 def _assert_tilde_relations(mat: Matrix, vars: UnfoldVars):
     n = vars.n_half
-    for i in range(1, n - 1):
-        for j in range(1, i + 1):
-            k = 2 * (n - i) - 1
-            lhs = _det_block(mat, n, _z_position(n, i, j))
-            rhs = _sign_pow(k - 1) * vars.z(i, j) * _det_block(
-                mat, n, _c_position(n, i + 1, j + 1)
-            )
-            if not _same(lhs, rhs):
-                raise ArithmeticError(
-                    f"determinant condition failed at shifted z({i},{j})"
-                )
-    for i in range(2, n):
-        for j in range(1, i):
-            k = 2 * (n - i)
-            lhs = _det_block(mat, n, _c_position(n, i, j))
-            rhs = _sign_pow(k - 1) * vars.c(i, j) * _det_block(
-                mat, n, _z_position(n, i, j + 1)
-            )
-            if not _same(lhs, rhs):
-                raise ArithmeticError(
-                    f"determinant condition failed at shifted c({i},{j})"
-                )
+    minors = _Minors(mat)
+    for pos, neighbour, value, name in _conditions(vars):
+        lhs = minors(*_block(n, pos))
+        if lhs != _target(minors, n, pos, neighbour, value):
+            raise ArithmeticError(f"determinant condition failed at shifted {name}")
 
 
 def tilde_c(mat: Matrix, n: int, i: int, j: int):

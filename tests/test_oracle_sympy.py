@@ -6,6 +6,7 @@ symbols, and back only through the tuple-keyed constructor, so these tests
 hold whatever monomial encoding the kernel uses internally.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ sympy = pytest.importorskip("sympy")
 from extsq.matrices import Matrix  # noqa: E402
 from extsq.polynomials import PolyRing, Polynomial, poly_gcd  # noqa: E402
 from extsq.ratfunc import RatFunc  # noqa: E402
+from extsq.unfold import _Minors  # noqa: E402
 
 NAMES = ("x", "y", "z")
 R = PolyRing(NAMES)
@@ -231,6 +233,19 @@ def test_ratfunc_det_matches_sympy(m):
     got = m.det()
     assert isinstance(got, RatFunc)
     assert sympy.cancel(to_sympy_entry(got) - sympy_det(m)) == 0
+
+
+@given(ratfunc_matrices())
+@settings(max_examples=60, deadline=None)
+def test_unfold_minor_table_matches_sympy(m):
+    """Every minor of the unfolding's Laplace table, on any column set."""
+    minors = _Minors(m)
+    n = m.nrows
+    for r in range(n):
+        for cols in itertools.combinations(range(n), n - r):
+            got = minors(r, cols)
+            want = sympy_det(m.submatrix(range(r, n), cols))
+            assert sympy.cancel(to_sympy_entry(got) - want) == 0
 
 
 # -- decompositions ----------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Small passes of the benchmark's ``analytic`` and ``decomp`` workloads.
+"""Small passes of the benchmark's ``analytic``, ``decomp`` and ``unfold``
+workloads.
 
 ``perfbench/`` has its own tests (``python -m pytest perfbench``); these
 keep the harness's view of the quadrature oracle, the functional equation,
-the pole checks and both triangular decompositions inside the default test
-run.
+the pole checks, both triangular decompositions and the unfolding
+identities inside the default test run.
 """
 
 import importlib.util
@@ -36,6 +37,19 @@ def test_decomp_pass_is_correct():
     workloads = load_workloads()
     workload, first_quad_s = workloads.prepare(
         "decomp", 1, generic_sizes=(3, 4), rational_sizes=range(2, 5), per_size=2
+    )
+    tally = workloads.Tally()
+    workload.run_pass(tally)
+    assert first_quad_s == 0.0
+    assert tally.attempted == 8
+    assert tally.failed == 0
+    assert tally.correct, tally.wrong
+
+
+def test_unfold_pass_is_correct():
+    workloads = load_workloads()
+    workload, first_quad_s = workloads.prepare(
+        "unfold", 1, symbolic_n=3, rational_sizes=(4,), per_size=1
     )
     tally = workloads.Tally()
     workload.run_pass(tally)

@@ -82,9 +82,9 @@ def test_build_B_solves_each_entry_once(monkeypatch, n_half):
     solve = unfold._solve_affine
     positions = []
 
-    def counting(mat, n, pos, target):
+    def counting(minors, n, pos, target):
         positions.append(pos)
-        return solve(mat, n, pos, target)
+        return solve(minors, n, pos, target)
 
     monkeypatch.setattr(unfold, "_solve_affine", counting)
     build_B(UnfoldVars.from_x(n_half, _random_x(random.Random(n_half), n_half)))
@@ -96,15 +96,83 @@ def test_build_B_solves_each_entry_once(monkeypatch, n_half):
 def test_build_B_rejects_a_wrong_shift(monkeypatch):
     solve = unfold._solve_affine
 
-    def off_by_one(mat, n, pos, target):
-        new = solve(mat, n, pos, target) + 1
-        mat.data[pos[0] - 1][pos[1] - 1] = new
+    def off_by_one(minors, n, pos, target):
+        new = solve(minors, n, pos, target) + 1
+        minors.rows[pos[0] - 1][pos[1] - 1] = new
         return new
 
     monkeypatch.setattr(unfold, "_solve_affine", off_by_one)
     v = UnfoldVars.from_x(3, _random_x(random.Random(5), 3))
     with pytest.raises(ArithmeticError, match="determinant condition failed"):
         build_B(v)
+
+
+def test_build_B_refuses_a_vanishing_pivot():
+    x = _random_x(random.Random(8), 3)
+    x[(2, 4)] = Fraction(0)  # so c_{2,2} = 0, the corner cofactor of z_{1,1}
+    with pytest.raises(ZeroDivisionError, match="vanishing pivot"):
+        build_B(UnfoldVars.from_x(3, x))
+
+
+def _seeded_vars():
+    """Symbolic n_half <= 4 in both presentations, seeded rational n_half <= 8."""
+    out = []
+    for n_half in (2, 3, 4):
+        out.append(pytest.param(UnfoldVars.symbolic(n_half), id=f"cz-{n_half}"))
+        out.append(pytest.param(UnfoldVars.symbolic_x(n_half), id=f"x-{n_half}"))
+    rng = random.Random(31)
+    for n_half in range(3, 9):
+        v = UnfoldVars.from_x(n_half, _random_x(rng, n_half))
+        out.append(pytest.param(v, id=f"rational-{n_half}"))
+    return out
+
+
+@pytest.mark.parametrize("v", _seeded_vars())
+def test_minor_table_matches_bareiss(v):
+    b = build_B(v)
+    size = b.nrows
+    minors = unfold._Minors(b)
+    rng = random.Random(size)
+    for r in range(size):
+        k = size - r
+        # every contiguous block reaching the last row, and one scattered one
+        blocks = [tuple(range(c, c + k)) for c in range(size - k + 1)]
+        blocks.append(tuple(sorted(rng.sample(range(size), k))))
+        for cols in blocks:
+            assert minors(r, cols) == b.submatrix(range(r, size), cols).det()
+
+
+def _bareiss_block(b, n, r, c):
+    """Matrix.det of the block with top-right corner (r, c), 1-based, down
+    to the last row."""
+    k = 2 * n - r
+    return b.submatrix(range(r - 1, 2 * n - 1), range(c - k, c)).det()
+
+
+@pytest.mark.parametrize("v", _seeded_vars())
+def test_build_B_meets_every_condition_by_bareiss(v):
+    n = v.n_half
+    b = build_B(v)
+    checked = 0
+    for i in range(1, n - 1):
+        for j in range(1, i + 1):
+            # z_{i,j} at (2i+1, 2n-j), its neighbour c_{i+1,j+1} one down-left
+            k = 2 * (n - i) - 1
+            lhs = _bareiss_block(b, n, 2 * i + 1, 2 * n - j)
+            neighbour = _bareiss_block(b, n, 2 * i + 2, 2 * n - j - 1)
+            rhs = (-1) ** (k - 1) * v.z(i, j) * neighbour
+            assert lhs == rhs
+            checked += 1
+    for i in range(2, n):
+        for j in range(1, i):
+            # c_{i,j} at (2i, 2n-j), its neighbour z_{i,j+1} one down-left
+            k = 2 * (n - i)
+            lhs = _bareiss_block(b, n, 2 * i, 2 * n - j)
+            neighbour = _bareiss_block(b, n, 2 * i + 1, 2 * n - j - 1)
+            rhs = (-1) ** (k - 1) * v.c(i, j) * neighbour
+            assert lhs == rhs
+            checked += 1
+    assert checked == (n - 1) * (n - 2)
 
 
 def test_superdiag_identity_symbolic():
@@ -205,13 +273,3 @@ def test_kappa_degenerate_size():
 def test_kappa_parity_constraint():
     with pytest.raises(ValueError):
         kappa_signs(2, (0, 0, 0, 0), 1, 0)
-
-
-def test_unfold_vars_json_round_trip():
-    rng = random.Random(21)
-    v = UnfoldVars.from_x(3, _random_x(rng, 3))
-    again = UnfoldVars.from_json(v.to_json())
-    assert again.n_half == v.n_half
-    for i in range(1, 3):
-        for j in range(2 * i, 6):
-            assert again.x(i, j) == v.x(i, j)
