@@ -8,9 +8,7 @@ from .decomp import (
     UDLFactors,
     nhn_decompose,
     nhn_matches_udl,
-    nhn_reconstruct,
     udl_explicit,
-    udl_oracle,
     verify_udl_reconstruction,
 )
 from .euler import (
@@ -19,13 +17,9 @@ from .euler import (
     VanishingFactorError,
     ext2_factor,
     ext2_reciprocal_poly,
-    lambda_assembly,
     partial_L,
     poly_degree,
-    primes_below,
-    satake_conjugate,
     satake_from_json,
-    satake_to_json,
     standard_factor,
     standard_reciprocal_poly,
 )
@@ -45,7 +39,6 @@ from .lfactors import (
     contragredient,
     dual_repr,
     fe_ratio_check,
-    full_level_sum,
     holomorphy_check,
     l_inf,
     normalize,
@@ -55,7 +48,6 @@ from .lfactors import (
     random_repr_data,
     repr_from_json,
     repr_to_json,
-    rho,
     script_g,
     script_g_full,
     script_g_tilde,

@@ -5,19 +5,21 @@ ways:
 
 * minor form      g = b_plus * a^{-1} * b_minus, where b_plus is upper
   triangular with (b_plus)_{jj} = d_j, b_minus is lower triangular with
-  (b_minus)_{ii} = d_i, and a = diag(d_i * d_{i+1}),
+  (b_minus)_{ii} = d_i, and a = diag(d_i * d_{i+1}) with d_{n+1} = 1,
 * normalized form g = n_upper * h * n_lower with unit triangular outer
   factors and h = diag(d_i / d_{i+1}).
 
 Every entry of b_plus and b_minus is itself a single explicit minor of g, so
 the first form needs no elimination at all; the second follows by scaling
-rows and columns.  An independent elimination route computes the
-normalized form: conjugation by the reversal, then one fraction-free
-(Bareiss) LU of the whole matrix, with the factors read off its pivots and
-eliminated rows.  nhn_matches_udl is the single check that the two routes
-agree; it compares each elimination entry with its ratio of minors without
-building a second normalized form.  The two routes share only the
-determinant kernel, which the sympy oracle tests guard.
+rows and columns.  Only b_plus and b_minus are stored: a is derived from
+their shared diagonal when a caller reads it.  An independent elimination
+route computes the normalized form: conjugation by the reversal, then one
+fraction-free (Bareiss) LU of the whole matrix, with the factors read off
+its pivots and eliminated rows.  nhn_matches_udl is the single check that
+the two routes agree; it compares each elimination entry with its ratio of
+minors, h_jj with d_j / d_{j+1}, without building a second normalized form
+or any product of two minors.  The two routes share only the determinant
+kernel, which the sympy oracle tests guard.
 
 Entries must be exact: int, Fraction, Polynomial or RatFunc.  Both routes
 are compared with exact equality, so float or complex input is refused with
@@ -55,9 +57,21 @@ class DegenerateMinorError(ZeroDivisionError):
 
 @dataclass
 class UDLFactors:
+    """The minor form g = b_plus * a^{-1} * b_minus.
+
+    b_plus and b_minus share their diagonal d_1, ..., d_n, the trailing
+    minors, so a = diag(d_i * d_{i+1}) is not stored: the property builds
+    it from the diagonal of b_minus on each read.
+    """
+
     b_plus: Matrix
-    a: Matrix
     b_minus: Matrix
+
+    @property
+    def a(self) -> Matrix:
+        n = self.b_minus.nrows
+        d = [self.b_minus[i, i] for i in range(n)] + [1]
+        return Matrix.diagonal([d[i] * d[i + 1] for i in range(n)])
 
 
 @dataclass
@@ -77,10 +91,8 @@ def _require_exact(g: Matrix):
 
 
 def trailing_minor(g: Matrix, i: int):
-    """det of the lower-right block on rows/columns i..n (1-based); d_{n+1} = 1."""
+    """det of the lower-right block on rows/columns i..n (1-based)."""
     n = g.nrows
-    if i == n + 1:
-        return 1
     idx = range(i - 1, n)
     return g.submatrix(idx, idx).det()
 
@@ -106,11 +118,12 @@ def udl_explicit(g: Matrix) -> UDLFactors:
 
     The diagonal entries of b_plus and b_minus are the trailing minors d_i
     themselves: minor_upper(g, i, i) and minor_lower(g, i, i) are the
-    determinant of the same submatrix.
+    determinant of the same submatrix.  No two minors are multiplied here;
+    UDLFactors.a derives a from that diagonal.
     """
     _require_exact(g)
     n = g.nrows
-    d = [trailing_minor(g, i) for i in range(1, n + 2)]
+    d = [trailing_minor(g, i) for i in range(1, n + 1)]
     for i in range(1, n + 1):
         if _is_zero(d[i - 1]):
             raise DegenerateMinorError(i, n - i + 1)
@@ -121,8 +134,7 @@ def udl_explicit(g: Matrix) -> UDLFactors:
         for j in range(i + 1, n + 1):
             bp[i - 1][j - 1] = minor_upper(g, i, j)
             bm[j - 1][i - 1] = minor_lower(g, j, i)
-    a = Matrix.diagonal([d[i] * d[i + 1] for i in range(n)])
-    return UDLFactors(Matrix(bp), a, Matrix(bm))
+    return UDLFactors(Matrix(bp), Matrix(bm))
 
 
 def _inv(e):
@@ -137,26 +149,17 @@ def _as_pair(e):
     return e, 1
 
 
-def _as_poly(e):
-    """e as a Polynomial when it is one (a RatFunc over 1 counts), else None."""
-    if isinstance(e, Polynomial):
-        return e
-    if isinstance(e, RatFunc) and e.den.is_one():
-        return e.num
-    return None
-
-
 def _cross_equal(a, b, c):
     """a / b == c, decided exactly."""
-    pa, pb = _as_poly(a), _as_poly(b)
-    if pa is not None and pb is not None and isinstance(c, RatFunc):
-        # c = cn/cd is canonical, so gcd(cn, cd) = 1 and a/b == c forces cd | b
-        q = pb.exact_div(c.den)
-        return q is not None and pa == q * c.num
     an, ad = _as_pair(a)
     bn, bd = _as_pair(b)
     cn, cd = _as_pair(c)
-    return an * bd * cd == cn * ad * bn
+    den = ad * bn
+    if isinstance(c, RatFunc) and isinstance(den, Polynomial):
+        # c = cn/cd is canonical, so gcd(cn, cd) = 1 and a/b == c forces cd | ad bn
+        q = den.exact_div(cd)
+        return q is not None and an * bd == q * cn
+    return an * bd * cd == cn * den
 
 
 def nhn_matches_udl(udl: UDLFactors, nhn: NHNFactors) -> bool:
@@ -164,33 +167,36 @@ def nhn_matches_udl(udl: UDLFactors, nhn: NHNFactors) -> bool:
 
     This is the one check that the elimination factors match the minor
     formulas: n_upper = b_plus * diag(b_plus)^{-1}, n_lower =
-    diag(b_minus)^{-1} * b_minus and h_jj = (b_plus)_{jj} (b_minus)_{jj} /
-    a_jj, with every other entry of the three factors zero.
+    diag(b_minus)^{-1} * b_minus and h_jj = d_j / d_{j+1} (d_{n+1} = 1),
+    with every other entry of the three factors zero.  The diagonals of
+    b_plus and b_minus must be equal, d_j = (b_plus)_{jj} = (b_minus)_{jj},
+    since a = diag(d_j d_{j+1}) is derived from that shared diagonal.
 
-    Each entry of nhn must be a ratio of minors, a / b == c.  For
-    polynomial a and b and a canonical c = cn/cd this holds exactly when
-    cd divides b and a == (b / cd) * cn, so the check is one exact division
-    and one product of polynomials no larger than the minors, and a wrong c
+    Each entry of nhn must be a ratio of minors, a / b == c.  With
+    a = an/ad, b = bn/bd and a canonical c = cn/cd this holds exactly when
+    cd divides ad bn and an bd == (ad bn / cd) cn, so the check is one
+    exact division and products no larger than two minors, and a wrong c
     usually fails at the division.  It never reduces a ratio of minors to
     lowest terms.  Other operands are compared cross-multiplied.
     """
     n = udl.b_plus.nrows
-    dp = [udl.b_plus[i, i] for i in range(n)]
-    dm = [udl.b_minus[i, i] for i in range(n)]
+    d = [udl.b_minus[i, i] for i in range(n)]
+    if d != [udl.b_plus[i, i] for i in range(n)]:
+        return False
     for i in range(n):
-        for j in range(n):
-            if i <= j and not _cross_equal(udl.b_plus[i, j], dp[j], nhn.n[i, j]):
+        if nhn.n[i, i] != 1 or nhn.n_minus[i, i] != 1:
+            return False
+        for j in range(i + 1, n):
+            if not _cross_equal(udl.b_plus[i, j], d[j], nhn.n[i, j]):
                 return False
-            if i >= j and not _cross_equal(udl.b_minus[i, j], dm[i], nhn.n_minus[i, j]):
+            if not _cross_equal(udl.b_minus[j, i], d[j], nhn.n_minus[j, i]):
                 return False
-            if i < j and not _is_zero(nhn.n[j, i]):
+            zeros = nhn.n[j, i], nhn.n_minus[i, j], nhn.h[i, j], nhn.h[j, i]
+            if not all(_is_zero(e) for e in zeros):
                 return False
-            if i < j and not _is_zero(nhn.n_minus[i, j]):
-                return False
-            if i != j and not _is_zero(nhn.h[i, j]):
-                return False
+    d.append(1)
     for j in range(n):
-        if not _cross_equal(dp[j] * dm[j], udl.a[j, j], nhn.h[j, j]):
+        if not _cross_equal(d[j], d[j + 1], nhn.h[j, j]):
             return False
     return True
 
@@ -250,36 +256,16 @@ def nhn_decompose(g: Matrix) -> NHNFactors:
     return NHNFactors(Matrix(nu), Matrix.diagonal(hdiag), Matrix(nl))
 
 
-def udl_oracle(g: Matrix) -> UDLFactors:
-    """Rebuild the minor-form factors from an elimination decomposition.
-
-    Telescoping the normalized diagonal gives d_i = prod_{k >= i} h_kk, then
-    b_plus = n_upper * diag(d), b_minus = diag(d) * n_lower, and
-    a = diag(d_i * d_{i+1}).
-    """
-    nhn = nhn_decompose(g)
-    n = g.nrows
-    d = [1] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        d[i] = nhn.h[i, i] * d[i + 1]
-    bp = Matrix(
-        [[nhn.n[i, j] * d[j] for j in range(n)] for i in range(n)]
-    )
-    bm = Matrix(
-        [[d[i] * nhn.n_minus[i, j] for j in range(n)] for i in range(n)]
-    )
-    a = Matrix.diagonal([d[i] * d[i + 1] for i in range(n)])
-    return UDLFactors(bp, a, bm)
-
-
 def verify_udl_reconstruction(g: Matrix, udl: UDLFactors) -> bool:
     """Check g == b_plus * a^{-1} * b_minus exactly.
 
-    For polynomial-valued matrices the check clears denominators: with
-    d_i = (b_minus)_{ii}, each entry must satisfy
+    Here d_i = (b_minus)_{ii} and a = udl.a = diag(d_i d_{i+1}), with
+    d_{n+1} = 1.  For polynomial-valued matrices the check clears
+    denominators: each entry must satisfy
     sum_k (b_plus)_{ik} (b_minus)_{kj} / (d_k d_{k+1}) = g_{ij}, verified in
-    factored-fraction form over the basis {d_1, ..., d_n}.  Rational entries
-    are multiplied out directly.  Entries that are not exact raise TypeError.
+    factored-fraction form over the basis {d_1, ..., d_n}, so a itself is
+    never formed.  Rational entries are multiplied out directly with a.
+    Entries that are not exact raise TypeError.
     """
     _require_exact(g)
     n = g.nrows
@@ -288,7 +274,8 @@ def verify_udl_reconstruction(g: Matrix, udl: UDLFactors) -> bool:
     )
     if poly_like and n > 0:
         return _verify_reconstruction_poly(g, udl)
-    ainv = Matrix.diagonal([_inv(udl.a[i, i]) for i in range(n)])
+    a = udl.a
+    ainv = Matrix.diagonal([_inv(a[i, i]) for i in range(n)])
     return udl.b_plus * ainv * udl.b_minus == g
 
 
@@ -325,7 +312,3 @@ def _verify_reconstruction_poly(g: Matrix, udl: UDLFactors) -> bool:
             if acc.to_ratfunc() != _as_ratfunc(g[i, j], ring):
                 return False
     return True
-
-
-def nhn_reconstruct(nhn: NHNFactors) -> Matrix:
-    return nhn.n * nhn.h * nhn.n_minus

@@ -53,15 +53,6 @@ def satake_from_json(obj) -> SatakeData:
     )
 
 
-def satake_to_json(d: SatakeData) -> dict:
-    return {"p": d.p, "alpha": [str(a) for a in d.alpha], "chi": str(d.chi)}
-
-
-def satake_conjugate(d: SatakeData) -> SatakeData:
-    """Conjugate every parameter; pairs with conjugating the variable s."""
-    return SatakeData(d.p, tuple(a.conjugate() for a in d.alpha), d.chi.conjugate())
-
-
 def ext2_factor(d: SatakeData, s) -> complex:
     """The local exterior-square factor, product over index pairs j < k."""
     s = complex(s)
@@ -167,31 +158,3 @@ def poly_degree(coeffs) -> int:
         if c != zero:
             deg = m
     return deg
-
-
-def lambda_assembly(r, data, s, archimedean=None) -> complex:
-    """Completed partial product: archimedean factor times the finite part.
-
-    The archimedean factor is built from the induction data unless one is
-    passed in, and the finite part runs over the given places.
-    """
-    from .lfactors import l_inf
-
-    s = complex(s)
-    arch = archimedean if archimedean is not None else l_inf(r)
-    return arch.value(s) * partial_L(data, s, kind="ext2")
-
-
-def primes_below(limit: int):
-    """All primes under the bound, by sieve."""
-    limit = int(limit)
-    if limit <= 2:
-        return []
-    flags = bytearray([1]) * limit
-    flags[0] = flags[1] = 0
-    m = 2
-    while m * m < limit:
-        if flags[m]:
-            flags[m * m :: m] = bytearray(len(flags[m * m :: m]))
-        m += 1
-    return [m for m in range(limit) if flags[m]]

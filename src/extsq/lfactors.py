@@ -286,19 +286,6 @@ class EmbeddingParams:
             raise ValueError("lam and delta must have equal length")
 
 
-def rho(n: int) -> tuple:
-    """Half-sum vector ((n-1)/2, (n-3)/2, ..., (1-n)/2)."""
-    return tuple(Fraction(n - 1 - 2 * i, 2) for i in range(n))
-
-
-def full_level_sum(e: EmbeddingParams) -> RationalComplex:
-    """Sum of the exponents; zero when the central character is trivial."""
-    total = RationalComplex(0, 0)
-    for x in e.lam:
-        total = total + x
-    return total
-
-
 def casselman_embedding(r: ReprData) -> EmbeddingParams:
     """Embed the induction data into a principal series.
 

@@ -343,6 +343,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self.ring.zero()
+            other = _as_coeff(other)
             return Polynomial._make(
                 self.ring, {e: _as_coeff(c * other) for e, c in self.terms.items()}
             )

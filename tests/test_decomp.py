@@ -6,12 +6,11 @@ import pytest
 from extsq.decomp import (
     DegenerateMinorError,
     NHNFactors,
+    UDLFactors,
     nhn_decompose,
     nhn_matches_udl,
-    nhn_reconstruct,
     trailing_minor,
     udl_explicit,
-    udl_oracle,
     verify_udl_reconstruction,
 )
 from extsq.matrices import Matrix, generic_matrix, _is_zero
@@ -26,16 +25,8 @@ def test_udl_known_values():
     assert udl.b_minus == Matrix([[Fraction(-2), Fraction(0)], [Fraction(3), Fraction(4)]])
 
 
-def test_udl_oracle_agrees_with_explicit():
-    rng = random.Random(7)
-    for n in (2, 3, 4):
-        for _ in range(5):
-            g = _nondegenerate(rng, n)
-            a = udl_oracle(g)
-            b = udl_explicit(g)
-            assert a.b_plus == b.b_plus
-            assert a.a == b.a
-            assert a.b_minus == b.b_minus
+def _product(nhn: NHNFactors) -> Matrix:
+    return nhn.n * nhn.h * nhn.n_minus
 
 
 def _nondegenerate(rng, n):
@@ -53,6 +44,7 @@ def test_reconstruction_identity_numeric():
         g = _nondegenerate(rng, n)
         udl = udl_explicit(g)
         assert verify_udl_reconstruction(g, udl)
+        a = udl.a
         # factor shapes: upper/lower triangular around a diagonal core
         for i in range(n):
             for j in range(n):
@@ -61,7 +53,7 @@ def test_reconstruction_identity_numeric():
                 if i < j:
                     assert _is_zero(udl.b_minus[i, j])
                 if i != j:
-                    assert _is_zero(udl.a[i, j])
+                    assert _is_zero(a[i, j])
 
 
 def test_reconstruction_identity_symbolic():
@@ -95,7 +87,7 @@ def test_nhn_unipotent_shape():
                     assert _is_zero(nhn.n_minus[j, i])
                 if i != j:
                     assert _is_zero(nhn.h[i, j])
-        assert nhn_reconstruct(nhn) == g
+        assert _product(nhn) == g
 
 
 def test_rational_factors_match_minors():
@@ -106,7 +98,7 @@ def test_rational_factors_match_minors():
 
 
 def test_nhn_matches_udl_symbolic():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         g = generic_matrix(n)
         udl = udl_explicit(g)
         nhn = nhn_decompose(g)
@@ -201,7 +193,7 @@ def test_zero_last_pivot_is_allowed():
         # the last pivot is det g / d_2 and sits in the top corner of h
         assert nhn.h[0, 0] == 0
         assert all(nhn.h[i, i] != 0 for i in range(1, n))
-        assert nhn_reconstruct(nhn) == g
+        assert _product(nhn) == g
         _structure_is_int(nhn, n)
 
 
@@ -216,7 +208,7 @@ def test_int_input_gives_fraction_entries():
             if i > j:
                 assert type(nhn.n_minus[i, j]) is Fraction
         assert type(nhn.h[i, i]) is Fraction
-    assert nhn_reconstruct(nhn) == g
+    assert _product(nhn) == g
     assert nhn.h == Matrix.diagonal([Fraction(27, 14), Fraction(14, 5), Fraction(5)])
 
 
@@ -253,7 +245,7 @@ def test_ratfunc_entries_with_denominators():
                 assert isinstance(nhn.n_minus[i, j], RatFunc)
         assert isinstance(nhn.h[i, i], RatFunc)
     assert nhn_matches_udl(udl_explicit(g), nhn)
-    assert nhn_reconstruct(nhn) == g
+    assert _product(nhn) == g
 
 
 # -- the factor check --------------------------------------------------------
@@ -304,6 +296,38 @@ def test_factor_check_rejects_a_corrupted_diagonal():
         for wrong in (nhn.h[i, i] * 3, nhn.h[i, i] + 1):
             bad = NHNFactors(nhn.n, _corrupt(nhn.h, i, i, wrong), nhn.n_minus)
             assert not nhn_matches_udl(udl, bad)
+
+
+def test_factor_check_rejects_a_corrupted_minor_diagonal():
+    udl, nhn = _generic_pair(3)
+    for j in range(3):
+        for wrong in (udl.b_plus[j, j] * 2, udl.b_plus[j, j] + 1):
+            bad = UDLFactors(_corrupt(udl.b_plus, j, j, wrong), udl.b_minus)
+            assert not nhn_matches_udl(bad, nhn)
+            bad = UDLFactors(udl.b_plus, _corrupt(udl.b_minus, j, j, wrong))
+            assert not nhn_matches_udl(bad, nhn)
+
+
+def _many_denominators():
+    """Entry (i, j) = x_{i+1,j+1} / (x_{(i+1)%3+1,(j+2)%3+1} + i + 1).
+
+    Every entry carries its own denominator, so every minor is a rational
+    function with a large denominator, and the factor check must settle each
+    ratio without reducing a product of two of them.
+    """
+    x = generic_matrix(3)
+    return Matrix(
+        [[x[i, j] / (x[(i + 1) % 3, (j + 2) % 3] + i + 1) for j in range(3)] for i in range(3)]
+    )
+
+
+def test_factor_check_with_many_denominators():
+    g = _many_denominators()
+    udl, nhn = udl_explicit(g), nhn_decompose(g)
+    assert nhn_matches_udl(udl, nhn)
+    for j in range(3):
+        bad = NHNFactors(nhn.n, _corrupt(nhn.h, j, j, nhn.h[j, j] * 2), nhn.n_minus)
+        assert not nhn_matches_udl(udl, bad)
 
 
 def test_factor_check_rejects_a_wrong_structure_entry():

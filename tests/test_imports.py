@@ -1,11 +1,15 @@
-"""Every module under src/extsq reads each name it imports, and every
-private helper it defines is used somewhere in the package."""
+"""Every module under src/extsq reads each name it imports, every private
+helper it defines is used somewhere in the package, and every name the
+package exports is read by one of its modules or listed with a reason."""
 
 import ast
 import functools
+import types
 from pathlib import Path
 
 import pytest
+
+import extsq
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "extsq"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -48,8 +52,9 @@ def _private_definitions(tree: ast.Module) -> list:
 
 @functools.cache
 def _referenced_names() -> set:
+    """Every name and attribute read in a module other than __init__.py."""
     names = set()
-    for path in SRC.glob("*.py"):
+    for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -63,3 +68,21 @@ def test_every_private_helper_is_used(path):
     used = _referenced_names()
     defined = _private_definitions(ast.parse(path.read_text()))
     assert [(line, name) for line, name in defined if name not in used] == []
+
+
+# Exported names that no module of the package reads, each with the reason
+# it stays in the public interface.
+UNREFERENCED_EXPORTS = {
+    "gcancel": "the paper's pairwise collapse of two G_delta factors to one Gamma_C ratio",
+    "partial_products": "the six partial products of the holomorphy argument; perfbench calls it",
+    "script_g_tilde": "the paper's contragredient product G~(s) of the functional equation",
+}
+
+
+def test_every_export_is_used_or_listed():
+    exported = {
+        name
+        for name in extsq.__all__
+        if not isinstance(getattr(extsq, name), types.ModuleType)
+    }
+    assert sorted(exported - _referenced_names()) == sorted(UNREFERENCED_EXPORTS)

@@ -19,7 +19,6 @@ from extsq.lfactors import (
     contragredient,
     dual_repr,
     fe_ratio_check,
-    full_level_sum,
     holomorphy_check,
     l_inf,
     normalize,
@@ -29,7 +28,6 @@ from extsq.lfactors import (
     random_repr_data,
     repr_from_json,
     repr_to_json,
-    rho,
     script_g,
     script_g_full,
     script_g_tilde,
@@ -105,14 +103,6 @@ def test_repr_json_round_trip():
         assert again == r
     obj = {"n": 1, "sign_blocks": [{"eps": 0, "s": "0"}, {"eps": 1, "s": "0"}]}
     assert repr_from_json(obj) == TEMPERED
-
-
-def test_rho_and_level_sum():
-    assert rho(4) == (F(3, 2), F(1, 2), F(-1, 2), F(-3, 2))
-    e = casselman_embedding(MIXED)
-    assert full_level_sum(e) == RC(0, -1)
-    balanced = casselman_embedding(SIGN4)
-    assert full_level_sum(balanced) == RC(0, 0)
 
 
 def test_embedding_example():

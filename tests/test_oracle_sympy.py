@@ -286,9 +286,11 @@ def assert_udl_matches_sympy(g: Matrix):
         assert exc.value.minor_index == zeros[0]
         return
     udl = udl_explicit(g)
+    # UDLFactors.a is derived on each read, so read it once
+    amat = udl.a
     for i in range(n):
         for j in range(n):
-            bp, bm, a = udl.b_plus[i, j], udl.b_minus[i, j], udl.a[i, j]
+            bp, bm, a = udl.b_plus[i, j], udl.b_minus[i, j], amat[i, j]
             if i <= j:
                 # rows {i} u {j+1..n}, columns j..n (0-based here)
                 want = sg.extract([i] + list(range(j + 1, n)), list(range(j, n)))
