@@ -30,7 +30,9 @@ from .euler import (
 )
 from .lfactors import (
     IdentityMismatchError,
-    l_inf,
+    _checked,
+    _l_inf,
+    _omega,
     omega_closed_form,
     pole_enumeration,
     repr_from_json,
@@ -239,9 +241,9 @@ def cmd_gamma(args) -> int:
 
 def cmd_lfactor(args) -> int:
     t0 = time.monotonic()
-    r = repr_from_json(_load_json(args.repr))
-    expr = l_inf(r)
-    output = {"factors": list(expr.describe()), "omega": _cx(omega_closed_form(r))}
+    rn = _checked(repr_from_json(_load_json(args.repr)))
+    expr = _l_inf(rn)
+    output = {"factors": list(expr.describe()), "omega": _cx(_omega(rn))}
     if args.s is not None:
         s = _parse_s(args.s)
         output["s"] = _cx(s)

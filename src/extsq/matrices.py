@@ -9,7 +9,8 @@ row scales is divided out once at the end.  The row-clearing helpers
 (``_clear_rational``, ``_clear_symbolic``) return the scale of every row, and
 the Bareiss kernel can run without row swaps, so the fraction-free LU in
 ``decomp.nhn_decompose`` uses the same code.  The one other determinant
-route is ``unfold._Minors``, the memoised Laplace table of ``build_B``.
+route is ``unfold._Minors``, the memoised Laplace table of ``build_B``; it
+shares the row-clearing helpers and expands over the cleared rows.
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import Matrix, _is_zero
-from .polynomials import PolyRing
+from .matrices import Matrix, _clear_rational, _clear_symbolic, _is_zero
+from .polynomials import Polynomial, PolyRing
 from .ratfunc import RatFunc
 from .specialfn import as_parity, g_delta
 
@@ -247,36 +247,60 @@ def _block(n: int, pos):
 
 
 class _Minors:
-    """The table M(r, cols) = det rows[r.., cols] of one matrix.
+    """Integral minors I(r, cols) = det cleared[r.., cols] of one matrix.
 
     cols is an increasing tuple with one column per row from r to the last.
-    Each minor is the Laplace expansion along row r over minors of row
-    r + 1, memoised on (r, cols), so blocks that share their lower rows
-    share those sub-minors, and no division or gcd runs.  Zero entries are
-    skipped, which keeps the sparse unfolded block cheap.  A memoised minor
-    holds only while rows r.. keep their values.
+    Row r is cleared of denominators (``_clear_rational``,
+    ``_clear_symbolic``, or scale 1 for other entries) when a minor starting
+    at it is first memoised, so it must be final by then.  I(r, cols) is
+    the Laplace expansion along row r over the minors of row r + 1, memoised
+    on (r, cols): no division and no gcd runs, and zero entries are skipped.
+    With S_r the product of the scales of rows r.., calling the table gives
+    det rows[r.., cols] = I(r, cols) / S_r with one division.
     """
 
     def __init__(self, mat: Matrix):
         self.rows = mat.data
-        self._memo = {}
+        # below the last row: the empty minor 1, and scale 1
+        self._memo = {(len(self.rows), ()): 1}
+        self._cleared = {len(self.rows): (None, 1)}
 
     def __call__(self, r: int, cols: tuple):
-        if r == len(self.rows):
-            return 1
+        minor, scale = self.integral(r, cols), self.cleared(r)[1]
+        if scale == 1 or _is_zero(minor):
+            return minor
+        if isinstance(scale, Polynomial):
+            return RatFunc(minor, scale)
+        return minor / Fraction(scale)
+
+    def integral(self, r: int, cols: tuple):
         if (r, cols) not in self._memo:
-            self._memo[r, cols] = self.expand(r, cols, cols)
+            self._memo[r, cols] = self.expand(self.cleared(r)[0], r, cols, cols)
         return self._memo[r, cols]
 
-    def expand(self, r: int, cols: tuple, along: tuple):
-        """Sum of the terms of det rows[r.., cols] expanded along row r at
-        the columns along, a prefix of cols; not memoised."""
-        row = self.rows[r]
+    def cleared(self, r: int):
+        """Cleared row r and S_r, clearing it and the rows below on first use."""
+        if r not in self._cleared:
+            row = self.rows[r]
+            kinds = {type(e) for e in row}
+            if Polynomial in kinds or RatFunc in kinds:
+                (cleared,), (scale,) = _clear_symbolic([row])
+            elif kinds <= {int, Fraction}:
+                (cleared,), (scale,) = _clear_rational([row])
+            else:
+                cleared, scale = row, 1
+            self._cleared[r] = cleared, scale * self.cleared(r + 1)[1]
+        return self._cleared[r]
+
+    def expand(self, row, r: int, cols: tuple, along: tuple):
+        """Terms of det [row; rows r + 1..][cols] expanded along row at the
+        columns along, a prefix of cols, over the integral minors of row
+        r + 1; so the sum is scaled by S_{r+1}.  Not memoised."""
         total = 0
         for idx, c in enumerate(along):
             if _is_zero(row[c]):
                 continue
-            term = row[c] * self(r + 1, cols[:idx] + cols[idx + 1:])
+            term = row[c] * self.integral(r + 1, cols[:idx] + cols[idx + 1:])
             total = total - term if idx % 2 else total + term
         return total
 
@@ -298,27 +322,30 @@ def _conditions(vars: UnfoldVars):
                 yield pos, neighbour, vars.z(i, j), f"z({i},{j})"
 
 
-def _target(minors: _Minors, n: int, pos, neighbour, value):
+def _target(minor, n: int, pos, neighbour, value):
     """Right side of the condition at pos, with k the block size there:
-    (-1)^(k-1) * (original value at pos) * det(block at neighbour)."""
+    (-1)^(k-1) * (original value at pos) * det(block at neighbour), read
+    through minor: a _Minors table, or its integral minors (times S_{r+1})."""
     k = 2 * n - pos[0]
-    return _sign_pow(k - 1) * value * minors(*_block(n, neighbour))
+    return _sign_pow(k - 1) * value * minor(*_block(n, neighbour))
 
 
 def _solve_affine(minors: _Minors, n: int, pos, target):
     """Set the entry at pos so the determinant of its block equals target.
 
-    Along its top row the block determinant is alpha * entry + beta: alpha
-    is the corner cofactor, one minor of the rows below, and beta is the
-    expansion of the rest of the row.
+    Along its top row r the block determinant is (alpha * entry + beta) /
+    S_{r+1}: alpha is the corner cofactor, one integral minor of row r + 1,
+    and beta the expansion of the rest of row r.  target comes scaled by
+    S_{r+1} too, because the neighbour's block starts at row r + 1, so the
+    entry is one quotient and no scale is divided out.
     """
     r, cols = _block(n, pos)
-    alpha = _sign_pow(len(cols) - 1) * minors(r + 1, cols[:-1])
+    alpha = _sign_pow(len(cols) - 1) * minors.integral(r + 1, cols[:-1])
     if _is_zero(alpha):
         raise ZeroDivisionError(
             f"vanishing pivot determinant while shifting entry at {pos}"
         )
-    beta = minors.expand(r, cols, cols[:-1])
+    beta = minors.expand(minors.rows[r], r, cols, cols[:-1])
     new = _div(target - beta, alpha)
     minors.rows[r][cols[-1]] = new
     return new
@@ -346,9 +373,9 @@ def build_B(vars: UnfoldVars) -> Matrix:
     sweep, leftmost entry first within a row, settles every entry once, and
     nothing a condition reads changes after it is solved.
 
-    Every determinant is read from one _Minors table, whose invariant is
-    that a row is never changed once a minor starting at it is memoised: the
-    sweep writes only the row it solves and the row above.
+    Every determinant is read from one _Minors table over cleared rows, and
+    a row is cleared once it is final: the sweep writes only the row it
+    solves, which it reads uncleared, and the row above.
     _assert_tilde_relations then checks every condition on the finished
     matrix from a fresh table, independently of how the sweep solved it.
     """
@@ -356,7 +383,7 @@ def build_B(vars: UnfoldVars) -> Matrix:
     mat = build_block_A(vars)
     minors = _Minors(mat)
     for pos, neighbour, value, _ in _conditions(vars):
-        target = _target(minors, n, pos, neighbour, value)
+        target = _target(minors.integral, n, pos, neighbour, value)
         new = _solve_affine(minors, n, pos, target)
         if pos[0] % 2 == 0:  # a shifted c_{i,j}, which also sits in row 2i-1
             i, j = pos[0] // 2, 2 * n - pos[1]
@@ -501,51 +528,71 @@ def altsum_check(vars: UnfoldVars):
 # -- recursive lower factor --------------------------------------------------
 
 
-def _ones_lower(k: int) -> Matrix:
-    return Matrix([[1 if j <= i else 0 for j in range(k)] for i in range(k)])
+def _is_int(e, value: int) -> bool:
+    return isinstance(e, int) and e == value
 
 
-def _ones_lower_neg_bottom(k: int) -> Matrix:
-    m = [[1 if j <= i else 0 for j in range(k)] for i in range(k)]
-    for j in range(k):
-        m[k - 1][j] = -1
-    return Matrix(m)
+def _suffix_sums(rows, start: int, stop: int, negate_last=False):
+    """Right-multiply columns start..stop-1 by the all-ones lower-triangular
+    block: each becomes the sum of itself and the columns to its right, the
+    last subtracted if the block's bottom row is negated (negate_last)."""
+    for row in rows:
+        acc = 0
+        for j in range(stop - 1, start - 1, -1):
+            e = -row[j] if negate_last and j == stop - 1 else row[j]
+            if _is_int(acc, 0):
+                acc = e
+            elif not _is_int(e, 0):
+                acc = acc + e
+            row[j] = acc
+
+
+def _scale_columns(rows, scales):
+    """Right-multiply by the diagonal matrix of scales."""
+    for row in rows:
+        for j, d in enumerate(scales):
+            if not (_is_int(d, 1) or _is_int(row[j], 0)):
+                row[j] = row[j] * d
 
 
 def lower_factor_recursive(n_half: int, x: dict) -> Matrix:
     """Lower factor of the shifted block, built by the size recursion.
 
-    Starting from the 1x1 identity, each step m conjugates in four sparse
-    factors: interleaved all-ones lower-triangular blocks (the last with a
-    negated bottom row) and two diagonals carrying x_{., 2m} and x_{., 2m+1}.
-    The result equals the lower part (diagonal times unit-lower) of the
-    elimination decomposition of build_B in x-coordinates.
+    Starting from the 1x1 identity, each step m borders the factor with a
+    2x2 identity and multiplies in four sparse factors: two of all-ones
+    lower-triangular blocks (the first factor's second block with a negated
+    bottom row) and two diagonals carrying x_{., 2m} and x_{., 2m+1}.  They
+    are applied as column operations: suffix sums over each block's columns
+    and column scalings.  The result equals the lower part (diagonal times
+    unit-lower) of the elimination decomposition of build_B in x-coordinates.
     """
     if n_half < 1:
         raise ValueError("n_half must be >= 1")
     for key, v in x.items():
         if _is_zero(v):
             raise ZeroDivisionError(f"x value at {key} is zero")
-    b = Matrix([[1]])
+    rows = [[1]]
     for m in range(1, n_half):
-        m1 = Matrix.block_diagonal(
-            _ones_lower(m), _ones_lower_neg_bottom(m), Matrix([[1]])
-        )
+        size = 2 * m + 1
         d2 = (
             [x[(i, 2 * m)] for i in range(1, m + 1)]
             + [x[(i, 2 * m)] for i in range(m, 0, -1)]
             + [1]
         )
-        m2 = Matrix.diagonal(d2)
-        m3 = Matrix.block_diagonal(_ones_lower(m), _ones_lower(m + 1))
         d4 = (
             [x[(i, 2 * m + 1)] for i in range(1, m + 1)]
             + [1]
             + [x[(i, 2 * m + 1)] for i in range(m, 0, -1)]
         )
-        m4 = Matrix.diagonal(d4)
-        b = Matrix.block_diagonal(b, Matrix.identity(2)) * m1 * m2 * m3 * m4
-    return b
+        rows = [row + [0, 0] for row in rows]
+        rows += [[0] * (size - 2) + [1, 0], [0] * (size - 1) + [1]]
+        _suffix_sums(rows, 0, m)
+        _suffix_sums(rows, m, 2 * m, negate_last=True)
+        _scale_columns(rows, d2)
+        _suffix_sums(rows, 0, m)
+        _suffix_sums(rows, m, size)
+        _scale_columns(rows, d4)
+    return Matrix(rows)
 
 
 # -- Whittaker evaluation ----------------------------------------------------

@@ -174,6 +174,25 @@ def test_lfactor_command(capsys, repr_file):
     assert float(kv["value"].split("+")[0]) == pytest.approx(26.143444407541367)
 
 
+def test_lfactor_validates_once(capsys, monkeypatch, repr_file):
+    import extsq.lfactors as lfactors
+
+    validate = lfactors.validate
+    calls = []
+
+    def counting(r):
+        calls.append(r)
+        return validate(r)
+
+    monkeypatch.setattr(lfactors, "validate", counting)
+    code, out, err = run_cli(capsys, "lfactor", repr_file, "--s", "0.8", "--json")
+    assert code == 0
+    assert len(calls) == 1
+    doc = json.loads(out)["output"]
+    assert doc["omega"] == "1.0+0.0i"
+    assert "Gamma_R(s-13/20)" in doc["factors"]
+
+
 def test_poles_command(capsys, repr_file):
     code, out, err = run_cli(capsys, "poles", repr_file)
     assert code == 0

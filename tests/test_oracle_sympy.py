@@ -235,7 +235,35 @@ def test_ratfunc_det_matches_sympy(m):
     assert sympy.cancel(to_sympy_entry(got) - sympy_det(m)) == 0
 
 
-@given(ratfunc_matrices())
+@st.composite
+def minor_table_matrices(draw):
+    """Square matrices up to 3x3 whose rows differ in kind and denominator:
+    RatFunc rows with their own polynomial denominators, Polynomial rows and
+    int/Fraction rows."""
+    ring = draw(st.sampled_from((R2, R)))
+    n = draw(st.integers(1, 3))
+    num = polys(max_terms=3, max_exp=2, max_coeff=4, ring=ring)
+    den = polys(max_terms=2, max_exp=1, max_coeff=3, ring=ring).filter(
+        lambda p: not p.is_zero()
+    )
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("ratfunc", "polynomial", "rational")))
+        if kind == "ratfunc":
+            row_den = draw(den)
+            rows.append([RatFunc(draw(num), row_den * draw(den)) for _ in range(n)])
+        elif kind == "polynomial":
+            rows.append([draw(num) for _ in range(n)])
+        else:
+            rows.append(draw(st.lists(coeffs(9), min_size=n, max_size=n)))
+    return Matrix(rows)
+
+
+def to_sympy_value(e):
+    return to_sympy(e) if isinstance(e, Polynomial) else to_sympy_entry(e)
+
+
+@given(minor_table_matrices())
 @settings(max_examples=60, deadline=None)
 def test_unfold_minor_table_matches_sympy(m):
     """Every minor of the unfolding's Laplace table, on any column set."""
@@ -244,8 +272,10 @@ def test_unfold_minor_table_matches_sympy(m):
     for r in range(n):
         for cols in itertools.combinations(range(n), n - r):
             got = minors(r, cols)
-            want = sympy_det(m.submatrix(range(r, n), cols))
-            assert sympy.cancel(to_sympy_entry(got) - want) == 0
+            want = sympy.Matrix(
+                [[to_sympy_value(m[i, j]) for j in cols] for i in range(r, n)]
+            ).det(method="berkowitz")
+            assert sympy.cancel(to_sympy_value(got) - want) == 0
 
 
 # -- decompositions ----------------------------------------------------------

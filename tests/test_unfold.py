@@ -1,12 +1,19 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import extsq.matrices as matrices
+import extsq.polynomials as polynomials
+import extsq.ratfunc as ratfunc
 import extsq.unfold as unfold
 from extsq.decomp import nhn_decompose
 from extsq.lfactors import EmbeddingParams
 from extsq.matrices import Matrix
+from extsq.polynomials import PolyRing
+from extsq.ratfunc import RatFunc
 from extsq.unfold import (
     UnfoldVars,
     altsum_check,
@@ -142,6 +149,76 @@ def test_minor_table_matches_bareiss(v):
             assert minors(r, cols) == b.submatrix(range(r, size), cols).det()
 
 
+RING = PolyRing(("x", "y"))
+X, Y = RING.var("x"), RING.var("y")
+ONE = RING.one()
+
+
+def _rf(num, den=ONE):
+    return RatFunc(num, den)
+
+
+F = Fraction
+HAND_BUILT = {
+    # denominators 6, 35, 44 and 24, different in every row
+    "fraction-rows": [
+        [F(1, 2), F(1, 3), 2, F(5, 6)],
+        [F(3, 5), F(-1, 5), F(1, 7), 2],
+        [1, F(2, 11), F(-3, 4), F(1, 4)],
+        [F(5, 3), 1, F(1, 8), F(-7, 8)],
+    ],
+    # a distinct polynomial denominator per row, a mixed one in the last
+    "ratfunc-rows": [
+        [_rf(X, X + 1), _rf(ONE, X + 1), _rf(Y), _rf(X * Y, X + 1)],
+        [_rf(Y, Y - 2), _rf(X + Y), _rf(ONE, Y - 2), _rf(3 * ONE)],
+        [_rf(ONE), _rf(X * X, X * Y + 3), _rf(Y, X * Y + 3), _rf(2 * X)],
+        [_rf(ONE, X + 1), _rf(X, Y - 2), _rf(ONE), _rf(Y, X - Y)],
+    ],
+    "polynomial-and-int-rows": [
+        [X, Y, X * Y, ONE],
+        [1, 2, 0, 3],
+        [X + Y, 0, Y * Y, X],
+        [0, 1, 1, 5],
+    ],
+    # an int row and a Fraction row under RatFunc and Polynomial rows
+    "mixed-kinds": [
+        [_rf(X, Y + 1), 0, _rf(ONE, X), _rf(Y)],
+        [X - 1, Y, 0, ONE],
+        [F(1, 3), 2, F(-5, 6), 1],
+        [4, 0, -1, 2],
+    ],
+    # complex entries keep scale 1; the Fraction row below still has 12
+    "complex-row": [
+        [1 + 2j, 0.5j, 3, -1j],
+        [2, 0, 1, 1],
+        [F(1, 4), F(-2, 3), 1, F(1, 2)],
+        [0, 1, 3, 1],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_cleared_minor_table_matches_bareiss(name):
+    m = Matrix(HAND_BUILT[name])
+    minors = unfold._Minors(m)
+    size = m.nrows
+    for r in range(size):
+        for cols in itertools.combinations(range(size), size - r):
+            want = m.submatrix(range(r, size), cols).det()
+            got = minors(r, cols)
+            if name == "complex-row":
+                assert complex(got) == pytest.approx(complex(want), abs=1e-12)
+            else:
+                assert got == want
+
+
+def test_cleared_minor_table_scales_rows_by_their_own_denominators():
+    minors = unfold._Minors(Matrix(HAND_BUILT["fraction-rows"]))
+    assert [minors.cleared(r)[1] for r in range(5)] == [6 * 35 * 44 * 24, 35 * 44 * 24, 44 * 24, 24, 1]
+    # the integral minor of the last two rows is the cleared 2x2 determinant
+    assert minors.integral(2, (0, 1)) == 44 * 24 * (1 * 1 - F(2, 11) * F(5, 3))
+
+
 def _bareiss_block(b, n, r, c):
     """Matrix.det of the block with top-right corner (r, c), 1-based, down
     to the last row."""
@@ -173,6 +250,40 @@ def test_build_B_meets_every_condition_by_bareiss(v):
             assert lhs == rhs
             checked += 1
     assert checked == (n - 1) * (n - 2)
+
+
+def _digest_vars():
+    out = [UnfoldVars.symbolic(n) for n in range(2, 6)]
+    out += [UnfoldVars.symbolic_x(n) for n in range(2, 6)]
+    rng = random.Random(43)
+    out += [UnfoldVars.from_x(n, _random_x(rng, n)) for n in range(2, 9) for _ in range(3)]
+    return out
+
+
+def test_build_B_digest_is_frozen():
+    """Type name and value of every entry of build_B's output, symbolic and
+    symbolic_x n_half 2..5 and three seeded rational draws at n_half 2..8."""
+    h = hashlib.md5()
+    for v in _digest_vars():
+        for row in build_B(v).data:
+            h.update(repr([(type(e).__name__, str(e)) for e in row]).encode())
+    assert h.hexdigest() == "84015bddde62a51cdeed39278a3a10bb"
+
+
+def test_build_B_gcd_budget(monkeypatch):
+    """The table expands over cleared rows, so build_B forms few gcds."""
+    v = UnfoldVars.symbolic_x(4)
+    gcd = polynomials.poly_gcd
+    calls = []
+
+    def counting(f, g):
+        calls.append(None)
+        return gcd(f, g)
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", counting)
+    monkeypatch.setattr(matrices, "poly_gcd", counting)
+    build_B(v)
+    assert 0 < len(calls) <= 168
 
 
 def test_superdiag_identity_symbolic():
@@ -230,6 +341,62 @@ def test_lower_factor_recursive_matches_elimination():
         for i in range(size):
             for j in range(size):
                 assert prod[i, j] == rec[i, j]
+
+
+def _ones_lower(k, negate_bottom=False):
+    m = [[1 if j <= i else 0 for j in range(k)] for i in range(k)]
+    if negate_bottom:
+        m[k - 1] = [-1] * k
+    return Matrix(m)
+
+
+def _dense_lower_factor(n_half, x):
+    """The size recursion as dense products of its four sparse factors."""
+    b = Matrix([[1]])
+    for m in range(1, n_half):
+        m1 = Matrix.block_diagonal(
+            _ones_lower(m), _ones_lower(m, negate_bottom=True), Matrix([[1]])
+        )
+        d2 = (
+            [x[(i, 2 * m)] for i in range(1, m + 1)]
+            + [x[(i, 2 * m)] for i in range(m, 0, -1)]
+            + [1]
+        )
+        m3 = Matrix.block_diagonal(_ones_lower(m), _ones_lower(m + 1))
+        d4 = (
+            [x[(i, 2 * m + 1)] for i in range(1, m + 1)]
+            + [1]
+            + [x[(i, 2 * m + 1)] for i in range(m, 0, -1)]
+        )
+        b = (
+            Matrix.block_diagonal(b, Matrix.identity(2))
+            * m1 * Matrix.diagonal(d2) * m3 * Matrix.diagonal(d4)
+        )
+    return b
+
+
+def _recursion_inputs():
+    out = []
+    rng = random.Random(23)
+    for n_half in range(1, 8):
+        for k in range(2):
+            x = _random_x(rng, n_half)
+            out.append(pytest.param(n_half, x, id=f"rational-{n_half}-{k}"))
+    for n_half in (2, 3, 4):
+        vx = UnfoldVars.symbolic_x(n_half)
+        x = {key: vx.x(*key) for key in unfold._x_index_set(n_half)}
+        out.append(pytest.param(n_half, x, id=f"x-{n_half}"))
+    return out
+
+
+@pytest.mark.parametrize("n_half, x", _recursion_inputs())
+def test_lower_factor_recursive_matches_dense_product(n_half, x):
+    rec = lower_factor_recursive(n_half, x)
+    dense = _dense_lower_factor(n_half, x)
+    assert rec == dense
+    assert [[type(e) for e in row] for row in rec.data] == [
+        [type(e) for e in row] for row in dense.data
+    ]
 
 
 def test_lower_factor_rejects_zero_inputs():
