@@ -187,7 +187,7 @@ HAND_BUILT = {
         [F(1, 3), 2, F(-5, 6), 1],
         [4, 0, -1, 2],
     ],
-    # complex entries keep scale 1; the Fraction row below still has 12
+    # complex entries keep scale 1; the Fraction row below has scale 12
     "complex-row": [
         [1 + 2j, 0.5j, 3, -1j],
         [2, 0, 1, 1],
@@ -214,7 +214,8 @@ def test_cleared_minor_table_matches_bareiss(name):
 
 def test_cleared_minor_table_scales_rows_by_their_own_denominators():
     minors = unfold._Minors(Matrix(HAND_BUILT["fraction-rows"]))
-    assert [minors.cleared(r)[1] for r in range(5)] == [6 * 35 * 44 * 24, 35 * 44 * 24, 44 * 24, 24, 1]
+    scales = [minors.cleared(r)[1] for r in range(5)]
+    assert scales == [6 * 35 * 44 * 24, 35 * 44 * 24, 44 * 24, 24, 1]
     # the integral minor of the last two rows is the cleared 2x2 determinant
     assert minors.integral(2, (0, 1)) == 44 * 24 * (1 * 1 - F(2, 11) * F(5, 3))
 
