@@ -31,15 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import (
-    Matrix,
-    _bareiss,
-    _clear_rational,
-    _clear_symbolic,
-    _div_int,
-    _div_poly,
-    _is_zero,
-)
+from .matrices import Matrix, _bareiss, _clear, _div_int, _is_zero
 from .polynomials import Polynomial
 from .ratfunc import FactorBasis, FactoredFraction, RatFunc
 
@@ -209,10 +201,10 @@ def nhn_decompose(g: Matrix) -> NHNFactors:
     n_upper * lower, and splitting the diagonal off the lower factor gives
     the normalized form.
 
-    Row r of g' is first cleared of denominators by its scale s_r, then
-    Bareiss elimination without row swaps runs over the integers or Q[x],
-    every division checked exact (Bareiss, Math. Comp. 22, 1968; Zhou &
-    Jeffrey, Front. Comput. Sci. China 2, 2008).  With pivots p_i
+    Row r of g' is first cleared of denominators by its scale s_r
+    (``matrices._clear``), then Bareiss elimination without row swaps runs
+    over the integers or Q[x], every division checked exact (Bareiss, Math.
+    Comp. 22, 1968; Zhou & Jeffrey, Front. Comput. Sci. China 2, 2008).  With pivots p_i
     (p_{-1} = 1) and m the eliminated rows, L[r][i] = m[r][i] s_i / (p_i s_r),
     U[i][i] = p_i / (p_{i-1} s_i) and U[i][j] / U[i][i] = m[i][j] / p_i, so
     every entry is built once as one fraction.  A zero pivot at step
@@ -226,14 +218,8 @@ def nhn_decompose(g: Matrix) -> NHNFactors:
     if n != g.ncols:
         raise ValueError("matrix must be square")
     _require_exact(g)
-    rev = [row[::-1] for row in reversed(g.data)]
-    kinds = {type(e) for row in rev for e in row}
-    if RatFunc in kinds or Polynomial in kinds:
-        m, scales = _clear_symbolic(rev)
-        divide, ratio = _div_poly, RatFunc
-    else:
-        m, scales = _clear_rational(rev)
-        divide, ratio = _div_int, Fraction
+    m, scales, divide = _clear([row[::-1] for row in reversed(g.data)])
+    ratio = Fraction if divide is _div_int else RatFunc
     if n:
         _bareiss(m, divide, swap=False)
     piv = [m[i][i] for i in range(n)]

@@ -9,7 +9,7 @@ statements are checked symbolically rather than numerically.
 import cmath
 from dataclasses import dataclass
 
-from .rational import RationalComplex, parse_rational_complex
+from .rational import RationalComplex, _json_complex, _json_field, _json_int, _json_list
 
 
 class VanishingFactorError(ArithmeticError):
@@ -46,10 +46,15 @@ class SatakeData:
 
 
 def satake_from_json(obj) -> SatakeData:
+    """Read {"p": 3, "alpha": ["1/2", "-1+i"], "chi": ".."}; chi defaults to 1.
+
+    A missing or ill-typed field raises ValueError naming it.
+    """
+    top = "Satake place"
     return SatakeData(
-        int(obj["p"]),
-        tuple(parse_rational_complex(a) for a in obj["alpha"]),
-        parse_rational_complex(obj.get("chi", "1")),
+        _json_field(obj, "p", top, _json_int),
+        _json_field(obj, "alpha", top, lambda v: [_json_complex(a) for a in _json_list(v)]),
+        _json_field(obj, "chi", top, _json_complex, 1),
     )
 
 

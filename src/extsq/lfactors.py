@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import RationalComplex, parse_rational_complex
+from .rational import RationalComplex, _json_field, _json_int, _json_list, _json_complex
 from .specialfn import _I_POW, PoleError, as_parity, log_gamma_c, log_gamma_r
 
 _HALF = Fraction(1, 2)
@@ -162,39 +162,6 @@ def dual_repr(r: ReprData) -> ReprData:
     )
 
 
-_REQUIRED = object()
-
-
-def _json_field(entry, key: str, where: str, convert, default=_REQUIRED):
-    """convert(entry[key]); a missing or ill-typed field raises ValueError naming it."""
-    if not isinstance(entry, dict):
-        raise ValueError(f"{where} must be a JSON object, not {type(entry).__name__}")
-    if key not in entry:
-        if default is _REQUIRED:
-            raise ValueError(f"{where} has no {key!r} field")
-        return default
-    try:
-        return convert(entry[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where} field {key!r}: {exc}") from None
-
-
-def _json_list(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, not {type(value).__name__}")
-    return value
-
-
-def _json_int(value) -> int:
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, not {value!r}")
-    return value
-
-
-def _json_shift(value) -> RationalComplex:
-    return parse_rational_complex(str(value))
-
-
 def repr_from_json(obj) -> ReprData:
     """Read {"n":..,"eta":..,"sign_blocks":[{"eps":..,"s":".."}],"ds_blocks":[..]}.
 
@@ -212,7 +179,7 @@ def repr_from_json(obj) -> ReprData:
             tuple(
                 (
                     _json_field(e, label, f"{fam} block {j}", convert),
-                    _json_field(e, "s", f"{fam} block {j}", _json_shift),
+                    _json_field(e, "s", f"{fam} block {j}", _json_complex),
                 )
                 for j, e in enumerate(entries, 1)
             )

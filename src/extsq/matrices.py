@@ -1,16 +1,16 @@
 """Dense matrices over exact scalars, with a JSON wire format.
 
-Entries can be Fraction, complex, Polynomial, RatFunc, or FactoredFraction;
-int 0/1 interoperate with all of them, so identity and padding need no ring
-tag.  Determinants use one kernel at every size: each row is cleared of
+Entries can be int, Fraction, complex, Polynomial or RatFunc; int 0/1
+interoperate with all of them, so identity and padding need no ring tag.
+Determinants use one kernel at every size: each row is cleared of
 denominators, fraction-free Bareiss elimination runs over the integers or
 over polynomials with every division checked exact, and the product of the
-row scales is divided out once at the end.  The row-clearing helpers
-(``_clear_rational``, ``_clear_symbolic``) return the scale of every row, and
-the Bareiss kernel can run without row swaps, so the fraction-free LU in
-``decomp.nhn_decompose`` uses the same code.  The one other determinant
-route is ``unfold._Minors``, the memoised Laplace table of ``build_B``; it
-shares the row-clearing helpers and expands over the cleared rows.
+row scales is divided out once at the end.  ``_clear`` is the one place that
+decides, from the entry kinds, how rows are cleared and which exact division
+their ring uses; ``Matrix.det``, the fraction-free LU in
+``decomp.nhn_decompose`` (the Bareiss kernel can run without row swaps) and
+the memoised Laplace table ``unfold._Minors`` of ``build_B``, which clears
+one row at a time, all call it.
 """
 
 from __future__ import annotations
@@ -137,33 +137,45 @@ class Matrix:
     def det(self):
         """Determinant by one fraction-free elimination.
 
-        Each row is scaled by the lcm of its denominators, Bareiss
-        elimination runs over the integers or Q[x] with every division
-        checked exact, and the product of the row scales is divided out once.
-        An all-int matrix gives an int, int/Fraction entries a Fraction,
-        polynomial entries a Polynomial, and any RatFunc entry a RatFunc.
-        Other entry types (complex, FactoredFraction) run the same
-        elimination with their own division.
+        The rows are cleared by ``_clear``, Bareiss elimination runs over
+        the integers or Q[x] with every division checked exact, and the
+        product of the row scales is divided out once.  An all-int matrix
+        gives an int, int/Fraction entries a Fraction, polynomial entries
+        (with any int or Fraction) a Polynomial, and any RatFunc entry a
+        RatFunc.  Other entry types, such as complex, run the same
+        elimination with true division.
         """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         rows = self.data
         if not rows:
             return 1
+        entries, scales, divide = _clear(rows)
+        d = _bareiss(entries, divide)
+        # only the result type is decided here
         kinds = {type(e) for row in rows for e in row}
-        if kinds <= {int}:
-            return _bareiss([list(row) for row in rows], _div_int)
-        if kinds <= {int, Fraction}:
-            entries, scales = _clear_rational(rows)
-            return Fraction(_bareiss(entries, _div_int), math.prod(scales))
-        if RatFunc in kinds or Polynomial in kinds:
-            entries, scales = _clear_symbolic(rows)
-            d = _bareiss(entries, _div_poly)
-            if RatFunc not in kinds:
-                return d
-            scale = math.prod(s for s in scales if not s.is_one())
-            return RatFunc(d, scale) if isinstance(scale, Polynomial) else RatFunc.from_poly(d)
-        return _bareiss([list(row) for row in rows], operator.truediv)
+        if divide is _div_int and Fraction in kinds:
+            return Fraction(d, math.prod(scales))
+        if RatFunc not in kinds:
+            return d
+        scale = math.prod(s for s in scales if not s.is_one())
+        return RatFunc(d, scale) if isinstance(scale, Polynomial) else RatFunc.from_poly(d)
+
+
+def _clear(rows):
+    """Cleared rows, their scales, and the exact division of their ring.
+
+    This is the one clearing decision: any Polynomial or RatFunc entry
+    clears over Q[x] with ``_div_poly``, int and Fraction entries alone
+    clear over the integers with ``_div_int``, and any other rows (complex,
+    say) are copied as they are, with scale 1 and true division.
+    """
+    kinds = {type(e) for row in rows for e in row}
+    if Polynomial in kinds or RatFunc in kinds:
+        return (*_clear_symbolic(rows), _div_poly)
+    if kinds <= {int, Fraction}:
+        return (*_clear_rational(rows), _div_int)
+    return [list(row) for row in rows], [1] * len(rows), operator.truediv
 
 
 def _clear_rational(rows):
@@ -287,6 +299,8 @@ def genmatrix_from_json(obj) -> Matrix:
         r, c, entries = obj["rows"], obj["cols"], obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError("matrix object needs rows, cols, entries") from exc
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise ValueError("entries must be a list of row lists")
     if len(entries) != r or any(len(row) != c for row in entries):
         raise ValueError("entries shape does not match rows/cols")
     names = set()

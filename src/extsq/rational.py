@@ -1,4 +1,8 @@
-"""Exact scalar helpers: rational strings and complex numbers with rational parts."""
+"""Exact scalar helpers: rational strings and complex numbers with rational parts.
+
+The JSON field readers at the end are shared by the representation reader
+(``lfactors.repr_from_json``) and the Satake reader (``euler.satake_from_json``).
+"""
 
 from __future__ import annotations
 
@@ -162,3 +166,39 @@ def parse_rational_complex(text: str) -> RationalComplex:
         imag = parse_rational(im_part)
     real = parse_rational(re_part) if re_part else Fraction(0)
     return RationalComplex(real, imag)
+
+
+# -- JSON field readers ----------------------------------------------------
+
+
+_REQUIRED = object()
+
+
+def _json_field(entry, key: str, where: str, convert, default=_REQUIRED):
+    """convert(entry[key]); a missing or ill-typed field raises ValueError naming it."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(entry).__name__}")
+    if key not in entry:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} has no {key!r} field")
+        return default
+    try:
+        return convert(entry[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where} field {key!r}: {exc}") from None
+
+
+def _json_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, not {type(value).__name__}")
+    return value
+
+
+def _json_int(value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, not {value!r}")
+    return value
+
+
+def _json_complex(value) -> RationalComplex:
+    return parse_rational_complex(str(value))

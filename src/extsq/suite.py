@@ -108,9 +108,10 @@ def _random_x_vars(rng, n_half: int) -> dict:
 def superdiag_draws(rng, n_half: int, draws: int):
     for _ in range(draws):
         v = UnfoldVars.from_x(n_half, _random_x_vars(rng, n_half))
-        if superdiag_sum(v) != superdiag_closed_form(v):
+        closed = superdiag_closed_form(v)
+        if superdiag_sum(v) != closed:
             return f"rational mismatch at n_half={n_half}"
-        if superdiag_closed_form(v) != superdiag_closed_form_x(v):
+        if closed != superdiag_closed_form_x(v):
             return f"closed forms disagree at n_half={n_half}"
     return None
 

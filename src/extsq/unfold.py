@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import Matrix, _clear_rational, _clear_symbolic, _is_zero
-from .polynomials import Polynomial, PolyRing
+from .matrices import Matrix, _clear, _is_zero
+from .polynomials import PolyRing
 from .ratfunc import RatFunc
 from .specialfn import as_parity, g_delta
 
@@ -250,28 +250,20 @@ class _Minors:
     """Integral minors I(r, cols) = det cleared[r.., cols] of one matrix.
 
     cols is an increasing tuple with one column per row from r to the last.
-    Row r is cleared of denominators (``_clear_rational``,
-    ``_clear_symbolic``, or scale 1 for other entries) when a minor starting
-    at it is first memoised, so it must be final by then.  I(r, cols) is
-    the Laplace expansion along row r over the minors of row r + 1, memoised
-    on (r, cols): no division and no gcd runs, and zero entries are skipped.
-    With S_r the product of the scales of rows r.., calling the table gives
-    det rows[r.., cols] = I(r, cols) / S_r with one division.
+    Row r is cleared of denominators by ``matrices._clear`` when a minor
+    starting at it is first memoised, so it must be final by then; s_r is
+    its own scale.  I(r, cols) is the Laplace expansion along row r over the
+    minors of row r + 1, memoised on (r, cols): no division and no gcd runs,
+    and zero entries are skipped.  So det rows[r.., cols] is I(r, cols) over
+    the product of the scales of rows r..; callers compare minors of
+    neighbouring rows through s_r alone and never form that product.
     """
 
     def __init__(self, mat: Matrix):
         self.rows = mat.data
-        # below the last row: the empty minor 1, and scale 1
+        # below the last row: the empty minor 1
         self._memo = {(len(self.rows), ()): 1}
-        self._cleared = {len(self.rows): (None, 1)}
-
-    def __call__(self, r: int, cols: tuple):
-        minor, scale = self.integral(r, cols), self.cleared(r)[1]
-        if scale == 1 or _is_zero(minor):
-            return minor
-        if isinstance(scale, Polynomial):
-            return RatFunc(minor, scale)
-        return minor / Fraction(scale)
+        self._cleared = {}
 
     def integral(self, r: int, cols: tuple):
         if (r, cols) not in self._memo:
@@ -279,23 +271,17 @@ class _Minors:
         return self._memo[r, cols]
 
     def cleared(self, r: int):
-        """Cleared row r and S_r, clearing it and the rows below on first use."""
+        """Cleared row r and its scale s_r, cleared on first use."""
         if r not in self._cleared:
-            row = self.rows[r]
-            kinds = {type(e) for e in row}
-            if Polynomial in kinds or RatFunc in kinds:
-                (cleared,), (scale,) = _clear_symbolic([row])
-            elif kinds <= {int, Fraction}:
-                (cleared,), (scale,) = _clear_rational([row])
-            else:
-                cleared, scale = row, 1
-            self._cleared[r] = cleared, scale * self.cleared(r + 1)[1]
+            (cleared,), (scale,), _ = _clear([self.rows[r]])
+            self._cleared[r] = cleared, scale
         return self._cleared[r]
 
     def expand(self, row, r: int, cols: tuple, along: tuple):
         """Terms of det [row; rows r + 1..][cols] expanded along row at the
         columns along, a prefix of cols, over the integral minors of row
-        r + 1; so the sum is scaled by S_{r+1}.  Not memoised."""
+        r + 1, so the sum carries the scales of the rows below r.  Not
+        memoised."""
         total = 0
         for idx, c in enumerate(along):
             if _is_zero(row[c]):
@@ -322,22 +308,23 @@ def _conditions(vars: UnfoldVars):
                 yield pos, neighbour, vars.z(i, j), f"z({i},{j})"
 
 
-def _target(minor, n: int, pos, neighbour, value):
+def _target(minors: _Minors, n: int, pos, neighbour, value):
     """Right side of the condition at pos, with k the block size there:
-    (-1)^(k-1) * (original value at pos) * det(block at neighbour), read
-    through minor: a _Minors table, or its integral minors (times S_{r+1})."""
+    (-1)^(k-1) * (original value at pos) * I(block at neighbour).  The
+    neighbour's block starts one row below pos, so this is the determinant
+    form times the product of the scales of the rows below pos."""
     k = 2 * n - pos[0]
-    return _sign_pow(k - 1) * value * minor(*_block(n, neighbour))
+    return _sign_pow(k - 1) * value * minors.integral(*_block(n, neighbour))
 
 
 def _solve_affine(minors: _Minors, n: int, pos, target):
     """Set the entry at pos so the determinant of its block equals target.
 
-    Along its top row r the block determinant is (alpha * entry + beta) /
-    S_{r+1}: alpha is the corner cofactor, one integral minor of row r + 1,
-    and beta the expansion of the rest of row r.  target comes scaled by
-    S_{r+1} too, because the neighbour's block starts at row r + 1, so the
-    entry is one quotient and no scale is divided out.
+    Along its uncleared top row r the block determinant is alpha * entry +
+    beta over the scales of the rows below r: alpha is the corner cofactor,
+    one integral minor of row r + 1, and beta the expansion of the rest of
+    row r.  target carries the same scales, so the entry is one quotient and
+    no scale is divided out.
     """
     r, cols = _block(n, pos)
     alpha = _sign_pow(len(cols) - 1) * minors.integral(r + 1, cols[:-1])
@@ -377,13 +364,14 @@ def build_B(vars: UnfoldVars) -> Matrix:
     a row is cleared once it is final: the sweep writes only the row it
     solves, which it reads uncleared, and the row above.
     _assert_tilde_relations then checks every condition on the finished
-    matrix from a fresh table, independently of how the sweep solved it.
+    matrix from a fresh table, independently of how the sweep solved it,
+    scaling by each row's own scale s_r instead of dividing minors out.
     """
     n = vars.n_half
     mat = build_block_A(vars)
     minors = _Minors(mat)
     for pos, neighbour, value, _ in _conditions(vars):
-        target = _target(minors.integral, n, pos, neighbour, value)
+        target = _target(minors, n, pos, neighbour, value)
         new = _solve_affine(minors, n, pos, target)
         if pos[0] % 2 == 0:  # a shifted c_{i,j}, which also sits in row 2i-1
             i, j = pos[0] // 2, 2 * n - pos[1]
@@ -406,11 +394,15 @@ def _sign_pow(k: int) -> int:
 
 
 def _assert_tilde_relations(mat: Matrix, vars: UnfoldVars):
+    """Check every condition on a fresh table of mat.  With S_r = s_r S_{r+1}
+    the product of the scales of rows r.., the condition I(r, cols) / S_r =
+    t * I(r + 1, nb) / S_{r+1} is I(r, cols) = _target(...) * s_r."""
     n = vars.n_half
     minors = _Minors(mat)
     for pos, neighbour, value, name in _conditions(vars):
-        lhs = minors(*_block(n, pos))
-        if lhs != _target(minors, n, pos, neighbour, value):
+        r, cols = _block(n, pos)
+        target = _target(minors, n, pos, neighbour, value) * minors.cleared(r)[1]
+        if minors.integral(r, cols) != target:
             raise ArithmeticError(f"determinant condition failed at shifted {name}")
 
 

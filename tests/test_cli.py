@@ -252,6 +252,26 @@ def test_euler_guard_failure_is_an_input_error(capsys, satake_file):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "doc,field",
+    [
+        ({"alpha": ["1/2", "1/3"]}, "has no 'p' field"),
+        (["x"], "must be a JSON object, not str"),
+        ({"p": 3, "alpha": "12"}, "field 'alpha': expected a list, not str"),
+        ({"p": 3, "alpha": ["1", "x"]}, "field 'alpha': not a rational literal"),
+        ({"p": "3", "alpha": ["1", "2"]}, "field 'p': expected an integer"),
+    ],
+)
+def test_bad_satake_json_is_an_input_error(capsys, tmp_path, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "euler", str(path), "--s", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
 def test_shuffle_verify(capsys):
     code, out, err = run_cli(capsys, "shuffle-verify", "--n", "2", "--trials", "5")
     assert code == 0

@@ -135,3 +135,5 @@ def test_json_round_trip():
     again = satake_from_json(obj)
     assert again == d
     assert satake_from_json({"p": 3, "alpha": ["1", "-1"]}).chi == RC(1, 0)
+    # JSON numbers read as the same exact values as their strings
+    assert satake_from_json({"p": 3, "alpha": [1, 2]}).alpha == (RC(1, 0), RC(2, 0))

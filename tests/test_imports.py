@@ -87,3 +87,20 @@ def test_every_export_is_used_or_listed():
         if not isinstance(getattr(extsq, name), types.ModuleType)
     }
     assert sorted(exported - _referenced_names()) == sorted(UNREFERENCED_EXPORTS)
+
+
+def test_only_clear_decides_how_rows_are_cleared():
+    """The row-clearing helpers are called from matrices._clear alone, so
+    every exact determinant takes its ring and division from one place."""
+    callers = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if name in ("_clear_rational", "_clear_symbolic"):
+                    callers.add((path.name, getattr(top, "name", None)))
+    assert callers == {("matrices.py", "_clear")}

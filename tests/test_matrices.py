@@ -84,6 +84,22 @@ def test_det_result_types():
     assert type(d) is int and d == 18
     q = Matrix([[Fraction(1, 2), 1], [1, 4]]).det()
     assert type(q) is Fraction and q == 1
+    # Fraction entries that are all integers still give a Fraction
+    q = Matrix([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]).det()
+    assert type(q) is Fraction and q == 5
+    ring = PolyRing(("x",))
+    x = ring.var("x")
+    p = Matrix([[x, ring.one()], [ring.one(), x]]).det()
+    assert type(p) is type(x) and p == x * x - 1
+    # polynomials mixed with Fractions stay polynomials over Q
+    p = Matrix([[x, Fraction(1, 2)], [2, x]]).det()
+    assert type(p) is type(x) and p == x * x - 1
+    c = Matrix([[1 + 2j, 1], [Fraction(1, 2), 2]]).det()
+    assert type(c) is complex and c == (1 + 2j) * 2 - Fraction(1, 2)
+    # a RatFunc matrix gives a RatFunc even with every denominator 1
+    xr = RatFunc.from_poly(x)
+    f = Matrix([[xr, RatFunc.const(ring, 1)], [RatFunc.const(ring, 1), xr]]).det()
+    assert type(f) is RatFunc and f == xr * xr - 1
 
 
 def test_row_scale_is_the_lcm_of_its_denominators():
@@ -200,5 +216,10 @@ def test_json_round_trip_symbolic_entries():
 def test_json_rejects_bad_shapes():
     with pytest.raises(ValueError):
         genmatrix_from_json({"rows": 2, "cols": 2, "entries": [["1", "2"]]})
+    # a string row has a length, but it is not a row of entries
+    with pytest.raises(ValueError, match="row lists"):
+        genmatrix_from_json({"rows": 2, "cols": 2, "entries": ["ab", "cd"]})
+    with pytest.raises(ValueError, match="row lists"):
+        genmatrix_from_json({"rows": 1, "cols": 2, "entries": "ab"})
     with pytest.raises(ValueError):
         genmatrix_from_json({"rows": 1, "cols": 1, "entries": [["1//2"]]})

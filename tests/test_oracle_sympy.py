@@ -266,16 +266,18 @@ def to_sympy_value(e):
 @given(minor_table_matrices())
 @settings(max_examples=60, deadline=None)
 def test_unfold_minor_table_matches_sympy(m):
-    """Every minor of the unfolding's Laplace table, on any column set."""
+    """Every minor of the unfolding's Laplace table, on any column set: the
+    integral minor I(r, cols) is the minor times the scales of rows r.."""
     minors = _Minors(m)
     n = m.nrows
     for r in range(n):
+        scale = sympy.Mul(*(to_sympy_value(minors.cleared(k)[1]) for k in range(r, n)))
         for cols in itertools.combinations(range(n), n - r):
-            got = minors(r, cols)
+            got = to_sympy_value(minors.integral(r, cols))
             want = sympy.Matrix(
                 [[to_sympy_value(m[i, j]) for j in cols] for i in range(r, n)]
             ).det(method="berkowitz")
-            assert sympy.cancel(to_sympy_value(got) - want) == 0
+            assert sympy.cancel(got - want * scale) == 0
 
 
 # -- decompositions ----------------------------------------------------------
