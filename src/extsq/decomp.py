@@ -204,11 +204,12 @@ def nhn_decompose(g: Matrix) -> NHNFactors:
     Row r of g' is first cleared of denominators by its scale s_r
     (``matrices._clear``), then Bareiss elimination without row swaps runs
     over the integers or Q[x], every division checked exact (Bareiss, Math.
-    Comp. 22, 1968; Zhou & Jeffrey, Front. Comput. Sci. China 2, 2008).  With pivots p_i
-    (p_{-1} = 1) and m the eliminated rows, L[r][i] = m[r][i] s_i / (p_i s_r),
-    U[i][i] = p_i / (p_{i-1} s_i) and U[i][j] / U[i][i] = m[i][j] / p_i, so
-    every entry is built once as one fraction.  A zero pivot at step
-    i < n - 1 means the trailing minor d_{n-i} of g vanishes.
+    Comp. 22, 1968; Zhou & Jeffrey, Front. Comput. Sci. China 2, 2008).
+    With pivots p_i (p_{-1} = 1) and m the eliminated rows, L[r][i] =
+    m[r][i] s_i / (p_i s_r), U[i][i] = p_i / (p_{i-1} s_i) and U[i][j] /
+    U[i][i] = m[i][j] / p_i, so every entry is built once as one fraction.
+    A zero pivot at step i < n - 1 means the trailing minor d_{n-i} of g
+    vanishes.
 
     Rational input gives Fraction entries, and polynomial or rational-function
     input gives RatFunc entries.  The structural 0 and 1 entries are ints.

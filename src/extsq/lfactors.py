@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import RationalComplex, _json_field, _json_int, _json_list, _json_complex
+from .rational import RationalComplex, _json_complex, _json_field, _json_int, _json_list
 from .specialfn import _I_POW, PoleError, as_parity, log_gamma_c, log_gamma_r
 
 _HALF = Fraction(1, 2)
