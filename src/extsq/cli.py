@@ -403,6 +403,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        # every number the commands evaluate in floats is exact input, so a
+        # value past the float range is an input error
+        print(f"error: out of range: {exc}", file=sys.stderr)
+        return 2
     except IdentityMismatchError as exc:
         print(f"error: identity mismatch: {exc}", file=sys.stderr)
         return 1

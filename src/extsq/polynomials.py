@@ -20,15 +20,16 @@ Pearce, "Sparse polynomial division using a heap", J. Symbolic Comput.
 46(7), 2011).
 
 The gcd is layered: monomial content, trial division, an exact
-coprimality certificate, and a primitive pseudo-remainder sequence as the
-last resort.  This is enough to keep rational functions canonical without a
-computer-algebra dependency.  The certificate substitutes one seeded integer
-point for all variables but one, v, for every shared v in one pass over the
-terms.  When lc_v(f) or lc_v(g) survives and the two univariate images have
-a constant gcd, v does not occur in gcd(f, g): the gcd's lc_v divides both,
-so its image keeps its degree in v and divides both images.  Most coprime
-pairs, such as two distinct minors of a generic matrix, are settled by that
-alone.
+coprimality certificate, and the primitive pseudo-remainder sequence (Knuth,
+TAOCP vol. 2, 4.6.1) as the one fallback.  This is enough to keep rational
+functions canonical without a computer-algebra dependency.  The certificate
+substitutes one seeded integer point for all variables but one, v, for every
+shared v in one pass over the terms.  When lc_v(f) or lc_v(g) survives and
+the two univariate images have a constant gcd, v does not occur in
+gcd(f, g): the gcd's lc_v divides both, so its image keeps its degree in v
+and divides both images.  Most coprime pairs, such as two distinct minors of
+a generic matrix, are settled by that alone; every other pair goes to the
+PRS.
 """
 
 from __future__ import annotations
@@ -390,17 +391,13 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return self
-        if d.is_constant():
-            inv = 1 / Fraction(d.constant_value())
-            return Polynomial._make(
-                self.ring, {e: _as_coeff(Fraction(c) * inv) for e, c in self.terms.items()}
-            )
         dterms = d.terms
         de = max(dterms)
         dc = dterms[de]
         guard = self.ring._guard
         if len(dterms) == 1:
-            # a monomial divides term by term, with no remainder to carry
+            # a monomial, constants included, divides term by term, with no
+            # remainder to carry
             out = {}
             for e, c in self.terms.items():
                 diff = e - de
@@ -513,14 +510,8 @@ def _gcd_core(f: Polynomial, g: Polynomial) -> Polynomial:
     """gcd of two primitive polynomials that have no monomial factor.
 
     After the cheap cases (a constant, equal inputs, one dividing the other)
-    an exact certificate decides each shared variable v at a seeded integer
-    point: if lc_v(f) or lc_v(g) is nonzero there and the univariate images
-    of f and g in v have a constant gcd, then v does not occur in
-    gcd(f, g).  Proof: the gcd G divides f and g, so lc_v(G) divides
-    lc_v(f) and lc_v(g), so the image of G keeps its degree in v and
-    divides both images.  With every shared variable proved absent the gcd
-    is 1.  Otherwise it is the gcd of the contents in a variable proved
-    absent, or the primitive PRS gcd when none was.
+    the image certificate either proves the gcd is 1 or hands the pair to
+    the primitive PRS gcd, the one fallback.
     """
     ring = f.ring
     if f.is_constant() or g.is_constant():
@@ -535,32 +526,34 @@ def _gcd_core(f: Polynomial, g: Polynomial) -> Polynomial:
         return g
     fvars, gvars = f.support_vars(), g.support_vars()
     shared = [n for n in fvars if n in gvars]
-    if not shared:
+    if not shared or _proved_coprime(f, g, shared):
         return ring.one()
-    if len(fvars) == len(gvars) == 1:
-        return _univar_gcd(f, g, shared[0])
-    absent = []
+    return _prs_gcd(f, g, min(shared, key=lambda n: max(f.degree_in(n), g.degree_in(n))))
+
+
+def _proved_coprime(f: Polynomial, g: Polynomial, shared) -> bool:
+    """True once seeded integer points prove every shared variable absent from gcd(f, g).
+
+    At a point, v is proved absent when lc_v(f) or lc_v(g) is nonzero there
+    and the univariate images of f and g in v have a constant gcd.  Proof:
+    the gcd G divides f and g, so lc_v(G) divides lc_v(f) and lc_v(g), so
+    the image of G keeps its degree in v and divides both images.  A
+    variable whose leading coefficients both vanish waits for the next
+    point.  False as soon as one variable's images have a non-constant gcd,
+    or when the points run out first.
+    """
     open_vars = shared
-    for point in _gcd_points(ring.nvars):
+    for point in _gcd_points(f.ring.nvars):
         undecided = []
         for v, a, b in zip(open_vars, _images(f, open_vars, point), _images(g, open_vars, point)):
             if not (a[-1] or b[-1]):
                 undecided.append(v)
-            elif len(_euclid(_trim(a), _trim(b))) == 1:
-                absent.append(v)
-        if len(absent) == len(shared):
-            return ring.one()
+            elif len(_euclid(_trim(a), _trim(b))) > 1:
+                return False
         if not undecided:
-            break
+            return True
         open_vars = undecided
-
-    def degree(n):
-        return max(f.degree_in(n), g.degree_in(n))
-
-    if absent:
-        v = min(absent, key=degree)
-        return poly_gcd(_content_in(f, v), _content_in(g, v))
-    return _prs_gcd(f, g, min(shared, key=degree))
+    return False
 
 
 def _gcd_points(nvars: int):
@@ -623,23 +616,6 @@ def _euclid(a: list, b: list) -> list:
             a = [c // h for c in a]
         a, b = b, a
     return a
-
-
-def _univar_gcd(f: Polynomial, g: Polynomial, x: str) -> Polynomial:
-    """gcd of primitive polynomials supported on the single variable x."""
-    ring = f.ring
-    i = ring.index[x]
-    s, unit = ring._shifts[i], ring._unit(i)
-
-    def to_list(p):
-        coeffs = [0] * (p.degree_in(x) + 1)
-        for e, c in p.terms.items():
-            coeffs[(e >> s) & _FIELD_MASK] = c
-        return coeffs
-
-    h = _euclid(to_list(f), to_list(g))
-    sign = -1 if h[-1] < 0 else 1
-    return Polynomial._make(ring, {k * unit: sign * c for k, c in enumerate(h) if c})
 
 
 def _content_in(f: Polynomial, x: str) -> Polynomial:

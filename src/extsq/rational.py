@@ -10,12 +10,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# Python's own limit on the digits of an int read from a string; Fraction
+# expands a decimal exponent in full, so a larger one could take any time
+_MAX_EXPONENT = 4300
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", "p", or a plain decimal string into a Fraction."""
+    """Parse "p/q", "p", or a decimal string such as "2.5e-3" into a Fraction.
+
+    A decimal exponent beyond _MAX_EXPONENT in size is refused.
+    """
+    _, e, exponent = text.strip().lower().partition("e")
     try:
-        return Fraction(text.strip())
+        if not e or abs(int(exponent)) <= _MAX_EXPONENT:
+            return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
+    raise ValueError(f"not a rational literal: {text!r} (decimal exponent beyond {_MAX_EXPONENT})")
 
 
 def format_rational(q: Fraction) -> str:

@@ -153,13 +153,11 @@ def g_delta(delta, s) -> complex:
     den_arg = 0.5 * (1.0 - s + delta)
     num_pole = _is_nonpositive_integer(num_arg) is not None
     den_pole = _is_nonpositive_integer(den_arg) is not None
-    if num_pole and not den_pole:
+    # the arguments sum to delta + 1/2, so at most one of them is a pole
+    if num_pole:
         raise PoleError(s, what="g_delta")
-    if den_pole and not num_pole:
+    if den_pole:
         return 0.0j
-    if num_pole and den_pole:
-        # cannot happen: the two lattices have opposite parities
-        raise PoleError(s, what="g_delta")
     log_ratio = (
         -0.5 * (s + delta) * _LN_PI
         + lgamma(num_arg)

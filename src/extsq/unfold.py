@@ -34,35 +34,17 @@ from .specialfn import as_parity, g_delta
 
 @dataclass(frozen=True)
 class ShuffleSigma:
+    """sigma as 1-based images and as its permutation matrix; ``matrix.det()`` is its sign."""
+
     n_half: int
     permutation: tuple  # image of index k is permutation[k-1], 1-based values
     matrix: Matrix
-
-    def det(self) -> int:
-        return _perm_sign(self.permutation)
-
-
-def _perm_sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k] - 1
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def sigma(n_half: int) -> ShuffleSigma:
     """Interleaving permutation k -> 2k-1 (mod 2n-1) for k < 2n, fixing 2n.
 
-    Its determinant is +1 exactly when n_half = 0 or 1 (mod 4).
+    The determinant of its matrix is +1 exactly when n_half = 0 or 1 (mod 4).
     """
     if n_half < 1:
         raise ValueError("n_half must be >= 1")
@@ -115,13 +97,6 @@ class UnfoldVars:
 
     def x(self, i: int, j: int):
         return self._x[(i, j)]
-
-    def y(self, i: int, j: int):
-        """prod_{j' >= j} x_{i,j'}; equals the c/z value at that slot."""
-        r, rem = divmod(j, 2)
-        if rem == 0:
-            return self._c[(r, i)]
-        return self._z[(r, i)]
 
     # -- constructors --------------------------------------------------
 
@@ -758,7 +733,6 @@ def kappa_signs(n_half: int, delta, eps, eta) -> KappaSigns:
 @dataclass(frozen=True)
 class GammaTable:
     entries: tuple  # ((shift, parity), ...) for pairs i < j with i+j <= 2n
-    sign: int
 
     def value(self, s) -> complex:
         out = complex(1.0)
@@ -769,8 +743,7 @@ class GammaTable:
 
 def unfolded_gamma_table(eparams, eta) -> GammaTable:
     """One G-factor per index pair i < j with i + j <= 2n: shift
-    -lam_i - lam_j and parity delta_i + delta_j + eta.  The sign field is the
-    overall kappa for the parity eps forced by the constraint."""
+    -lam_i - lam_j and parity delta_i + delta_j + eta."""
     eta = as_parity(eta)
     lam = list(eparams.lam)
     delta = list(eparams.delta)
@@ -786,6 +759,4 @@ def unfolded_gamma_table(eparams, eta) -> GammaTable:
             entries.append(
                 (-lam[i - 1] - lam[j - 1], (delta[i - 1] + delta[j - 1] + eta) % 2)
             )
-    eps = (sum(delta) + n * eta) % 2
-    signs = kappa_signs(n, delta, eps, eta)
-    return GammaTable(tuple(entries), signs.kappa)
+    return GammaTable(tuple(entries))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -270,6 +271,28 @@ def test_bad_satake_json_is_an_input_error(capsys, tmp_path, doc, field):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
+
+
+@pytest.mark.parametrize(
+    "alpha,argv",
+    [
+        (["1e999999999", "2"], ["euler", "{satake}", "--s", "2"]),
+        (["1e400", "2"], ["euler", "{satake}", "--s", "2"]),
+        (["1/2", "1/3"], ["euler", "{satake}", "--s", "1e400"]),
+        (None, ["lfactor", "{repr}", "--s", "1e400"]),
+        (None, ["gamma", "--delta", "0", "--s", "1e400"]),
+        (None, ["gamma", "--delta", "0", "--s", "1e-999999999"]),
+    ],
+)
+def test_huge_decimal_exponents_are_input_errors(capsys, tmp_path, repr_file, alpha, argv):
+    satake = tmp_path / "huge.json"
+    satake.write_text(json.dumps({"p": 3, "alpha": alpha}))
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, *(a.format(satake=satake, repr=repr_file) for a in argv))
+    assert time.monotonic() - t0 < 5
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_shuffle_verify(capsys):

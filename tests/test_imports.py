@@ -104,3 +104,29 @@ def test_only_clear_decides_how_rows_are_cleared():
                 if name in ("_clear_rational", "_clear_symbolic"):
                     callers.add((path.name, getattr(top, "name", None)))
     assert callers == {("matrices.py", "_clear")}
+
+
+def _calls(fn: ast.FunctionDef) -> set:
+    names = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            f = node.func
+            names.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
+    return names
+
+
+def test_the_prs_is_the_one_gcd_fallback():
+    """_gcd_core and its certificate hand every pair they cannot settle to
+    _prs_gcd: neither recurses into a content gcd itself, and the univariate
+    gcd and the second permutation-sign routine stay deleted."""
+    functions = {
+        (path.name, node.name): node
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    core = _calls(functions[("polynomials.py", "_gcd_core")])
+    certificate = _calls(functions[("polynomials.py", "_proved_coprime")])
+    assert "_prs_gcd" in core
+    assert not {"poly_gcd", "_content_in"} & (core | certificate)
+    assert not {"_univar_gcd", "_perm_sign"} & {name for _, name in functions}

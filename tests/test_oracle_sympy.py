@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
+from extsq import polynomials  # noqa: E402
 from extsq.matrices import Matrix  # noqa: E402
 from extsq.polynomials import PolyRing, Polynomial, poly_gcd  # noqa: E402
 from extsq.ratfunc import RatFunc  # noqa: E402
@@ -145,6 +146,54 @@ def test_poly_gcd_matches_sympy_on_multilinear_polynomials(planted):
         trivial += got.is_one()
     # both kinds of pair really occur
     assert trivial >= 20 if not planted else trivial == 0
+
+
+def with_constant_term(rng, names, nterms):
+    """A non-constant integer polynomial of R in the named variables, with a nonzero constant term."""
+    while True:
+        terms = {
+            tuple(rng.randint(0, 2) if n in names else 0 for n in NAMES): rng.randint(-5, 5)
+            for _ in range(nterms)
+        }
+        terms[(0, 0, 0)] = rng.choice((-3, -2, -1, 1, 2, 3))
+        p = Polynomial(R, terms)
+        if not p.is_constant():
+            return p
+
+
+@pytest.mark.parametrize(
+    "common_vars,cofactor_vars",
+    [
+        # univariate pairs with a planted common factor
+        (("x",), ("x",)),
+        # the common factor is free of x, so the images prove x absent from
+        # the gcd but not y or z
+        (("y", "z"), ("x", "y", "z")),
+    ],
+)
+def test_poly_gcd_past_the_certificate_matches_sympy(monkeypatch, common_vars, cofactor_vars):
+    # A non-constant common factor keeps the certificate from proving the gcd
+    # is 1, and neither input divides the other, so every pair reaches the PRS.
+    prs_calls = []
+    real = polynomials._prs_gcd
+    monkeypatch.setattr(
+        polynomials, "_prs_gcd", lambda *args: prs_calls.append(args) or real(*args)
+    )
+    rng = random.Random(97 + len(common_vars))
+    pairs = 0
+    while pairs < 25:
+        common = with_constant_term(rng, common_vars, rng.randint(1, 3))
+        f = common * with_constant_term(rng, cofactor_vars, rng.randint(1, 4))
+        g = common * with_constant_term(rng, cofactor_vars, rng.randint(1, 4))
+        if f.exact_div(g) is not None or g.exact_div(f) is not None:
+            continue
+        pairs += 1
+        before = len(prs_calls)
+        got = poly_gcd(f, g)
+        want = sympy.gcd(to_sympy(f), to_sympy(g))
+        assert got == from_sympy(want).content_and_primitive()[1]
+        assert got.exact_div(common) is not None
+        assert len(prs_calls) > before
 
 
 @given(nonzero_polys(max_terms=3, max_exp=2), polys(max_terms=3, max_exp=2),

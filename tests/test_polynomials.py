@@ -89,6 +89,17 @@ def test_exact_div_by_a_monomial():
     assert (X**2 * Y + X).exact_div(X * Y) is None
 
 
+@pytest.mark.parametrize("d", [1, -1, 3, Fraction(1, 2), Fraction(-3, 7)])
+def test_exact_div_by_a_constant(d):
+    for p in (6 * X**2 - 4 * Y + 3, Fraction(3, 2) * X * Y - Fraction(5, 7)):
+        got = p.exact_div(R.const(d))
+        assert got.terms.keys() == p.terms.keys()
+        for e, c in got.terms.items():
+            want = Fraction(p.terms[e]) / d
+            assert c == want
+            assert type(c) is (int if want.denominator == 1 else Fraction)
+
+
 @given(polys(), st.integers(0, 3), st.integers(0, 3), st.integers(-4, 4).filter(bool))
 @settings(max_examples=40, deadline=None)
 def test_exact_div_by_a_monomial_undoes_mul(p, i, j, c):

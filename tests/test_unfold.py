@@ -44,10 +44,10 @@ def test_sigma_is_a_signed_permutation():
 
 
 def test_sigma_determinant_pattern():
-    dets = [sigma(n).det() for n in range(1, 13)]
+    dets = [sigma(n).matrix.det() for n in range(1, 13)]
     assert dets == [1, -1, -1, 1, 1, -1, -1, 1, 1, -1, -1, 1]
-    for n in range(1, 13):
-        assert sigma(n).det() == (1 if n % 4 in (0, 1) else -1)
+    for n, d in enumerate(dets, 1):
+        assert d == (1 if n % 4 in (0, 1) else -1)
 
 
 def test_sigma_two_interleaves():
