@@ -149,7 +149,8 @@ def test_poly_gcd_matches_sympy_on_multilinear_polynomials(planted):
 
 
 def with_constant_term(rng, names, nterms):
-    """A non-constant integer polynomial of R in the named variables, with a nonzero constant term."""
+    """A non-constant integer polynomial of R in the named variables with a
+    nonzero constant term, so it has no monomial factor."""
     while True:
         terms = {
             tuple(rng.randint(0, 2) if n in names else 0 for n in NAMES): rng.randint(-5, 5)
@@ -166,8 +167,8 @@ def with_constant_term(rng, names, nterms):
     [
         # univariate pairs with a planted common factor
         (("x",), ("x",)),
-        # the common factor is free of x, so the images prove x absent from
-        # the gcd but not y or z
+        # the common factor is free of x, so the images can prove x absent
+        # from the gcd, but never y or z
         (("y", "z"), ("x", "y", "z")),
     ],
 )
