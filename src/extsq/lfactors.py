@@ -10,11 +10,13 @@ and the six partial products used in the holomorphy analysis.
 Each public function normalizes and validates its input once, then hands
 the checked data to private builders (``_l_inf``, ``_embed``,
 ``_partial_products``) that take it as given and check nothing again.
-The Gamma-product builders accumulate factor powers in one dict and
-construct each expression once, rather than multiplying factor by factor.
-
-All shifts are kept as exact rational-complex numbers so that lattice
-membership (where Gamma arguments pole) is decidable.
+The Gamma-product builders work on one integer lattice: each scales its
+shifts by their common denominator d (with 2) and accumulates factor
+powers in one dict keyed by (kind, orient, d*Re, d*Im), merging in integer
+arithmetic.  ``_expr`` then builds each distinct factor's exact
+rational-complex constant and float shift once, and the expression once.
+Exact constants keep lattice membership (where Gamma arguments pole)
+decidable.
 """
 
 import cmath
@@ -23,6 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .rational import RationalComplex, _json_complex, _json_field, _json_int, _json_list
 from .specialfn import _I_POW, PoleError, as_parity, log_gamma_c, log_gamma_r
@@ -114,18 +117,18 @@ def validate(r: ReprData) -> list:
     for j, b in enumerate(r.ds_blocks, 1):
         if b.k < 2:
             out.append(f"k-range: ds block {j} has k = {b.k} < 2")
-    for fam, blocks in (("sign", r.sign_blocks), ("ds", r.ds_blocks)):
-        for j, b in enumerate(blocks, 1):
-            if abs(b.s.real) >= _HALF:
+    d, sb, db = _block_lattice(r)
+    families = (("sign", sb), ("ds", db))
+    for fam, blocks in families:
+        for j, (_, x, _) in enumerate(blocks, 1):
+            if 2 * abs(x) >= d:
                 out.append(f"(b): {fam} block {j} has |Re s| >= 1/2")
-    sc = Counter((b.eps, b.s) for b in r.sign_blocks)
-    if sc != Counter((b.eps, -b.s.conjugate()) for b in r.sign_blocks):
-        out.append("(a): sign blocks are not closed under s -> -conj(s)")
-    dc = Counter((b.k, b.s) for b in r.ds_blocks)
-    if dc != Counter((b.k, -b.s.conjugate()) for b in r.ds_blocks):
-        out.append("(a): ds blocks are not closed under s -> -conj(s)")
-    for fam, blocks in (("sign", r.sign_blocks), ("ds", r.ds_blocks)):
-        res = [b.s.real for b in blocks]
+    for fam, blocks in families:
+        # s -> -conj(s) takes (d*Re s, d*Im s) to (-d*Re s, d*Im s)
+        if Counter(blocks) != Counter((label, -x, y) for label, x, y in blocks):
+            out.append(f"(a): {fam} blocks are not closed under s -> -conj(s)")
+    for fam, blocks in families:
+        res = [x for _, x, _ in blocks]
         if any(res[i] > res[i + 1] for i in range(len(res) - 1)):
             out.append(f"ordering: {fam} shifts are not sorted by real part")
         m = len(blocks)
@@ -290,8 +293,7 @@ def contragredient(e: EmbeddingParams) -> EmbeddingParams:
 # -- structural Gamma products ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GammaFactor:
+class GammaFactor(NamedTuple):
     """One Gamma_R or Gamma_C factor whose argument is orient*s + const."""
 
     kind: str
@@ -309,24 +311,38 @@ def _pole_lattice_hit(fac: GammaFactor, point) -> bool:
     return z.real.denominator == 1 and int(z.real) % step == 0
 
 
-def _accumulate(factors: dict, fac: GammaFactor, power: int = 1) -> None:
-    """Add power to the factor's entry; an entry whose power reaches 0 goes.
+def _accumulate(factors: dict, key, power: int = 1) -> None:
+    """Add power to the key's entry; an entry whose power reaches 0 goes.
 
-    A new factor goes to the end, so the dict keeps the order of the
+    The keys are GammaFactors or lattice keys (kind, orient, d*Re, d*Im).
+    A new key goes to the end, so the dict keeps the order of the
     multiplications, which fixes the order in which value() sums log-Gammas.
     """
-    total = factors.get(fac, 0) + power
+    total = factors.get(key, 0) + power
     if total:
-        factors[fac] = total
+        factors[key] = total
     else:
-        factors.pop(fac, None)
+        factors.pop(key, None)
 
 
-def _accumulate_g(factors: dict, parity: int, shift: RationalComplex) -> int:
-    """Accumulate the two factors of G(parity, shift); return its unit power."""
-    _accumulate(factors, GammaFactor("R", 1, shift + parity))
-    _accumulate(factors, GammaFactor("R", -1, (1 + parity) - shift), -1)
-    return parity
+def _lattice(*families) -> tuple:
+    """Put labelled shifts on one integer lattice.
+
+    Each family is a list of (label, shift) pairs.  Returns d, the least
+    common multiple of 2 and the denominators of every shift's real and
+    imaginary parts, then each family as a list of (label, d*Re, d*Im).
+    """
+    d = 2
+    for fam in families:
+        for _, z in fam:
+            d = math.lcm(d, z.real.denominator, z.imag.denominator)
+    scale = lambda q: q.numerator * (d // q.denominator)
+    return (d, *([(label, scale(z.real), scale(z.imag)) for label, z in fam] for fam in families))
+
+
+def _block_lattice(r: ReprData) -> tuple:
+    """d, then the sign blocks as (eps, x, y) and the ds blocks as (k, x, y)."""
+    return _lattice([(b.eps, b.s) for b in r.sign_blocks], [(b.k, b.s) for b in r.ds_blocks])
 
 
 class GammaExpr:
@@ -335,8 +351,8 @@ class GammaExpr:
     Factors carry signed integer powers, so the same object represents
     ratios; structural equality is multiset equality including the unit.
     An expression is never changed once constructed: the builders collect
-    factor powers in one dict through _accumulate, the helper __mul__ also
-    uses, and construct each expression once.  value() and
+    lattice factor powers through _accumulate, the helper __mul__ also uses,
+    and construct each expression once through _expr.  value() and
     nearest_pole_distance() read its factors converted to floats once.
     """
 
@@ -344,11 +360,7 @@ class GammaExpr:
 
     def __init__(self, unit_ipow: int = 0, factors=None):
         self.unit_ipow = unit_ipow % 4
-        clean = {}
-        for fac, power in (factors or {}).items():
-            if power:
-                clean[fac] = power
-        self.factors = clean
+        self.factors = {fac: power for fac, power in (factors or {}).items() if power}
         self._terms = None
 
     def _float_terms(self) -> tuple:
@@ -372,22 +384,20 @@ class GammaExpr:
 
     @classmethod
     def gamma_r(cls, const, power: int = 1) -> "GammaExpr":
-        factors = {}
-        _accumulate(factors, GammaFactor("R", 1, RationalComplex.from_value(const)), power)
-        return cls(0, factors)
+        d, ((_, x, y),) = _lattice([(None, RationalComplex.from_value(const))])
+        return _expr(0, {("R", 1, x, y): power} if power else {}, d)
 
     @classmethod
     def gamma_c(cls, const, power: int = 1) -> "GammaExpr":
-        factors = {}
-        _accumulate(factors, GammaFactor("C", 1, RationalComplex.from_value(const)), power)
-        return cls(0, factors)
+        d, ((_, x, y),) = _lattice([(None, RationalComplex.from_value(const))])
+        return _expr(0, {("C", 1, x, y): power} if power else {}, d)
 
     @classmethod
     def g_factor(cls, parity, shift) -> "GammaExpr":
         """The ratio form i^p Gamma_R(s+shift+p) / Gamma_R(1-s-shift+p)."""
-        factors = {}
-        unit = _accumulate_g(factors, as_parity(parity), RationalComplex.from_value(shift))
-        return cls(unit, factors)
+        p = as_parity(parity)
+        d, ((_, x, y),) = _lattice([(None, RationalComplex.from_value(shift))])
+        return _expr(p, {("R", 1, x + p * d, y): 1, ("R", -1, (1 + p) * d - x, -y): -1}, d)
 
     def __mul__(self, other):
         if not isinstance(other, GammaExpr):
@@ -504,6 +514,24 @@ class GammaExpr:
         }
 
 
+def _expr(unit: int, counts: dict, d: int) -> GammaExpr:
+    """i^unit times each lattice factor (kind, orient, x, y) to its power.
+
+    Builds each factor's exact constant (x + iy) / d once, and its float
+    shift complex(x / d, y / d), which is complex(const) bit for bit
+    because int true division is correctly rounded.
+    """
+    factors, terms = {}, []
+    for (kind, orient, x, y), power in counts.items():
+        const = RationalComplex(Fraction(x, d), Fraction(y, d))
+        factors[GammaFactor(kind, orient, const)] = power
+        terms.append((kind, orient, complex(x / d, y / d), power))
+    out = GammaExpr(unit)
+    out.factors = factors
+    out._terms = tuple(terms)
+    return out
+
+
 # -- the local factor and its functional equation -----------------------------
 
 
@@ -520,37 +548,42 @@ def l_inf(r: ReprData) -> GammaExpr:
 
 def _l_inf(rn: ReprData) -> GammaExpr:
     eta = rn.eta
-    sb, db = rn.sign_blocks, rn.ds_blocks
-    factors = {}
-    for b in db:
-        _accumulate(factors, GammaFactor("R", 1, b.s * 2 + (b.k + eta) % 2))
-    for a in sb:
-        for b in db:
-            _accumulate(factors, GammaFactor("C", 1, a.s + b.s + Fraction(b.k - 1, 2)))
+    d, sb, db = _block_lattice(rn)
+    half = d // 2
+    counts = {}
+    for k, x, y in db:
+        _accumulate(counts, ("R", 1, 2 * x + (k + eta) % 2 * d, 2 * y))
+    for _, x1, y1 in sb:
+        for k, x2, y2 in db:
+            _accumulate(counts, ("C", 1, x1 + x2 + (k - 1) * half, y1 + y2))
     for i in range(len(sb)):
-        for k in range(i + 1, len(sb)):
-            e = (sb[i].eps + sb[k].eps + eta) % 2
-            _accumulate(factors, GammaFactor("R", 1, sb[i].s + sb[k].s + e))
+        for m in range(i + 1, len(sb)):
+            (e1, x1, y1), (e2, x2, y2) = sb[i], sb[m]
+            _accumulate(counts, ("R", 1, x1 + x2 + (e1 + e2 + eta) % 2 * d, y1 + y2))
     for j in range(len(db)):
         for l in range(j + 1, len(db)):
-            base = db[j].s + db[l].s
-            _accumulate(factors, GammaFactor("C", 1, base + Fraction(db[j].k + db[l].k - 2, 2)))
-            _accumulate(factors, GammaFactor("C", 1, base + Fraction(abs(db[j].k - db[l].k), 2)))
-    return GammaExpr(0, factors)
+            (k1, x1, y1), (k2, x2, y2) = db[j], db[l]
+            _accumulate(counts, ("C", 1, x1 + x2 + (k1 + k2 - 2) * half, y1 + y2))
+            _accumulate(counts, ("C", 1, x1 + x2 + abs(k1 - k2) * half, y1 + y2))
+    return _expr(0, counts, d)
 
 
 def _g_product(e: EmbeddingParams, eta, keep) -> GammaExpr:
     eta = as_parity(eta)
-    lam, delta = e.lam, e.delta
+    d, lam = _lattice(list(zip(e.delta, e.lam)))
     two_n = len(lam)
-    factors, unit = {}, 0
+    counts, unit = {}, 0
     for i in range(1, two_n + 1):
         for j in range(i + 1, two_n + 1):
             if not keep(i, j, two_n):
                 continue
-            parity = (delta[i - 1] + delta[j - 1] + eta) % 2
-            unit += _accumulate_g(factors, parity, -(lam[i - 1] + lam[j - 1]))
-    return GammaExpr(unit, factors)
+            (di, xi, yi), (dj, xj, yj) = lam[i - 1], lam[j - 1]
+            p = (di + dj + eta) % 2
+            # G(p, -(lam_i + lam_j)), the shift scaled by d to -(xi + xj, yi + yj)
+            _accumulate(counts, ("R", 1, p * d - xi - xj, -yi - yj))
+            _accumulate(counts, ("R", -1, (1 + p) * d + xi + xj, yi + yj), -1)
+            unit += p
+    return _expr(unit, counts, d)
 
 
 def script_g(e: EmbeddingParams, eta) -> GammaExpr:
@@ -607,7 +640,8 @@ def fe_ratio_check(r: ReprData, s, tol: float = 1e-8) -> FERatioResult:
 
     omega is omega_closed_form for either parity of the twist, and the
     match is asserted to the relative tolerance.  A sample point closer
-    than _MIN_POLE_DISTANCE to a pole raises PoleProximityError, and a
+    than _MIN_POLE_DISTANCE to a pole raises PoleProximityError, a Gamma
+    product that is 0 or infinite in floats raises OverflowError, and a
     mismatch raises IdentityMismatchError.
     """
     rn = _checked(r)
@@ -624,8 +658,12 @@ def fe_ratio_check(r: ReprData, s, tol: float = 1e-8) -> FERatioResult:
     )
     if d < _MIN_POLE_DISTANCE:
         raise PoleProximityError(s, d)
-    lhs = num.value(s) / den.value(1 - s)
-    prod = prod_expr.value(s)
+    top, bottom, prod = num.value(s), den.value(1 - s), prod_expr.value(s)
+    lhs = top / bottom if bottom else math.inf
+    # past the pole-distance test a 0 or an infinity is float under- or
+    # overflow; a 0 bottom makes lhs infinite
+    if not all(v and cmath.isfinite(v) for v in (top, lhs, prod)):
+        raise OverflowError(f"a Gamma product at s={s} is outside the float range")
     omega = _omega(rn)
     rhs = omega * prod
     if abs(lhs - rhs) > tol * abs(lhs):
@@ -714,45 +752,46 @@ def partial_products(r: ReprData) -> tuple:
 
 def _partial_products(rn: ReprData, g_expr: GammaExpr) -> tuple:
     eta = rn.eta
-    sb, db = rn.sign_blocks, rn.ds_blocks
-    h = len(sb) // 2
-    r2 = len(db)
-    factors = [{} for _ in range(6)]
+    d, sb, db = _block_lattice(rn)
+    half, h, r2 = d // 2, len(sb) // 2, len(db)
+    counts = [{} for _ in range(6)]
     units = [0] * 6
 
-    def put(part, parity, shift):
-        units[part - 1] += _accumulate_g(factors[part - 1], parity, shift)
+    def put(part, parity, x, y):
+        # G(parity, shift) for the shift (x + iy) / d
+        units[part - 1] += parity
+        _accumulate(counts[part - 1], ("R", 1, x + parity * d, y))
+        _accumulate(counts[part - 1], ("R", -1, (1 + parity) * d - x, -y), -1)
 
     for i in range(h):
         for m in range(i + 1, h):
-            put(1, (sb[i].eps + sb[m].eps + eta) % 2, sb[i].s + sb[m].s)
+            (e1, x1, y1), (e2, x2, y2) = sb[i], sb[m]
+            put(1, (e1 + e2 + eta) % 2, x1 + x2, y1 + y2)
     for i in range(1, h + 1):
         for m in range(1, h - i + 1):
-            a, b = sb[i - 1], sb[h + m - 1]
-            put(2, (a.eps + b.eps + eta) % 2, a.s + b.s)
-    for a in sb[:h]:
-        for b in db:
-            half = Fraction(b.k - 1, 2)
-            put(3, (a.eps + b.k + eta) % 2, a.s + b.s + half)
-            put(3, (a.eps + eta) % 2, a.s + b.s - half)
+            (e1, x1, y1), (e2, x2, y2) = sb[i - 1], sb[h + m - 1]
+            put(2, (e1 + e2 + eta) % 2, x1 + x2, y1 + y2)
+    for e1, x1, y1 in sb[:h]:
+        for k, x2, y2 in db:
+            put(3, (e1 + k + eta) % 2, x1 + x2 + (k - 1) * half, y1 + y2)
+            put(3, (e1 + eta) % 2, x1 + x2 - (k - 1) * half, y1 + y2)
+    for k, x, y in db[: r2 // 2]:
+        put(4, (k + eta) % 2, 2 * x, 2 * y)
     for l in range(1, r2 // 2 + 1):
-        b = db[l - 1]
-        put(4, (b.k + eta) % 2, b.s * 2)
-    for l in range(1, r2 // 2 + 1):
-        b1, b2 = db[l - 1], db[r2 - l]
-        put(5, (b1.k + b2.k + eta) % 2, b1.s + b2.s + Fraction(b1.k + b2.k - 2, 2))
+        (k1, x1, y1), (k2, x2, y2) = db[l - 1], db[r2 - l]
+        put(5, (k1 + k2 + eta) % 2, x1 + x2 + (k1 + k2 - 2) * half, y1 + y2)
     for l1 in range(1, r2 + 1):
         for l2 in range(l1 + 1, r2 + 1):
             if l1 + l2 > r2:
                 continue
-            b1, b2 = db[l1 - 1], db[l2 - 1]
-            base = b1.s + b2.s
-            h1, h2 = Fraction(b1.k - 1, 2), Fraction(b2.k - 1, 2)
-            put(6, (b1.k + b2.k + eta) % 2, base + h1 + h2)
-            put(6, (b1.k + eta) % 2, base + h1 - h2)
-            put(6, (b2.k + eta) % 2, base - h1 + h2)
-            put(6, eta, base - h1 - h2)
-    g1, g2, g3, g4, g5, g6 = map(GammaExpr, units, factors)
+            (k1, x1, y1), (k2, x2, y2) = db[l1 - 1], db[l2 - 1]
+            x, y = x1 + x2, y1 + y2
+            h1, h2 = (k1 - 1) * half, (k2 - 1) * half
+            put(6, (k1 + k2 + eta) % 2, x + h1 + h2, y)
+            put(6, (k1 + eta) % 2, x + h1 - h2, y)
+            put(6, (k2 + eta) % 2, x - h1 + h2, y)
+            put(6, eta, x - h1 - h2, y)
+    g1, g2, g3, g4, g5, g6 = (_expr(u, c, d) for u, c in zip(units, counts))
     combined = g1 * g2 * g3 * g4 * g5 * g6
     if combined != g_expr:
         raise IdentityMismatchError("partial products do not reassemble the G-product")

@@ -10,23 +10,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-# Python's own limit on the digits of an int read from a string; Fraction
-# expands a decimal exponent in full, so a larger one could take any time
+# Python's own limit on the digits of an int read from or printed to a
+# string; Fraction expands a decimal exponent in full, so a larger one could
+# take any time, and a value with more digits could not be printed
 _MAX_EXPONENT = 4300
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", "p", or a decimal string such as "2.5e-3" into a Fraction.
 
-    A decimal exponent beyond _MAX_EXPONENT in size is refused.
+    A decimal literal whose mantissa digits plus exponent size reach
+    _MAX_EXPONENT is refused; below that, its value prints within the limit.
     """
-    _, e, exponent = text.strip().lower().partition("e")
+    mantissa, e, exponent = text.strip().lower().partition("e")
     try:
-        if not e or abs(int(exponent)) <= _MAX_EXPONENT:
+        if not e or sum(map(str.isdigit, mantissa)) + abs(int(exponent)) < _MAX_EXPONENT:
             return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
-    raise ValueError(f"not a rational literal: {text!r} (decimal exponent beyond {_MAX_EXPONENT})")
+    raise ValueError(
+        f"not a rational literal: {text!r} (expands to {_MAX_EXPONENT} digits or more)"
+    )
 
 
 def format_rational(q: Fraction) -> str:

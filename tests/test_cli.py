@@ -282,17 +282,39 @@ def test_bad_satake_json_is_an_input_error(capsys, tmp_path, doc, field):
         (None, ["lfactor", "{repr}", "--s", "1e400"]),
         (None, ["gamma", "--delta", "0", "--s", "1e400"]),
         (None, ["gamma", "--delta", "0", "--s", "1e-999999999"]),
+        # inside the exponent bound, but 10^4300 has too many digits to print
+        (None, ["decompose", "{matrix}"]),
     ],
 )
 def test_huge_decimal_exponents_are_input_errors(capsys, tmp_path, repr_file, alpha, argv):
     satake = tmp_path / "huge.json"
     satake.write_text(json.dumps({"p": 3, "alpha": alpha}))
+    matrix = tmp_path / "huge_matrix.json"
+    matrix.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [["1e4300", "1"], ["1", "2"]]}))
     t0 = time.monotonic()
-    code, out, err = run_cli(capsys, *(a.format(satake=satake, repr=repr_file) for a in argv))
+    code, out, err = run_cli(
+        capsys, *(a.format(satake=satake, repr=repr_file, matrix=matrix) for a in argv)
+    )
     assert time.monotonic() - t0 < 5
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if argv[0] == "decompose":
+        assert "'1e4300'" in err
+
+
+@pytest.mark.parametrize("shift,code", [("1000i", 2), ("1e5i", 2), ("100i", 0)])
+def test_fe_check_refuses_a_gamma_product_outside_the_float_range(capsys, tmp_path, shift, code):
+    # past the pole-distance test, the Gamma products at 1000i underflow to 0
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"n": 1, "eta": 0, "ds_blocks": [{"k": 2, "s": shift}]}))
+    got, out, err = run_cli(capsys, "fe-check", str(path))
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: out of range: ") and err.count("\n") == 1
+    else:
+        assert err == ""
 
 
 def test_shuffle_verify(capsys):

@@ -130,3 +130,20 @@ def test_the_prs_is_the_one_gcd_fallback():
     assert "_prs_gcd" in core
     assert not {"poly_gcd", "_content_in"} & (core | certificate)
     assert not {"_univar_gcd", "_perm_sign"} & {name for _, name in functions}
+
+
+def test_expr_is_the_one_gamma_factor_construction():
+    """Every GammaFactor in the package is built by lfactors._expr from a
+    lattice key, so each distinct factor's exact constant is made once, and
+    the per-shift G accumulator stays deleted."""
+    callers, defined = set(), set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined.add(node.name)
+                if isinstance(node, ast.Call) and "GammaFactor" in _calls(node):
+                    callers.add((path.name, getattr(top, "name", None)))
+    assert callers == {("lfactors.py", "_expr")}
+    assert "_accumulate_g" not in defined

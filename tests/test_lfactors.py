@@ -234,6 +234,179 @@ def test_each_builder_constructs_its_expression_once(monkeypatch):
     assert counts == {"init": 1 + 6 + 5, "mul": 5}
 
 
+# -- an independent reference for the lattice builders ------------------------
+#
+# The builders below redo every Gamma product with RationalComplex arithmetic
+# in dicts keyed by GammaFactor, as the products are defined, and share no
+# code with the integer-lattice builders in lfactors.
+
+
+def _ref_put(factors, kind, orient, const, power=1):
+    fac = lfactors.GammaFactor(kind, orient, const)
+    total = factors.get(fac, 0) + power
+    if total:
+        factors[fac] = total
+    else:
+        del factors[fac]
+
+
+def _ref_g(factors, parity, shift):
+    """G(parity, shift) = i^parity Gamma_R(s+shift+parity) / Gamma_R(1-s-shift+parity)."""
+    _ref_put(factors, "R", 1, shift + parity)
+    _ref_put(factors, "R", -1, (1 + parity) - shift, -1)
+    return parity
+
+
+def _ref_l_inf(r):
+    sb, db, eta = r.sign_blocks, r.ds_blocks, r.eta
+    factors = {}
+    for b in db:
+        _ref_put(factors, "R", 1, b.s * 2 + (b.k + eta) % 2)
+    for a in sb:
+        for b in db:
+            _ref_put(factors, "C", 1, a.s + b.s + F(b.k - 1, 2))
+    for i, a in enumerate(sb):
+        for b in sb[i + 1 :]:
+            _ref_put(factors, "R", 1, a.s + b.s + (a.eps + b.eps + eta) % 2)
+    for j, a in enumerate(db):
+        for b in db[j + 1 :]:
+            _ref_put(factors, "C", 1, a.s + b.s + F(a.k + b.k - 2, 2))
+            _ref_put(factors, "C", 1, a.s + b.s + F(abs(a.k - b.k), 2))
+    return 0, factors
+
+
+def _ref_g_product(e, eta, full):
+    two_n = len(e.lam)
+    factors, unit = {}, 0
+    for i in range(two_n):
+        for j in range(i + 1, two_n):
+            if full or i + j + 2 <= two_n:
+                parity = (e.delta[i] + e.delta[j] + eta) % 2
+                unit += _ref_g(factors, parity, -(e.lam[i] + e.lam[j]))
+    return unit, factors
+
+
+def _ref_partials(r):
+    sb, db, eta = r.sign_blocks, r.ds_blocks, r.eta
+    h, r2 = len(sb) // 2, len(db)
+    parts = [(0, {}) for _ in range(6)]
+
+    def g(part, parity, shift):
+        unit, factors = parts[part - 1]
+        parts[part - 1] = (unit + _ref_g(factors, parity, shift), factors)
+
+    for i in range(h):
+        for m in range(i + 1, h):
+            g(1, (sb[i].eps + sb[m].eps + eta) % 2, sb[i].s + sb[m].s)
+    for i in range(1, h + 1):
+        for m in range(1, h - i + 1):
+            a, b = sb[i - 1], sb[h + m - 1]
+            g(2, (a.eps + b.eps + eta) % 2, a.s + b.s)
+    for a in sb[:h]:
+        for b in db:
+            g(3, (a.eps + b.k + eta) % 2, a.s + b.s + F(b.k - 1, 2))
+            g(3, (a.eps + eta) % 2, a.s + b.s - F(b.k - 1, 2))
+    for b in db[: r2 // 2]:
+        g(4, (b.k + eta) % 2, b.s * 2)
+    for l in range(r2 // 2):
+        a, b = db[l], db[r2 - 1 - l]
+        g(5, (a.k + b.k + eta) % 2, a.s + b.s + F(a.k + b.k - 2, 2))
+    for l1 in range(1, r2 + 1):
+        for l2 in range(l1 + 1, r2 - l1 + 1):
+            a, b = db[l1 - 1], db[l2 - 1]
+            h1, h2 = F(a.k - 1, 2), F(b.k - 1, 2)
+            g(6, (a.k + b.k + eta) % 2, a.s + b.s + h1 + h2)
+            g(6, (a.k + eta) % 2, a.s + b.s + h1 - h2)
+            g(6, (b.k + eta) % 2, a.s + b.s - h1 + h2)
+            g(6, eta, a.s + b.s - h1 - h2)
+    return parts
+
+
+def _assert_matches_reference(expr, ref):
+    unit, factors = ref
+    assert expr == GammaExpr(unit, factors)
+    assert expr.unit_ipow == unit % 4
+    assert list(expr.factors.items()) == list(factors.items())
+    # the float shifts are the exact constants rounded once, bit for bit
+    got = [(k, o, z.real.hex(), z.imag.hex(), p) for k, o, z, p in expr._float_terms()]
+    want = [(f.kind, f.orient, complex(f.const), p) for f, p in factors.items()]
+    assert got == [(k, o, z.real.hex(), z.imag.hex(), p) for k, o, z, p in want]
+
+
+# shifts with denominators 3, 7 and 9 in both parts: the common denominator
+# is odd before the factor 2 that the half-integer weights need
+THIRDS_SEVENTHS = normalize(
+    ReprData(
+        4,
+        0,
+        ((0, RC(F(-1, 3), F(2, 7))), (0, RC(F(1, 3), F(2, 7)))),
+        ((3, RC(F(-2, 9), F(1, 3))), (3, RC(F(2, 9), F(1, 3))), (2, RC(0, F(5, 7)))),
+    )
+)
+NINTHS = normalize(
+    ReprData(
+        4,
+        1,
+        (
+            (1, RC(F(-3, 7), F(-1, 9))),
+            (0, RC(0, F(4, 9))),
+            (1, RC(0, F(-2, 3))),
+            (1, RC(F(3, 7), F(-1, 9))),
+        ),
+        ((5, RC(F(-1, 9), F(2, 3))), (5, RC(F(1, 9), F(2, 3)))),
+    )
+)
+
+
+def _reference_inputs():
+    rng = random.Random(53)
+    drawn = [
+        random_repr_data(rng, n_half=n_half, eta=eta)
+        for n_half in range(1, 7)
+        for eta in (0, 1)
+        for _ in range(2)
+    ]
+    hand = [
+        ReprData(h.n_half, eta, h.sign_blocks, h.ds_blocks)
+        for h in (THIRDS_SEVENTHS, NINTHS)
+        for eta in (0, 1)
+    ]
+    return drawn + hand
+
+
+def test_lattice_builders_match_an_independent_reference():
+    for r in _reference_inputs():
+        assert validate(r) == []
+        _assert_matches_reference(l_inf(r), _ref_l_inf(r))
+        e = casselman_embedding(r)
+        _assert_matches_reference(script_g(e, r.eta), _ref_g_product(e, r.eta, False))
+        _assert_matches_reference(script_g_full(e, r.eta), _ref_g_product(e, r.eta, True))
+        for got, want in zip(partial_products(r), _ref_partials(r), strict=True):
+            _assert_matches_reference(got, want)
+
+
+def test_script_g_on_mixed_denominators_matches_the_reference():
+    lam = (RC(F(1, 3)), RC(0, F(2, 7)), RC(F(-5, 9)), RC(F(3, 14), F(-1, 6)), RC(F(1, 2), F(4, 21)))
+    e = EmbeddingParams(lam, (0, 1, 1, 0, 1))
+    for eta in (0, 1):
+        for ee in (e, contragredient(e)):
+            _assert_matches_reference(script_g(ee, eta), _ref_g_product(ee, eta, False))
+            _assert_matches_reference(script_g_full(ee, eta), _ref_g_product(ee, eta, True))
+
+
+def test_single_factor_builders_match_the_reference():
+    for const in (F(1, 3), RC(F(-5, 9), F(2, 7)), RC(0, F(-1, 6)), 2, "3/14+1/21i"):
+        c = RC.from_value(const)
+        for power in (-2, 0, 1, 3):
+            for build, kind in ((GammaExpr.gamma_r, "R"), (GammaExpr.gamma_c, "C")):
+                factors = {lfactors.GammaFactor(kind, 1, c): power} if power else {}
+                _assert_matches_reference(build(const, power), (0, factors))
+        for parity in (0, 1):
+            factors = {}
+            unit = _ref_g(factors, parity, c)
+            _assert_matches_reference(GammaExpr.g_factor(parity, const), (unit, factors))
+
+
 def test_unfolded_table_matches_g_product():
     rng = random.Random(5)
     for _ in range(15):

@@ -36,6 +36,19 @@ def test_parse_rational_rejects_junk():
             parse_rational(bad)
 
 
+@pytest.mark.parametrize("text", ["1e4298", "-1e-4298", ".1e-4298", "12.5e4296"])
+def test_literals_below_the_digit_bound_print(text):
+    # mantissa digits plus exponent size stay below 4300, so every expansion
+    # prints within Python's int-string limit
+    assert parse_rational(format_rational(parse_rational(text))) == parse_rational(text)
+
+
+@pytest.mark.parametrize("text", ["1e4300", "1e4299", "1e-4299", "12.5e4297", "0.1e-4298"])
+def test_literals_at_the_digit_bound_are_refused(text):
+    with pytest.raises(ValueError, match=f"not a rational literal: '{text}' .*4300 digits"):
+        parse_rational(text)
+
+
 def test_format_round_trip():
     for q in (Fraction(3, 7), Fraction(-11, 2), Fraction(5), Fraction(0)):
         assert parse_rational(format_rational(q)) == q
