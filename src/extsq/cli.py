@@ -121,7 +121,13 @@ def _load_json(path: str):
 
 
 def _parse_s(text: str) -> complex:
-    return complex(parse_rational_complex(text))
+    """The --s literal as a complex; an unreadable or out-of-range one names the option."""
+    try:
+        return complex(parse_rational_complex(text))
+    except ValueError as exc:
+        raise ValueError(f"--s: {exc}") from None
+    except OverflowError:
+        raise OverflowError(f"--s {text!r} is outside the float range") from None
 
 
 def _positive_int(text: str) -> int:

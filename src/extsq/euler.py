@@ -53,9 +53,19 @@ def satake_from_json(obj) -> SatakeData:
     top = "Satake place"
     return SatakeData(
         _json_field(obj, "p", top, _json_int),
-        _json_field(obj, "alpha", top, lambda v: [_json_complex(a) for a in _json_list(v)]),
-        _json_field(obj, "chi", top, _json_complex, 1),
+        _json_field(obj, "alpha", top, lambda v: [_json_float_range(a) for a in _json_list(v)]),
+        _json_field(obj, "chi", top, _json_float_range, 1),
     )
+
+
+def _json_float_range(value) -> RationalComplex:
+    """An exact complex literal that the factors can evaluate in floats."""
+    z = _json_complex(value)
+    try:
+        complex(z)
+    except OverflowError:
+        raise ValueError(f"{value!r} is outside the float range") from None
+    return z
 
 
 def ext2_factor(d: SatakeData, s) -> complex:

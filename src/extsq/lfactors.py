@@ -13,10 +13,11 @@ the checked data to private builders (``_l_inf``, ``_embed``,
 The Gamma-product builders work on one integer lattice: each scales its
 shifts by their common denominator d (with 2) and accumulates factor
 powers in one dict keyed by (kind, orient, d*Re, d*Im), merging in integer
-arithmetic.  ``_expr`` then builds each distinct factor's exact
-rational-complex constant and float shift once, and the expression once.
-Exact constants keep lattice membership (where Gamma arguments pole)
-decidable.
+arithmetic.  A ``GammaExpr`` stores those counts and d: products,
+equality and pole-lattice tests stay in integers, and the exact
+``GammaFactor`` constants and the float shifts are built from the keys on
+first read.  Exact keys keep lattice membership (where Gamma arguments
+pole) decidable.
 """
 
 import cmath
@@ -301,20 +302,9 @@ class GammaFactor(NamedTuple):
     const: RationalComplex
 
 
-def _pole_lattice_hit(fac: GammaFactor, point) -> bool:
-    """Does the factor's Gamma argument at the exact point lie on the pole lattice?"""
-    step = 2 if fac.kind == "R" else 1
-    point = RationalComplex.from_value(point)
-    z = fac.const + point if fac.orient == 1 else fac.const - point
-    if z.imag != 0 or z.real > 0:
-        return False
-    return z.real.denominator == 1 and int(z.real) % step == 0
-
-
 def _accumulate(factors: dict, key, power: int = 1) -> None:
-    """Add power to the key's entry; an entry whose power reaches 0 goes.
+    """Add power to a lattice key's entry; an entry whose power reaches 0 goes.
 
-    The keys are GammaFactors or lattice keys (kind, orient, d*Re, d*Im).
     A new key goes to the end, so the dict keeps the order of the
     multiplications, which fixes the order in which value() sums log-Gammas.
     """
@@ -350,33 +340,55 @@ class GammaExpr:
 
     Factors carry signed integer powers, so the same object represents
     ratios; structural equality is multiset equality including the unit.
-    An expression is never changed once constructed: the builders collect
-    lattice factor powers through _accumulate, the helper __mul__ also uses,
-    and construct each expression once through _expr.  value() and
-    nearest_pole_distance() read its factors converted to floats once.
+    It stores d and its lattice counts, (kind, orient, d*Re, d*Im) to
+    power, and never changes: the builders and __mul__ build counts through
+    _accumulate and construct once through _expr.  The exact factors and
+    the float terms are each derived from the counts on first read.
     """
 
-    __slots__ = ("unit_ipow", "factors", "_terms")
+    __slots__ = ("unit_ipow", "_counts", "_d", "_factors", "_terms")
 
     def __init__(self, unit_ipow: int = 0, factors=None):
-        self.unit_ipow = unit_ipow % 4
-        self.factors = {fac: power for fac, power in (factors or {}).items() if power}
-        self._terms = None
+        """i^unit_ipow times each GammaFactor to its power, put on the lattice."""
+        items = (factors or {}).items()
+        d, keyed = _lattice([((f.kind, f.orient, p), f.const) for f, p in items if p])
+        self.unit_ipow, self._d = unit_ipow % 4, d
+        self._counts = {(kind, orient, x, y): p for (kind, orient, p), x, y in keyed}
+        self._factors = self._terms = None
+
+    @property
+    def factors(self) -> dict:
+        """Each GammaFactor mapped to its power, in the stored order."""
+        factors = self._factors
+        if factors is None:
+            d = self._d
+            factors = self._factors = {
+                GammaFactor(kind, orient, RationalComplex(Fraction(x, d), Fraction(y, d))): power
+                for (kind, orient, x, y), power in self._counts.items()
+            }
+        return factors
 
     def _float_terms(self) -> tuple:
         """(kind, orient, complex shift, power) per factor, in factor order.
 
-        Built on the first numeric evaluation, so each exact shift is
-        converted to a complex once per expression, not once per point.
+        Built once per expression; complex(x / d, y / d) is complex(const)
+        bit for bit because int true division is correctly rounded.
         """
         terms = self._terms
         if terms is None:
-            terms = tuple(
-                (fac.kind, fac.orient, complex(fac.const), power)
-                for fac, power in self.factors.items()
+            d = self._d
+            terms = self._terms = tuple(
+                (kind, orient, complex(x / d, y / d), power)
+                for (kind, orient, x, y), power in self._counts.items()
             )
-            self._terms = terms
         return terms
+
+    def _on(self, d: int) -> dict:
+        """The counts with every key scaled to d, a multiple of this expression's d."""
+        m = d // self._d
+        if m == 1:
+            return self._counts
+        return {(kind, o, x * m, y * m): p for (kind, o, x, y), p in self._counts.items()}
 
     @classmethod
     def one(cls) -> "GammaExpr":
@@ -402,21 +414,20 @@ class GammaExpr:
     def __mul__(self, other):
         if not isinstance(other, GammaExpr):
             return NotImplemented
-        # copying keeps the stored hashes, so only other's factors are hashed
-        merged = dict(self.factors)
-        for fac, power in other.factors.items():
-            _accumulate(merged, fac, power)
-        out = GammaExpr(self.unit_ipow + other.unit_ipow)
-        out.factors = merged
-        return out
+        d = math.lcm(self._d, other._d)
+        merged = dict(self._on(d))
+        for key, power in other._on(d).items():
+            _accumulate(merged, key, power)
+        return _expr(self.unit_ipow + other.unit_ipow, merged, d)
 
     def __eq__(self, other):
         if not isinstance(other, GammaExpr):
             return NotImplemented
-        return self.unit_ipow == other.unit_ipow and self.factors == other.factors
+        d = math.lcm(self._d, other._d)
+        return self.unit_ipow == other.unit_ipow and self._on(d) == other._on(d)
 
     def __repr__(self):
-        return "GammaExpr(" + " ".join(self.describe()) + ")" if self.factors else "GammaExpr(1)"
+        return "GammaExpr(" + " ".join(self.describe()) + ")" if self._counts else "GammaExpr(1)"
 
     def describe(self) -> tuple:
         """Human-readable factor list in a deterministic order."""
@@ -425,8 +436,7 @@ class GammaExpr:
         parts = []
         for fac, power in sorted(self.factors.items(), key=key):
             arg = "s" if fac.orient == 1 else "-s"
-            if not (fac.const.real == 0 and fac.const.imag == 0):
-                text = str(fac.const)
+            if (text := str(fac.const)) != "0":
                 arg += text if text.startswith("-") else "+" + text
             term = f"{names[fac.kind]}({arg})"
             if power != 1:
@@ -439,9 +449,7 @@ class GammaExpr:
     def value(self, s) -> complex:
         """Numeric evaluation; a net pole raises PoleError, a net zero is 0."""
         s = complex(s)
-        acc = 0.0j
-        order = 0
-        hit = False
+        acc, order, hit = 0.0j, 0, False
         for kind, orient, shift, power in self._float_terms():
             z = orient * s + shift
             try:
@@ -457,19 +465,35 @@ class GammaExpr:
             raise PoleError(s, what="gamma-expr")
         return _I_POW[self.unit_ipow] * cmath.exp(acc)
 
+    def _hits(self, point) -> list:
+        """The power of each factor whose Gamma argument at the exact point is a pole.
+
+        In units of 1/d the argument z must be integral with Im z = 0 and
+        Re z <= 0 a multiple of d times the pole step (2 for R, 1 for C).
+        """
+        point = RationalComplex.from_value(point)
+        d = self._d
+        px, rx = divmod(point.real.numerator * d, point.real.denominator)
+        py, ry = divmod(point.imag.numerator * d, point.imag.denominator)
+        if rx or ry:
+            return []
+        return [
+            power
+            for (kind, orient, x, y), power in self._counts.items()
+            if y + orient * py == 0
+            and (z := x + orient * px) <= 0
+            and z % (2 * d if kind == "R" else d) == 0
+        ]
+
     def pole_order_at(self, point) -> int:
-        return sum(
-            p for fac, p in self.factors.items() if p > 0 and _pole_lattice_hit(fac, point)
-        )
+        return sum(p for p in self._hits(point) if p > 0)
 
     def zero_order_at(self, point) -> int:
-        return sum(
-            -p for fac, p in self.factors.items() if p < 0 and _pole_lattice_hit(fac, point)
-        )
+        return sum(-p for p in self._hits(point) if p < 0)
 
     def order_at(self, point) -> int:
         """Order of vanishing at the point; negative means a pole."""
-        return self.zero_order_at(point) - self.pole_order_at(point)
+        return -sum(self._hits(point))
 
     def nearest_pole_distance(self, s) -> float:
         """Distance from s to the nearest argument-lattice point of any factor."""
@@ -485,50 +509,31 @@ class GammaExpr:
     def lattice_points_in_halfplane(self, re_min) -> dict:
         """Points with Re >= re_min where the order is nonzero, mapped to it.
 
-        Only meaningful for expressions whose factors all have the forward
-        orientation; reversed factors would put infinitely many lattice
-        points in the half-plane.
+        Only meaningful when every factor has the forward orientation;
+        reversed ones put infinitely many lattice points in the half-plane.
+        Each scanned point goes into a set, and the result keeps its order.
         """
-        re_min = Fraction(re_min)
+        d = self._d
+        lo = math.ceil(Fraction(re_min) * d)
         points = set()
-        for fac in self.factors:
-            if fac.orient != 1:
+        for kind, orient, x, y in self._counts:
+            if orient != 1:
                 raise ValueError("reversed factors have unbounded lattices to the right")
-            step = 2 if fac.kind == "R" else 1
-            lo = re_min + fac.const.real
-            m = 0
-            while -step * m >= lo:
-                points.add(RationalComplex(Fraction(-step * m), 0) - fac.const)
-                m += 1
-        out = {}
-        for pt in points:
-            o = self.order_at(pt)
-            if o:
-                out[pt] = o
-        return out
+            # the argument s + (x + iy) / d poles at s = (px - iy) / d
+            for px in range(-x, lo - 1, -2 * d if kind == "R" else -d):
+                points.add(RationalComplex(Fraction(px, d), Fraction(-y, d)))
+        return {pt: o for pt in points if (o := self.order_at(pt))}
 
     def poles_in_halfplane(self, re_min) -> dict:
         """Pole locations with Re >= re_min mapped to their (positive) order."""
-        return {
-            pt: -o for pt, o in self.lattice_points_in_halfplane(re_min).items() if o < 0
-        }
+        return {pt: -o for pt, o in self.lattice_points_in_halfplane(re_min).items() if o < 0}
 
 
 def _expr(unit: int, counts: dict, d: int) -> GammaExpr:
-    """i^unit times each lattice factor (kind, orient, x, y) to its power.
-
-    Builds each factor's exact constant (x + iy) / d once, and its float
-    shift complex(x / d, y / d), which is complex(const) bit for bit
-    because int true division is correctly rounded.
-    """
-    factors, terms = {}, []
-    for (kind, orient, x, y), power in counts.items():
-        const = RationalComplex(Fraction(x, d), Fraction(y, d))
-        factors[GammaFactor(kind, orient, const)] = power
-        terms.append((kind, orient, complex(x / d, y / d), power))
-    out = GammaExpr(unit)
-    out.factors = factors
-    out._terms = tuple(terms)
+    """i^unit times each lattice factor (kind, orient, x, y) to its power."""
+    out = GammaExpr.__new__(GammaExpr)
+    out.unit_ipow, out._counts, out._d = unit % 4, counts, d
+    out._factors = out._terms = None
     return out
 
 
@@ -651,11 +656,7 @@ def fe_ratio_check(r: ReprData, s, tol: float = 1e-8) -> FERatioResult:
     # under s -> -conj(s), and re-sorting keeps the pairing of real parts
     den = _l_inf(dual_repr(rn))
     prod_expr = script_g_full(_embed(rn), rn.eta)
-    d = min(
-        num.nearest_pole_distance(s),
-        den.nearest_pole_distance(1 - s),
-        prod_expr.nearest_pole_distance(s),
-    )
+    d = min(e.nearest_pole_distance(z) for e, z in ((num, s), (den, 1 - s), (prod_expr, s)))
     if d < _MIN_POLE_DISTANCE:
         raise PoleProximityError(s, d)
     top, bottom, prod = num.value(s), den.value(1 - s), prod_expr.value(s)
@@ -815,7 +816,7 @@ def holomorphy_check(r: ReprData) -> HolomorphyReport:
     rn = _checked(r)
     notes = []
     factor = _l_inf(rn)
-    if any(p < 0 for p in factor.factors.values()):
+    if any(p < 0 for p in factor._counts.values()):
         notes.append("local factor contains reciprocal Gamma factors")
     stray = factor.lattice_points_in_halfplane(1)
     if stray:
@@ -830,8 +831,7 @@ def holomorphy_check(r: ReprData) -> HolomorphyReport:
                 f"pole at {rec.location}: G-product order {got} below required {rec.order}"
             )
         for idx, part in enumerate(partials, 1):
-            z = part.zero_order_at(rec.location)
-            if z:
+            if z := part.zero_order_at(rec.location):
                 notes.append(
                     f"pole at {rec.location}: partial product {idx} vanishes to order {z}"
                 )

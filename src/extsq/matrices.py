@@ -312,9 +312,9 @@ def genmatrix_from_json(obj) -> Matrix:
                 raise ValueError(f"entry {cell!r} is not a string")
             try:
                 prow.append(parse_rational(cell))
-            except ValueError:
+            except ValueError as exc:
                 if not _NAME_RE.match(cell):
-                    raise ValueError(f"entry {cell!r} is neither rational nor a name")
+                    raise ValueError(f"entry {cell!r} is neither rational nor a name: {exc}")
                 names.add(cell)
                 prow.append(cell)
         parsed.append(prow)

@@ -299,8 +299,34 @@ def test_huge_decimal_exponents_are_input_errors(capsys, tmp_path, repr_file, al
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    # the one line names the option or the entry, and the literal
+    s = argv[argv.index("--s") + 1] if "--s" in argv else None
     if argv[0] == "decompose":
-        assert "'1e4300'" in err
+        named = ("'1e4300'", "4300 digits")
+    elif s == "2":
+        named = ("field 'alpha'", repr(alpha[0]))
+    else:
+        named = ("--s", repr(s))
+    assert all(part in err for part in named), err
+
+
+@pytest.mark.parametrize(
+    "entry,reason",
+    [
+        ("1e4300", "(expands to 4300 digits or more)"),
+        ("1e-999999999", "(expands to 4300 digits or more)"),
+        ("1/0", "not a rational literal: '1/0'"),
+    ],
+    ids=["1e4300", "1e-999999999", "1/0"],
+)
+def test_unreadable_matrix_entries_keep_the_parser_reason(capsys, tmp_path, entry, reason):
+    path = tmp_path / "bad_matrix.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [[entry, "1"], ["1", "2"]]}))
+    code, out, err = run_cli(capsys, "decompose", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: entry {entry!r} is neither rational nor a name: ")
+    assert err.count("\n") == 1 and reason in err
 
 
 @pytest.mark.parametrize("shift,code", [("1000i", 2), ("1e5i", 2), ("100i", 0)])

@@ -132,18 +132,16 @@ def test_the_prs_is_the_one_gcd_fallback():
     assert not {"_univar_gcd", "_perm_sign"} & {name for _, name in functions}
 
 
-def test_expr_is_the_one_gamma_factor_construction():
-    """Every GammaFactor in the package is built by lfactors._expr from a
-    lattice key, so each distinct factor's exact constant is made once, and
-    the per-shift G accumulator stays deleted."""
+def test_the_factors_view_is_the_one_gamma_factor_construction():
+    """Every GammaFactor in the package is built by the GammaExpr.factors view
+    from a lattice key, only when the exact factors are read, and the per-shift
+    G accumulator and the RationalComplex pole-lattice test stay deleted."""
     callers, defined = set(), set()
     for path in MODULES:
-        tree = ast.parse(path.read_text())
-        for top in tree.body:
-            for node in ast.walk(top):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    defined.add(node.name)
-                if isinstance(node, ast.Call) and "GammaFactor" in _calls(node):
-                    callers.add((path.name, getattr(top, "name", None)))
-    assert callers == {("lfactors.py", "_expr")}
-    assert "_accumulate_g" not in defined
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+                if "GammaFactor" in _calls(node):
+                    callers.add((path.name, node.name))
+    assert callers == {("lfactors.py", "factors")}
+    assert not {"_accumulate_g", "_pole_lattice_hit"} & defined

@@ -186,24 +186,26 @@ def test_gamma_expr_product_keeps_the_reference_order():
                 assert got.unit_ipow == want.unit_ipow
 
 
-def test_each_shift_is_converted_to_complex_once(monkeypatch):
-    calls = []
-    to_complex = RC.__complex__
-
-    def counting(self):
-        calls.append(self)
-        return to_complex(self)
-
+def test_each_shift_is_converted_to_complex_once():
     expr = l_inf(MIXED) * script_g(casselman_embedding(MIXED), 0)
     point = complex(0.3, 0.7)
     want = (expr.value(point), expr.nearest_pole_distance(point))
     fresh = expr * GammaExpr.one()
-    monkeypatch.setattr(RC, "__complex__", counting)
+    assert fresh._terms is None
     assert (fresh.value(point), fresh.nearest_pole_distance(point)) == want
-    assert sorted(map(str, calls)) == sorted(str(fac.const) for fac in fresh.factors)
+    # the float terms are built once per expression and reused at every point
+    terms = fresh._float_terms()
     fresh.value(1 - point)
     fresh.nearest_pole_distance(1 - point)
-    assert len(calls) == len(fresh.factors)
+    assert fresh._float_terms() is terms
+    # each term is the exact shift rounded once, bit for bit
+    assert len(terms) == len(fresh.factors)
+    for (kind, orient, z, power), (fac, p) in zip(terms, fresh.factors.items()):
+        assert (kind, orient, power) == (fac.kind, fac.orient, p)
+        assert (z.real.hex(), z.imag.hex()) == (
+            complex(fac.const).real.hex(),
+            complex(fac.const).imag.hex(),
+        )
 
 
 def test_each_builder_constructs_its_expression_once(monkeypatch):
@@ -212,7 +214,11 @@ def test_each_builder_constructs_its_expression_once(monkeypatch):
     assert r.sign_blocks and r.ds_blocks
     e = casselman_embedding(r)
     counts = Counter()
-    init, mul = GammaExpr.__init__, GammaExpr.__mul__
+    expr, init, mul = lfactors._expr, GammaExpr.__init__, GammaExpr.__mul__
+
+    def counting_expr(*args):
+        counts["expr"] += 1
+        return expr(*args)
 
     def counting_init(self, *args):
         counts["init"] += 1
@@ -222,16 +228,37 @@ def test_each_builder_constructs_its_expression_once(monkeypatch):
         counts["mul"] += 1
         return mul(self, other)
 
+    monkeypatch.setattr(lfactors, "_expr", counting_expr)
     monkeypatch.setattr(GammaExpr, "__init__", counting_init)
     monkeypatch.setattr(GammaExpr, "__mul__", counting_mul)
     for build in (lambda: script_g_full(e, r.eta), lambda: l_inf(r)):
         counts.clear()
         build()
-        assert counts == {"init": 1}
+        assert counts == {"expr": 1}
     counts.clear()
     partial_products(r)
     # script_g and the six parts, then the five products of the reassembly check
-    assert counts == {"init": 1 + 6 + 5, "mul": 5}
+    assert counts == {"expr": 1 + 6 + 5, "mul": 5}
+
+
+def test_the_float_path_builds_no_exact_factor(monkeypatch):
+    built = []
+    make = lfactors.GammaFactor
+
+    def counting(*args):
+        built.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(lfactors, "GammaFactor", counting)
+    fe_ratio_check(MIXED, complex(0.83, 0.17))
+    assert built == []
+    pole_free = [TEMPERED, *(random_repr_data(random.Random(47), n_half=n) for n in (3, 4))]
+    for r in pole_free:
+        report = holomorphy_check(r)
+        assert report.ok and len(report.poles) == 0
+    assert built == []
+    # the view is where the exact factors come from
+    assert len(l_inf(MIXED).factors) == len(built) > 0
 
 
 # -- an independent reference for the lattice builders ------------------------
@@ -530,6 +557,128 @@ def test_orders_at_exact_points_on_and_off_the_lattice(kind, step, orient):
     for arg in off_args:
         assert _orders(pole, point(arg)) == (0, 0, 0)
         assert _orders(zero, point(arg)) == (0, 0, 0)
+
+
+# -- an independent reference for the integer pole-lattice tests -------------
+#
+# The rule below decides lattice membership in RationalComplex arithmetic on
+# each exact factor, as the orders were computed before they moved onto the
+# scaled integer keys, and shares no code with lfactors.
+
+
+def _ref_hit(fac, point):
+    """Is the factor's Gamma argument at the exact point a pole of its Gamma?"""
+    step = 2 if fac.kind == "R" else 1
+    point = RC.from_value(point)
+    z = fac.const + point if fac.orient == 1 else fac.const - point
+    if z.imag != 0 or z.real > 0:
+        return False
+    return z.real.denominator == 1 and int(z.real) % step == 0
+
+
+def _ref_orders(expr, point):
+    hits = [p for fac, p in expr.factors.items() if _ref_hit(fac, point)]
+    pole, zero = sum(p for p in hits if p > 0), sum(-p for p in hits if p < 0)
+    return pole, zero, zero - pole
+
+
+def _ref_lattice_points(expr, re_min):
+    re_min = F(re_min)
+    points = set()
+    for fac in expr.factors:
+        step = 2 if fac.kind == "R" else 1
+        m = 0
+        while -step * m >= re_min + fac.const.real:
+            points.add(RC(F(-step * m), 0) - fac.const)
+            m += 1
+    out = {}
+    for pt in points:
+        o = _ref_orders(expr, pt)[2]
+        if o:
+            out[pt] = o
+    return out
+
+
+def _probe_points(expr):
+    """Points on each factor's lattice, beside it, and off the expression's grid."""
+    d = expr._d
+    for fac in expr.factors:
+        step = 2 if fac.kind == "R" else 1
+        for arg in (0, -step, -2 * step, -1, 1, F(-1, 2)):
+            at = arg - fac.const if fac.orient == 1 else fac.const - arg
+            yield at
+            # denominators that do not divide d
+            yield at + F(1, 3 * d)
+            yield at + RC(0, F(1, d + 1))
+    yield from (RC(0), RC(F(13, 20)), RC(F(-7, 5), F(2, 7)))
+
+
+def _cancelling(expr):
+    """expr times reciprocal factors that share lattice points with its own."""
+    for fac in expr.factors:
+        other = GammaExpr.gamma_r if fac.kind == "C" else GammaExpr.gamma_c
+        expr = expr * other(fac.const, -1)
+    return expr
+
+
+def _integer_test_inputs():
+    rng = random.Random(59)
+    reprs = [random_repr_data(rng, n_half=n, eta=eta) for n in range(1, 5) for eta in (0, 1)]
+    reprs += [THIRDS_SEVENTHS, NINTHS]
+    forward = [l_inf(r) for r in reprs] + [_cancelling(l_inf(r)) for r in reprs[::3]]
+    for kind in ("R", "C"):
+        for power in (-2, 1):
+            fac = lfactors.GammaFactor(kind, 1, RC(F(1, 3), F(1, 2)))
+            forward.append(GammaExpr(0, {fac: power}))
+    both = []
+    for r in reprs[::2]:
+        e = casselman_embedding(r)
+        both += [script_g(e, r.eta), *partial_products(r)]
+    return forward, both
+
+
+def test_integer_orders_match_an_exact_reference():
+    forward, both = _integer_test_inputs()
+    assert {f.orient for g in both for f in g.factors} == {1, -1}
+    assert {f.kind for g in forward + both for f in g.factors} == {"R", "C"}
+    for expr in forward + both:
+        for point in _probe_points(expr):
+            assert _orders(expr, point) == _ref_orders(expr, point), (expr, point)
+
+
+def test_integer_halfplane_scan_matches_an_exact_reference():
+    forward, both = _integer_test_inputs()
+    found = 0
+    for expr in forward:
+        for re_min in (F(1, 2), 1, 0, F(-5, 2)):
+            got, want = expr.lattice_points_in_halfplane(re_min), _ref_lattice_points(expr, re_min)
+            assert list(got.items()) == list(want.items())
+            found += len(got) > 1
+    assert found > 10
+    for expr in filter(lambda g: g.factors, both):
+        with pytest.raises(ValueError, match="reversed factors"):
+            expr.lattice_points_in_halfplane(F(1, 2))
+
+
+def test_products_and_equality_rescale_across_denominators():
+    thirds_quarters = GammaExpr.gamma_r(F(1, 3)) * GammaExpr.gamma_r(F(1, 4))
+    inverse = GammaExpr(0, {fac: -p for fac, p in thirds_quarters.factors.items()})
+    assert thirds_quarters._d == inverse._d == 12
+    assert thirds_quarters * inverse == GammaExpr.one()
+    assert inverse * thirds_quarters == GammaExpr.one()
+    half = GammaExpr.gamma_r(F(1, 2))
+    # Gamma_R(s+1/2) on d = 12: the thirds and quarters cancel
+    reduced = thirds_quarters * half * inverse
+    assert (reduced._d, half._d) == (12, 2)
+    assert reduced == half and half == reduced
+    assert list(reduced.factors.items()) == list(half.factors.items())
+    assert reduced.describe() == half.describe() == ("Gamma_R(s+1/2)",)
+    assert reduced != GammaExpr.gamma_r(F(1, 2), 2)
+    assert reduced != GammaExpr.gamma_c(F(1, 2))
+    assert reduced != GammaExpr.g_factor(0, F(1, 2)) * GammaExpr.g_factor(0, F(1, 2))
+    assert reduced * GammaExpr.gamma_r(F(1, 2), -1) == GammaExpr.one()
+    for point in (F(-1, 2), F(-3, 2), F(-5, 2), F(-1, 3), F(-7, 12), RC(F(-1, 2), F(1, 4))):
+        assert _orders(reduced, point) == _orders(half, point) == _ref_orders(half, point)
 
 
 def test_pole_enumeration_sign_pair():
