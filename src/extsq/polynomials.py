@@ -20,16 +20,16 @@ Pearce, "Sparse polynomial division using a heap", J. Symbolic Comput.
 46(7), 2011).
 
 The gcd is layered: monomial content, trial division, an exact
-coprimality certificate, and the primitive pseudo-remainder sequence (Knuth,
-TAOCP vol. 2, 4.6.1) as the one fallback.  This is enough to keep rational
-functions canonical without a computer-algebra dependency.  The certificate
-substitutes one seeded integer point for all variables but one, v, for every
-shared v in one pass over the terms.  When lc_v(f) or lc_v(g) survives and
-the two univariate images have a constant gcd, v does not occur in
-gcd(f, g): the gcd's lc_v divides both, so its image keeps its degree in v
-and divides both images.  Most coprime pairs, such as two distinct minors of
-a generic matrix, are settled by that alone; every other pair goes to the
-PRS.
+coprimality certificate, and the subresultant pseudo-remainder sequence
+(Knuth, TAOCP vol. 2, 4.6.1) as the one fallback.  This is enough to keep
+rational functions canonical without a computer-algebra dependency.  The
+certificate substitutes one seeded integer point for all variables but one,
+v, for every shared v in one pass over the terms.  When lc_v(f) or lc_v(g)
+survives and the two univariate images have a constant gcd, v does not
+occur in gcd(f, g): the gcd's lc_v divides both, so its image keeps its
+degree in v and divides both images.  Most coprime pairs, such as two
+distinct minors of a generic matrix, are settled by that alone; every other
+pair goes to the PRS.
 """
 
 from __future__ import annotations
@@ -511,7 +511,7 @@ def _gcd_core(f: Polynomial, g: Polynomial) -> Polynomial:
 
     After the cheap cases (a constant, equal inputs, one dividing the other)
     the image certificate either proves the gcd is 1 or hands the pair to
-    the primitive PRS gcd, the one fallback.
+    the subresultant PRS gcd, the one fallback.
     """
     ring = f.ring
     if f.is_constant() or g.is_constant():
@@ -528,6 +528,11 @@ def _gcd_core(f: Polynomial, g: Polynomial) -> Polynomial:
     shared = [n for n in fvars if n in gvars]
     if not shared or _proved_coprime(f, g, shared):
         return ring.one()
+    # A variable in only one input is absent from the gcd, so the PRS in it
+    # is only the content gcds: the cheapest main variable when there is one.
+    lone = [n for n in (*fvars, *gvars) if n not in shared]
+    if lone:
+        return _prs_gcd(f, g, lone[0])
     return _prs_gcd(f, g, min(shared, key=lambda n: max(f.degree_in(n), g.degree_in(n))))
 
 
@@ -629,40 +634,53 @@ def _content_in(f: Polynomial, x: str) -> Polynomial:
 
 
 def _prs_gcd(f: Polynomial, g: Polynomial, x: str) -> Polynomial:
-    """Primitive pseudo-remainder sequence gcd in the main variable x."""
+    """Subresultant pseudo-remainder sequence gcd in the main variable x.
+
+    Each pseudo-remainder is divided exactly by beta = l * h^delta (Brown &
+    Traub; Knuth, TAOCP vol. 2, 4.6.1, Algorithm C), which keeps the growth
+    of the coefficients in the other variables polynomial.  Only the inputs
+    and the last remainder take a content gcd: taking one at every step, as
+    the primitive sequence does, recurses into ever larger content gcds and
+    runs for minutes on some 3x3 rational-function determinants.
+    """
     cf = _content_in(f, x)
     cg = _content_in(g, x)
     cont = poly_gcd(cf, cg)
-    a = _pp_in(f, x, cf)
-    b = _pp_in(g, x, cg)
+    a = _exact_quo(f, cf)
+    b = _exact_quo(g, cg)
     if a.degree_in(x) < b.degree_in(x):
         a, b = b, a
-    while True:
+    one = f.ring.one()
+    lc = h = one
+    while b.degree_in(x):
+        delta = a.degree_in(x) - b.degree_in(x)
         r = _pseudo_rem(a, b, x)
         if r.is_zero():
-            gcd_pp = b
+            gcd_pp = _exact_quo(b, _content_in(b, x))
             break
-        if r.degree_in(x) == 0:
-            gcd_pp = f.ring.one()
-            break
-        r = _pp_in(r, x, _content_in(r, x)).content_and_primitive()[1]
-        a, b = b, r
+        a, b = b, _exact_quo(r, lc * h**delta)
+        lc = a.coefficients_in(x)[a.degree_in(x)]
+        h = _exact_quo(lc**delta, h ** (delta - 1)) if delta else h
+    else:
+        gcd_pp = one
     result = cont * gcd_pp
     return result.content_and_primitive()[1]
 
 
-def _pp_in(f: Polynomial, x: str, content: Polynomial) -> Polynomial:
-    q = f.exact_div(content)
+def _exact_quo(f: Polynomial, d: Polynomial) -> Polynomial:
+    q = f.exact_div(d)
     if q is None:
-        raise ArithmeticError("content does not divide")
+        raise ArithmeticError("exact division failed in the gcd")
     return q
 
 
 def _pseudo_rem(a: Polynomial, b: Polynomial, x: str) -> Polynomial:
+    """prem(a, b) = lc_x(b)^(deg_x a - deg_x b + 1) * a mod b, in x."""
     ring = a.ring
     i = ring.index[x]
     db = b.degree_in(x)
     lb = b.coefficients_in(x)[db]
+    steps = a.degree_in(x) - db + 1
     r = a
     while not r.is_zero():
         dr = r.degree_in(x)
@@ -673,4 +691,5 @@ def _pseudo_rem(a: Polynomial, b: Polynomial, x: str) -> Polynomial:
         exps[i] = dr - db
         shift = ring.monomial(exps)
         r = r * lb - b * (lr * shift)
-    return r
+        steps -= 1
+    return r * lb**steps if steps and not r.is_zero() else r

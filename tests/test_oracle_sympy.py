@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
+from sympy.combinatorics import Permutation  # noqa: E402
+
 from extsq import polynomials  # noqa: E402
 from extsq.matrices import Matrix  # noqa: E402
 from extsq.polynomials import PolyRing, Polynomial, poly_gcd  # noqa: E402
@@ -277,12 +279,62 @@ def ratfunc_matrices(draw):
     )
 
 
+def to_sympy_poly(p):
+    return sympy.Poly(to_sympy(p) if isinstance(p, Polynomial) else p, *SYMS, domain="QQ")
+
+
+def sympy_det_fraction(m: Matrix):
+    """det(m) of a RatFunc matrix as sympy Polys (num, den), with no gcd.
+
+    The Leibniz sum over permutations is put on one denominator, the product
+    of every entry's denominator: each term takes the numerators on its
+    permutation and the denominators off it.  sympy's own ``det`` and
+    ``cancel`` take gcds at every step and run for seconds to minutes on
+    some 3x3 draws.
+    """
+    n = m.nrows
+    nums = [[to_sympy_poly(e.num) for e in row] for row in m.data]
+    dens = [[to_sympy_poly(e.den) for e in row] for row in m.data]
+    den = to_sympy_poly(1)
+    for d in itertools.chain(*dens):
+        den *= d
+    num = to_sympy_poly(0)
+    for p in itertools.permutations(range(n)):
+        term = to_sympy_poly(Permutation(list(p)).signature())
+        for i, j in itertools.product(range(n), repeat=2):
+            term *= nums[i][j] if j == p[i] else dens[i][j]
+        num += term
+    return num, den
+
+
 @given(ratfunc_matrices())
 @settings(max_examples=60, deadline=None)
 def test_ratfunc_det_matches_sympy(m):
     got = m.det()
     assert isinstance(got, RatFunc)
-    assert sympy.cancel(to_sympy_entry(got) - sympy_det(m)) == 0
+    num, den = sympy_det_fraction(m)
+    assert to_sympy_poly(got.num) * den == to_sympy_poly(got.den) * num
+
+
+def test_ratfunc_det_spot_with_a_long_remainder_sequence():
+    # Its determinant's gcd ran for minutes when every pseudo-remainder took
+    # a content gcd.
+    x, y, z = (R.var(name) for name in NAMES)
+    zero = RatFunc.from_poly(R.zero())
+    m = Matrix([
+        [zero,
+         RatFunc(Fraction(-2, 3) * x**2 * y - 4 * y**2 - 6 * z, 4 * x * y + y * z),
+         RatFunc(-2 * x**2 * y**2 - 3 * x**2 * z, 3 * x * y * z + 2)],
+        [RatFunc.from_poly(Fraction(4, 3) * x),
+         RatFunc(Fraction(-8, 3) * x * y**2 + Fraction(8, 3) * x * y, x * y * z + 4 * z),
+         RatFunc(4 * y**2, z)],
+        [zero,
+         RatFunc(x**2 * y, 2 * x * y * z + z),
+         RatFunc(8 * x**2 * z**2 + 2 * x * y**2 * z + 8, x * z + 6)],
+    ])
+    got = m.det()
+    num, den = sympy_det_fraction(m)
+    assert to_sympy_poly(got.num) * den == to_sympy_poly(got.den) * num
 
 
 @st.composite
