@@ -37,7 +37,6 @@ from .lfactors import (
     SignBlock,
     casselman_embedding,
     contragredient,
-    dual_repr,
     fe_ratio_check,
     holomorphy_check,
     l_inf,

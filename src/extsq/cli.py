@@ -247,9 +247,9 @@ def cmd_gamma(args) -> int:
 
 def cmd_lfactor(args) -> int:
     t0 = time.monotonic()
-    rn = _checked(repr_from_json(_load_json(args.repr)))
-    expr = _l_inf(rn)
-    output = {"factors": list(expr.describe()), "omega": _cx(_omega(rn))}
+    c = _checked(repr_from_json(_load_json(args.repr)))
+    expr = _l_inf(c)
+    output = {"factors": list(expr.describe()), "omega": _cx(_omega(c))}
     if args.s is not None:
         s = _parse_s(args.s)
         output["s"] = _cx(s)

@@ -7,14 +7,15 @@ expressions: the local factor itself, the Gamma-ratio of its functional
 equation with its root-number constant, pole lists in a right half-plane,
 and the six partial products used in the holomorphy analysis.
 
-Each public function normalizes and validates its input once, then hands
-the checked data to private builders (``_l_inf``, ``_embed``,
-``_partial_products``) that take it as given and check nothing again.
-The Gamma-product builders work on one integer lattice: each scales its
-shifts by their common denominator d (with 2) and accumulates factor
-powers in one dict keyed by (kind, orient, d*Re, d*Im), merging in integer
-arithmetic.  A ``GammaExpr`` stores those counts and d: products,
-equality and pole-lattice tests stay in integers, and the exact
+Each public function checks its input once.  ``_checked`` puts the blocks
+on one integer lattice, scaling every shift by the common denominator d
+(with 2) to (label, d*Re s, d*Im s), sorts them as ``normalize`` does,
+validates that form and returns it.  The private builders (``_l_inf``,
+``_embed``, ``_g_product``, ``_partial_products``, ``_omega`` and the
+dual step ``_dual``) take the lattice form as given, check nothing again
+and work in integers, accumulating factor powers in one dict keyed by
+(kind, orient, d*Re, d*Im).  A ``GammaExpr`` stores those counts and d:
+products, equality and pole-lattice tests stay in integers, and the exact
 ``GammaFactor`` constants and the float shifts are built from the keys on
 first read.  Exact keys keep lattice membership (where Gamma arguments
 pole) decidable.
@@ -26,12 +27,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .rational import RationalComplex, _json_complex, _json_field, _json_int, _json_list
 from .specialfn import _I_POW, PoleError, as_parity, log_gamma_c, log_gamma_r
 
-_HALF = Fraction(1, 2)
 # fe_ratio_check refuses sample points closer than this to a Gamma pole
 _MIN_POLE_DISTANCE = 1e-6
 
@@ -104,26 +106,53 @@ class ReprData:
         )
 
 
+class _Checked(NamedTuple):
+    """Induction data on its lattice: d, then the sign blocks as (eps, x, y)
+    and the ds blocks as (k, x, y), where x + iy is d times the shift."""
+
+    n_half: int
+    eta: int
+    d: int
+    sign: list
+    ds: list
+
+
+def _by_shift(block) -> tuple:
+    """normalize's order on a lattice block: real part, imaginary part, label."""
+    label, x, y = block
+    return x, y, label
+
+
+def _point(x: int, y: int, d: int) -> RationalComplex:
+    """The exact number (x + iy) / d."""
+    return RationalComplex(Fraction(x, d), Fraction(y, d))
+
+
 def validate(r: ReprData) -> list:
     """Check the unitarity and ordering conditions; return violation texts.
 
     An empty list means the data is admissible for every operation below.
     """
+    blocks = [(b.eps, b.s) for b in r.sign_blocks], [(b.k, b.s) for b in r.ds_blocks]
+    return _violations(_Checked(r.n_half, r.eta, *_lattice(*blocks)))
+
+
+def _violations(c: _Checked) -> list:
+    """validate's checks on the lattice form; a block is named by its shift."""
     out = []
-    r1, r2 = len(r.sign_blocks), len(r.ds_blocks)
-    if r.n_half < 1 or r1 + 2 * r2 != 2 * r.n_half:
-        out.append(f"size: r1 + 2*r2 = {r1 + 2 * r2} does not equal 2*n = {2 * r.n_half}")
+    d, r1, r2 = c.d, len(c.sign), len(c.ds)
+    if c.n_half < 1 or r1 + 2 * r2 != 2 * c.n_half:
+        out.append(f"size: r1 + 2*r2 = {r1 + 2 * r2} does not equal 2*n = {2 * c.n_half}")
     if r1 % 2:
         out.append("r1-parity: an odd number of sign blocks admits no embedding here")
-    for j, b in enumerate(r.ds_blocks, 1):
-        if b.k < 2:
-            out.append(f"k-range: ds block {j} has k = {b.k} < 2")
-    d, sb, db = _block_lattice(r)
-    families = (("sign", sb), ("ds", db))
+    for k, x, y in c.ds:
+        if k < 2:
+            out.append(f"k-range: ds block at s = {_point(x, y, d)} has k = {k} < 2")
+    families = (("sign", c.sign), ("ds", c.ds))
     for fam, blocks in families:
-        for j, (_, x, _) in enumerate(blocks, 1):
+        for _, x, y in blocks:
             if 2 * abs(x) >= d:
-                out.append(f"(b): {fam} block {j} has |Re s| >= 1/2")
+                out.append(f"(b): {fam} block at s = {_point(x, y, d)} has |Re s| >= 1/2")
     for fam, blocks in families:
         # s -> -conj(s) takes (d*Re s, d*Im s) to (-d*Re s, d*Im s)
         if Counter(blocks) != Counter((label, -x, y) for label, x, y in blocks):
@@ -138,13 +167,22 @@ def validate(r: ReprData) -> list:
     return out
 
 
-def _checked(r: ReprData) -> ReprData:
-    """normalize(r), or ValueError naming each violation when it is not admissible."""
-    rn = normalize(r)
-    problems = validate(rn)
+def _checked(r: ReprData) -> _Checked:
+    """r on its lattice with the blocks sorted as normalize sorts them, or
+    ValueError naming each violation when the data is not admissible."""
+    blocks = [(b.eps, b.s) for b in r.sign_blocks], [(b.k, b.s) for b in r.ds_blocks]
+    d, sb, db = _lattice(*blocks)
+    c = _Checked(r.n_half, r.eta, d, sorted(sb, key=_by_shift), sorted(db, key=_by_shift))
+    problems = _violations(c)
     if problems:
         raise ValueError("invalid representation data: " + "; ".join(problems))
-    return rn
+    return c
+
+
+def _dual(c: _Checked) -> _Checked:
+    """The contragredient data: every shift negated, blocks re-sorted."""
+    flip = lambda blocks: sorted([(label, -x, -y) for label, x, y in blocks], key=_by_shift)
+    return c._replace(sign=flip(c.sign), ds=flip(c.ds))
 
 
 def normalize(r: ReprData) -> ReprData:
@@ -152,18 +190,6 @@ def normalize(r: ReprData) -> ReprData:
     sb = sorted(r.sign_blocks, key=lambda b: (b.s.real, b.s.imag, b.eps))
     db = sorted(r.ds_blocks, key=lambda b: (b.s.real, b.s.imag, b.k))
     return ReprData(r.n_half, r.eta, tuple(sb), tuple(db))
-
-
-def dual_repr(r: ReprData) -> ReprData:
-    """Contragredient data: every shift negated, blocks re-sorted."""
-    return normalize(
-        ReprData(
-            r.n_half,
-            r.eta,
-            tuple((b.eps, -b.s) for b in r.sign_blocks),
-            tuple((b.k, -b.s) for b in r.ds_blocks),
-        )
-    )
 
 
 def repr_from_json(obj) -> ReprData:
@@ -265,25 +291,19 @@ def casselman_embedding(r: ReprData) -> EmbeddingParams:
     -s -+ (k-1)/2 with parities (k mod 2, 0), and the remaining sign blocks
     close the list.  Blocks are sorted first; permuting them is free.
     """
-    return _embed(_checked(r))
+    d, lam = _embed(_checked(r))
+    return EmbeddingParams(tuple(_point(x, y, d) for _, x, y in lam), tuple(p for p, _, _ in lam))
 
 
-def _embed(rn: ReprData) -> EmbeddingParams:
-    h = len(rn.sign_blocks) // 2
-    lam, delta = [], []
-    for b in rn.sign_blocks[:h]:
-        lam.append(-b.s)
-        delta.append(b.eps)
-    for b in rn.ds_blocks:
-        half = Fraction(b.k - 1, 2)
-        lam.append(-b.s - half)
-        delta.append(b.k % 2)
-        lam.append(-b.s + half)
-        delta.append(0)
-    for b in rn.sign_blocks[h:]:
-        lam.append(-b.s)
-        delta.append(b.eps)
-    return EmbeddingParams(tuple(lam), tuple(delta))
+def _embed(c: _Checked) -> tuple:
+    """d, then casselman_embedding on c's lattice: (delta, d*Re lam, d*Im lam)."""
+    h, half = len(c.sign) // 2, c.d // 2
+    lam = [(eps, -x, -y) for eps, x, y in c.sign[:h]]
+    for k, x, y in c.ds:
+        lam.append((k % 2, -x - (k - 1) * half, -y))
+        lam.append((0, -x + (k - 1) * half, -y))
+    lam.extend((eps, -x, -y) for eps, x, y in c.sign[h:])
+    return c.d, lam
 
 
 def contragredient(e: EmbeddingParams) -> EmbeddingParams:
@@ -330,11 +350,6 @@ def _lattice(*families) -> tuple:
     return (d, *([(label, scale(z.real), scale(z.imag)) for label, z in fam] for fam in families))
 
 
-def _block_lattice(r: ReprData) -> tuple:
-    """d, then the sign blocks as (eps, x, y) and the ds blocks as (k, x, y)."""
-    return _lattice([(b.eps, b.s) for b in r.sign_blocks], [(b.k, b.s) for b in r.ds_blocks])
-
-
 class GammaExpr:
     """Product of shifted Gamma_R/Gamma_C factors with a unit constant i^k.
 
@@ -357,15 +372,16 @@ class GammaExpr:
         self._factors = self._terms = None
 
     @property
-    def factors(self) -> dict:
-        """Each GammaFactor mapped to its power, in the stored order."""
+    def factors(self) -> MappingProxyType:
+        """A read-only view of each GammaFactor mapped to its power, in the stored order."""
         factors = self._factors
         if factors is None:
             d = self._d
-            factors = self._factors = {
-                GammaFactor(kind, orient, RationalComplex(Fraction(x, d), Fraction(y, d))): power
+            factors = {
+                GammaFactor(kind, orient, _point(x, y, d)): power
                 for (kind, orient, x, y), power in self._counts.items()
             }
+            factors = self._factors = MappingProxyType(factors)
         return factors
 
     def _float_terms(self) -> tuple:
@@ -521,7 +537,7 @@ class GammaExpr:
                 raise ValueError("reversed factors have unbounded lattices to the right")
             # the argument s + (x + iy) / d poles at s = (px - iy) / d
             for px in range(-x, lo - 1, -2 * d if kind == "R" else -d):
-                points.add(RationalComplex(Fraction(px, d), Fraction(-y, d)))
+                points.add(_point(px, -y, d))
         return {pt: o for pt in points if (o := self.order_at(pt))}
 
     def poles_in_halfplane(self, re_min) -> dict:
@@ -551,9 +567,8 @@ def l_inf(r: ReprData) -> GammaExpr:
     return _l_inf(_checked(r))
 
 
-def _l_inf(rn: ReprData) -> GammaExpr:
-    eta = rn.eta
-    d, sb, db = _block_lattice(rn)
+def _l_inf(c: _Checked) -> GammaExpr:
+    eta, d, sb, db = c.eta, c.d, c.sign, c.ds
     half = d // 2
     counts = {}
     for k, x, y in db:
@@ -561,28 +576,22 @@ def _l_inf(rn: ReprData) -> GammaExpr:
     for _, x1, y1 in sb:
         for k, x2, y2 in db:
             _accumulate(counts, ("C", 1, x1 + x2 + (k - 1) * half, y1 + y2))
-    for i in range(len(sb)):
-        for m in range(i + 1, len(sb)):
-            (e1, x1, y1), (e2, x2, y2) = sb[i], sb[m]
-            _accumulate(counts, ("R", 1, x1 + x2 + (e1 + e2 + eta) % 2 * d, y1 + y2))
-    for j in range(len(db)):
-        for l in range(j + 1, len(db)):
-            (k1, x1, y1), (k2, x2, y2) = db[j], db[l]
-            _accumulate(counts, ("C", 1, x1 + x2 + (k1 + k2 - 2) * half, y1 + y2))
-            _accumulate(counts, ("C", 1, x1 + x2 + abs(k1 - k2) * half, y1 + y2))
+    for (e1, x1, y1), (e2, x2, y2) in combinations(sb, 2):
+        _accumulate(counts, ("R", 1, x1 + x2 + (e1 + e2 + eta) % 2 * d, y1 + y2))
+    for (k1, x1, y1), (k2, x2, y2) in combinations(db, 2):
+        _accumulate(counts, ("C", 1, x1 + x2 + (k1 + k2 - 2) * half, y1 + y2))
+        _accumulate(counts, ("C", 1, x1 + x2 + abs(k1 - k2) * half, y1 + y2))
     return _expr(0, counts, d)
 
 
-def _g_product(e: EmbeddingParams, eta, keep) -> GammaExpr:
-    eta = as_parity(eta)
-    d, lam = _lattice(list(zip(e.delta, e.lam)))
+def _g_product(d: int, lam: list, eta: int, full: bool) -> GammaExpr:
+    """G over the pairs i < j of the lattice embedding lam: all of them when
+    full, else those with i + j <= 2n."""
     two_n = len(lam)
     counts, unit = {}, 0
-    for i in range(1, two_n + 1):
-        for j in range(i + 1, two_n + 1):
-            if not keep(i, j, two_n):
-                continue
-            (di, xi, yi), (dj, xj, yj) = lam[i - 1], lam[j - 1]
+    for i, (di, xi, yi) in enumerate(lam):
+        # 0-based, i + j <= 2n reads j < 2n - 1 - i
+        for dj, xj, yj in lam[i + 1 : two_n if full else two_n - 1 - i]:
             p = (di + dj + eta) % 2
             # G(p, -(lam_i + lam_j)), the shift scaled by d to -(xi + xj, yi + yj)
             _accumulate(counts, ("R", 1, p * d - xi - xj, -yi - yj))
@@ -593,7 +602,7 @@ def _g_product(e: EmbeddingParams, eta, keep) -> GammaExpr:
 
 def script_g(e: EmbeddingParams, eta) -> GammaExpr:
     """Product of G factors over index pairs i < j with i + j <= 2n."""
-    return _g_product(e, eta, lambda i, j, two_n: i + j <= two_n)
+    return _g_product(*_lattice(list(zip(e.delta, e.lam))), as_parity(eta), False)
 
 
 def script_g_tilde(e: EmbeddingParams, eta) -> GammaExpr:
@@ -603,7 +612,7 @@ def script_g_tilde(e: EmbeddingParams, eta) -> GammaExpr:
 
 def script_g_full(e: EmbeddingParams, eta) -> GammaExpr:
     """Product over all pairs i < j; the functional-equation right side."""
-    return _g_product(e, eta, lambda i, j, two_n: True)
+    return _g_product(*_lattice(list(zip(e.delta, e.lam))), as_parity(eta), True)
 
 
 def omega_closed_form(r: ReprData) -> complex:
@@ -620,16 +629,12 @@ def omega_closed_form(r: ReprData) -> complex:
     return _omega(_checked(r))
 
 
-def _omega(rn: ReprData) -> complex:
-    n = 2 * rn.n_half
-    expo = 0
-    sb = rn.sign_blocks
-    for i in range(len(sb)):
-        for k in range(i + 1, len(sb)):
-            expo -= (sb[i].eps + sb[k].eps + rn.eta) % 2
-    order = sorted((b.k for b in rn.ds_blocks), reverse=True)
+def _omega(c: _Checked) -> complex:
+    eps = [e for e, _, _ in c.sign]
+    expo = -sum((e1 + e2 + c.eta) % 2 for e1, e2 in combinations(eps, 2))
+    order = sorted((k for k, _, _ in c.ds), reverse=True)
     for j, k in enumerate(order, 1):
-        expo += k * (2 * j - n) - (k + rn.eta) % 2
+        expo += k * (2 * j - 2 * c.n_half) - (k + c.eta) % 2
     return _I_POW[expo % 4]
 
 
@@ -649,13 +654,13 @@ def fe_ratio_check(r: ReprData, s, tol: float = 1e-8) -> FERatioResult:
     product that is 0 or infinite in floats raises OverflowError, and a
     mismatch raises IdentityMismatchError.
     """
-    rn = _checked(r)
+    c = _checked(r)
     s = complex(s)
-    num = _l_inf(rn)
+    num = _l_inf(c)
     # the dual of checked data is admissible: negation keeps the closure
     # under s -> -conj(s), and re-sorting keeps the pairing of real parts
-    den = _l_inf(dual_repr(rn))
-    prod_expr = script_g_full(_embed(rn), rn.eta)
+    den = _l_inf(_dual(c))
+    prod_expr = _g_product(*_embed(c), c.eta, True)
     d = min(e.nearest_pole_distance(z) for e, z in ((num, s), (den, 1 - s), (prod_expr, s)))
     if d < _MIN_POLE_DISTANCE:
         raise PoleProximityError(s, d)
@@ -665,7 +670,7 @@ def fe_ratio_check(r: ReprData, s, tol: float = 1e-8) -> FERatioResult:
     # overflow; a 0 bottom makes lhs infinite
     if not all(v and cmath.isfinite(v) for v in (top, lhs, prod)):
         raise OverflowError(f"a Gamma product at s={s} is outside the float range")
-    omega = _omega(rn)
+    omega = _omega(c)
     rhs = omega * prod
     if abs(lhs - rhs) > tol * abs(lhs):
         raise IdentityMismatchError(
@@ -704,37 +709,32 @@ def pole_enumeration(r: ReprData) -> PoleList:
     shifts, sign-block pairs, equal-weight ds pairs); the lists must agree,
     or IdentityMismatchError is raised.
     """
-    rn = _checked(r)
-    scanned = _l_inf(rn).poles_in_halfplane(_HALF)
-    sb, db = rn.sign_blocks, rn.ds_blocks
+    c = _checked(r)
+    scanned = _l_inf(c).poles_in_halfplane(Fraction(1, 2))
+    eta, d, sb, db = c.eta, c.d, c.sign, c.ds
     families = {}
-    for j, b in enumerate(db, 1):
-        if (b.k + rn.eta) % 2 == 0 and -2 * b.s.real >= _HALF:
-            families.setdefault(-(b.s * 2), []).append(f"ds-square[{j}]")
-    for i in range(len(sb)):
-        for k in range(i + 1, len(sb)):
-            if (sb[i].eps + sb[k].eps + rn.eta) % 2 == 0 and -(
-                sb[i].s.real + sb[k].s.real
-            ) >= _HALF:
-                families.setdefault(-(sb[i].s + sb[k].s), []).append(
-                    f"sign-pair[{i + 1},{k + 1}]"
-                )
-    for j in range(len(db)):
-        for l in range(j + 1, len(db)):
-            if db[j].k == db[l].k and -(db[j].s.real + db[l].s.real) >= _HALF:
-                families.setdefault(-(db[j].s + db[l].s), []).append(
-                    f"ds-pair[{j + 1},{l + 1}]"
-                )
-    counted = {pt: len(tags) for pt, tags in families.items()}
+
+    def tag(x, y, name):
+        # the pole at s = (x + iy) / d counts when Re s >= 1/2
+        if 2 * x >= d:
+            families.setdefault((x, y), []).append(name)
+
+    for j, (k, x, y) in enumerate(db, 1):
+        if (k + eta) % 2 == 0:
+            tag(-2 * x, -2 * y, f"ds-square[{j}]")
+    for (i, (e1, x1, y1)), (m, (e2, x2, y2)) in combinations(enumerate(sb, 1), 2):
+        if (e1 + e2 + eta) % 2 == 0:
+            tag(-x1 - x2, -y1 - y2, f"sign-pair[{i},{m}]")
+    for (j, (k1, x1, y1)), (l, (k2, x2, y2)) in combinations(enumerate(db, 1), 2):
+        if k1 == k2:
+            tag(-x1 - x2, -y1 - y2, f"ds-pair[{j},{l}]")
+    points = {_point(x, y, d): tags for (x, y), tags in sorted(families.items())}
+    counted = {pt: len(tags) for pt, tags in points.items()}
     if counted != scanned:
         raise IdentityMismatchError(
             f"lattice scan {scanned} disagrees with the structural families {counted}"
         )
-    entries = tuple(
-        PoleRecord(pt, len(tags), tuple(tags))
-        for pt, tags in sorted(families.items(), key=lambda kv: (kv[0].real, kv[0].imag))
-    )
-    return PoleList(entries)
+    return PoleList(tuple(PoleRecord(pt, len(tags), tuple(tags)) for pt, tags in points.items()))
 
 
 def partial_products(r: ReprData) -> tuple:
@@ -747,13 +747,12 @@ def partial_products(r: ReprData) -> tuple:
     are built independently from the block data, and their combined factor
     multiset must reproduce script_g, or IdentityMismatchError is raised.
     """
-    rn = _checked(r)
-    return _partial_products(rn, script_g(_embed(rn), rn.eta))
+    c = _checked(r)
+    return _partial_products(c, _g_product(*_embed(c), c.eta, False))
 
 
-def _partial_products(rn: ReprData, g_expr: GammaExpr) -> tuple:
-    eta = rn.eta
-    d, sb, db = _block_lattice(rn)
+def _partial_products(c: _Checked, g_expr: GammaExpr) -> tuple:
+    eta, d, sb, db = c.eta, c.d, c.sign, c.ds
     half, h, r2 = d // 2, len(sb) // 2, len(db)
     counts = [{} for _ in range(6)]
     units = [0] * 6
@@ -764,13 +763,11 @@ def _partial_products(rn: ReprData, g_expr: GammaExpr) -> tuple:
         _accumulate(counts[part - 1], ("R", 1, x + parity * d, y))
         _accumulate(counts[part - 1], ("R", -1, (1 + parity) * d - x, -y), -1)
 
-    for i in range(h):
-        for m in range(i + 1, h):
-            (e1, x1, y1), (e2, x2, y2) = sb[i], sb[m]
-            put(1, (e1 + e2 + eta) % 2, x1 + x2, y1 + y2)
-    for i in range(1, h + 1):
-        for m in range(1, h - i + 1):
-            (e1, x1, y1), (e2, x2, y2) = sb[i - 1], sb[h + m - 1]
+    for (e1, x1, y1), (e2, x2, y2) in combinations(sb[:h], 2):
+        put(1, (e1 + e2 + eta) % 2, x1 + x2, y1 + y2)
+    # 0-based, leading position i meets the trailing positions h .. 2h - 2 - i
+    for i, (e1, x1, y1) in enumerate(sb[:h]):
+        for e2, x2, y2 in sb[h : 2 * h - 1 - i]:
             put(2, (e1 + e2 + eta) % 2, x1 + x2, y1 + y2)
     for e1, x1, y1 in sb[:h]:
         for k, x2, y2 in db:
@@ -778,21 +775,18 @@ def _partial_products(rn: ReprData, g_expr: GammaExpr) -> tuple:
             put(3, (e1 + eta) % 2, x1 + x2 - (k - 1) * half, y1 + y2)
     for k, x, y in db[: r2 // 2]:
         put(4, (k + eta) % 2, 2 * x, 2 * y)
-    for l in range(1, r2 // 2 + 1):
-        (k1, x1, y1), (k2, x2, y2) = db[l - 1], db[r2 - l]
+    for (k1, x1, y1), (k2, x2, y2) in zip(db[: r2 // 2], reversed(db)):
         put(5, (k1 + k2 + eta) % 2, x1 + x2 + (k1 + k2 - 2) * half, y1 + y2)
-    for l1 in range(1, r2 + 1):
-        for l2 in range(l1 + 1, r2 + 1):
-            if l1 + l2 > r2:
-                continue
-            (k1, x1, y1), (k2, x2, y2) = db[l1 - 1], db[l2 - 1]
+    # 0-based, the pairs l1 < l2 with l1 + l2 <= r2 - 2
+    for l1, (k1, x1, y1) in enumerate(db):
+        for k2, x2, y2 in db[l1 + 1 : r2 - 1 - l1]:
             x, y = x1 + x2, y1 + y2
             h1, h2 = (k1 - 1) * half, (k2 - 1) * half
             put(6, (k1 + k2 + eta) % 2, x + h1 + h2, y)
             put(6, (k1 + eta) % 2, x + h1 - h2, y)
             put(6, (k2 + eta) % 2, x - h1 + h2, y)
             put(6, eta, x - h1 - h2, y)
-    g1, g2, g3, g4, g5, g6 = (_expr(u, c, d) for u, c in zip(units, counts))
+    g1, g2, g3, g4, g5, g6 = (_expr(u, cs, d) for u, cs in zip(units, counts))
     combined = g1 * g2 * g3 * g4 * g5 * g6
     if combined != g_expr:
         raise IdentityMismatchError("partial products do not reassemble the G-product")
@@ -813,17 +807,17 @@ def holomorphy_check(r: ReprData) -> HolomorphyReport:
     every pole in Re s >= 1/2 is matched, with at least its multiplicity,
     by the G-product, without any partial product vanishing there.
     """
-    rn = _checked(r)
+    c = _checked(r)
     notes = []
-    factor = _l_inf(rn)
+    factor = _l_inf(c)
     if any(p < 0 for p in factor._counts.values()):
         notes.append("local factor contains reciprocal Gamma factors")
     stray = factor.lattice_points_in_halfplane(1)
     if stray:
         notes.append(f"local factor is not pole- and zero-free in Re s >= 1: {stray}")
-    poles = pole_enumeration(rn)
-    g_expr = script_g(_embed(rn), rn.eta)
-    partials = _partial_products(rn, g_expr)
+    poles = pole_enumeration(r)
+    g_expr = _g_product(*_embed(c), c.eta, False)
+    partials = _partial_products(c, g_expr)
     for rec in poles:
         got = g_expr.pole_order_at(rec.location)
         if got < rec.order:

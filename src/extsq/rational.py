@@ -128,17 +128,8 @@ class RationalComplex:
     def conjugate(self) -> "RationalComplex":
         return RationalComplex(self.real, -self.imag)
 
-    def is_real(self) -> bool:
-        return self.imag == 0
-
-    def is_integer(self) -> bool:
-        return self.imag == 0 and self.real.denominator == 1
-
-    def to_complex(self) -> complex:
-        return complex(self.real, self.imag)
-
     def __complex__(self) -> complex:
-        return self.to_complex()
+        return complex(self.real, self.imag)
 
     def __str__(self) -> str:
         if self.imag == 0:

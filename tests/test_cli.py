@@ -178,14 +178,14 @@ def test_lfactor_command(capsys, repr_file):
 def test_lfactor_validates_once(capsys, monkeypatch, repr_file):
     import extsq.lfactors as lfactors
 
-    validate = lfactors.validate
+    lattice = lfactors._lattice
     calls = []
 
-    def counting(r):
-        calls.append(r)
-        return validate(r)
+    def counting(*families):
+        calls.append(families)
+        return lattice(*families)
 
-    monkeypatch.setattr(lfactors, "validate", counting)
+    monkeypatch.setattr(lfactors, "_lattice", counting)
     code, out, err = run_cli(capsys, "lfactor", repr_file, "--s", "0.8", "--json")
     assert code == 0
     assert len(calls) == 1
@@ -487,3 +487,16 @@ def test_bad_representation_json_is_an_input_error(capsys, tmp_path, command, do
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
+
+
+def test_a_violation_names_the_block_by_its_shift(capsys, tmp_path):
+    """The data is sorted before it is checked, so a message names a block by
+    its shift, not by a position the file does not have."""
+    doc = {"n": 2, "ds_blocks": [{"k": 1, "s": "1/10"}, {"k": 2, "s": "-1/10"}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "lfactor", str(path))
+    assert code == 2
+    assert out == ""
+    assert "k-range: ds block at s = 1/10 has k = 1 < 2" in err
+    assert "block 2" not in err

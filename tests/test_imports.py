@@ -76,7 +76,9 @@ UNREFERENCED_EXPORTS = {
     "gcancel": "the paper's pairwise collapse of two G_delta factors to one Gamma_C ratio",
     "l_inf": "the archimedean factor itself; the CLI builds it from data it has checked once",
     "partial_products": "the six partial products of the holomorphy argument; perfbench calls it",
+    "script_g_full": "the functional equation's G-product over every pair, from EmbeddingParams",
     "script_g_tilde": "the paper's contragredient product G~(s) of the functional equation",
+    "validate": "the violation list for unchecked data; _checked validates its lattice form",
 }
 
 
@@ -145,3 +147,29 @@ def test_the_factors_view_is_the_one_gamma_factor_construction():
                     callers.add((path.name, node.name))
     assert callers == {("lfactors.py", "factors")}
     assert not {"_accumulate_g", "_pole_lattice_hit"} & defined
+
+
+def test_the_lattice_form_is_built_once_per_entry():
+    """_lattice is called only where ReprData, EmbeddingParams or an exact
+    GammaExpr shift enters; the builders and the dual step work on the
+    checked lattice form alone, and dual_repr and _block_lattice stay deleted."""
+    lattice_callers, functions = set(), {}
+    for node in ast.walk(ast.parse((SRC / "lfactors.py").read_text())):
+        if isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+            if "_lattice" in _calls(node):
+                lattice_callers.add(node.name)
+    assert lattice_callers == {
+        "validate", "_checked", "script_g", "script_g_full",
+        "__init__", "gamma_r", "gamma_c", "g_factor",
+    }
+    builders = ("_l_inf", "_embed", "_g_product", "_partial_products", "_omega", "_dual")
+    for name in builders:
+        assert not {"RationalComplex", "normalize", "_lattice", "_point"} & _calls(functions[name])
+    defined = {
+        node.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert not {"dual_repr", "_block_lattice"} & defined

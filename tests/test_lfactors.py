@@ -17,7 +17,6 @@ from extsq.lfactors import (
     SignBlock,
     casselman_embedding,
     contragredient,
-    dual_repr,
     fe_ratio_check,
     holomorphy_check,
     l_inf,
@@ -67,11 +66,16 @@ MIXED = ReprData(
 )
 
 
+def _dual_violations(r):
+    """The violations of the lattice dual that fe_ratio_check builds from r."""
+    return lfactors._violations(lfactors._dual(lfactors._checked(r)))
+
+
 def test_validate_accepts_the_fixtures():
     for r in (TRIVIAL, TEMPERED, SIGN4, DS_PAIR, MIXED):
         assert validate(r) == []
         # fe_ratio_check relies on this and does not check the dual again
-        assert validate(dual_repr(r)) == []
+        assert _dual_violations(r) == []
 
 
 def test_validate_violation_labels():
@@ -92,9 +96,10 @@ def test_normalize_sorts_and_dual_reflects():
     r = ReprData(1, 0, ((0, _rc(1, 5)), (0, _rc(-1, 5))), ())
     rn = normalize(r)
     assert [b.s.real for b in rn.sign_blocks] == [F(-1, 5), F(1, 5)]
-    d = dual_repr(rn)
-    assert validate(d) == []
-    assert [b.s.real for b in d.sign_blocks] == [F(-1, 5), F(1, 5)]
+    dual = lfactors._dual(lfactors._checked(rn))
+    assert lfactors._violations(dual) == []
+    # d = 10, so the real parts -1/5 and 1/5 sit at -2 and 2
+    assert (dual.d, [x for _, x, _ in dual.sign]) == (10, [-2, 2])
 
 
 def test_repr_json_round_trip():
@@ -140,6 +145,20 @@ def test_gamma_expr_structure():
     assert prod.describe() == ("Gamma_R(s+1/2)^2",)
     assert prod == GammaExpr(0, {next(iter(a.factors)): 2})
     assert a != prod
+
+
+def test_the_factors_view_is_read_only():
+    r = random_repr_data(random.Random(3), n_half=2)
+    e = l_inf(r)
+    before = e.describe()
+    assert before
+    first = next(iter(e.factors))
+    with pytest.raises(TypeError):
+        e.factors[first] = 5
+    with pytest.raises(TypeError):
+        del e.factors[first]
+    assert e.describe() == before
+    assert e == l_inf(r)
 
 
 def reference_mul(a, b):
@@ -720,11 +739,13 @@ def test_partial_products_cover_the_g_product():
 
 def test_mismatches_raise_identity_mismatch_error(monkeypatch):
     assert issubclass(IdentityMismatchError, ArithmeticError)
-    monkeypatch.setattr(lfactors, "script_g", lambda e, eta: GammaExpr.one())
-    with pytest.raises(IdentityMismatchError, match="reassemble"):
-        partial_products(SIGN4)
-    with pytest.raises(IdentityMismatchError, match="reassemble"):
-        holomorphy_check(SIGN4)
+    with monkeypatch.context() as m:
+        m.setattr(lfactors, "_g_product", lambda d, lam, eta, full: GammaExpr.one())
+        with pytest.raises(IdentityMismatchError, match="reassemble"):
+            partial_products(SIGN4)
+        with pytest.raises(IdentityMismatchError, match="reassemble"):
+            holomorphy_check(SIGN4)
+    # the G-product is whole again, so each mismatch below comes from omega
     closed_form = lfactors._omega
     monkeypatch.setattr(lfactors, "_omega", lambda rn: -closed_form(rn))
     for r in (SIGN4, ReprData(2, 1, SIGN4.sign_blocks, ())):
@@ -746,7 +767,7 @@ def test_dual_reflection_of_l_inf_values():
     for _ in range(10):
         r = random_repr_data(rng)
         expr = l_inf(r)
-        dexpr = l_inf(dual_repr(r))
+        dexpr = lfactors._l_inf(lfactors._dual(lfactors._checked(r)))
         s = complex(rng.uniform(0.4, 1.5), rng.uniform(-1.0, 1.0))
         try:
             a = dexpr.value(s)
@@ -777,7 +798,7 @@ def test_random_repr_data_is_always_valid():
     for _ in range(200):
         r = random_repr_data(rng)
         assert validate(r) == []
-        assert validate(dual_repr(r)) == []
+        assert _dual_violations(r) == []
         assert len(r.sign_blocks) % 2 == 0
 
 
@@ -801,14 +822,16 @@ PUBLIC_CALLS = {
 
 @pytest.mark.parametrize("name", sorted(PUBLIC_CALLS))
 def test_each_public_call_validates_its_input_once(monkeypatch, name):
+    """Each call puts its data on the lattice once, in _checked, and its
+    builders work on that one form."""
     calls = []
-    real_validate = lfactors.validate
+    real_lattice = lfactors._lattice
 
-    def counting(r):
-        calls.append(r)
-        return real_validate(r)
+    def counting(*families):
+        calls.append(families)
+        return real_lattice(*families)
 
-    monkeypatch.setattr(lfactors, "validate", counting)
+    monkeypatch.setattr(lfactors, "_lattice", counting)
     for r in (SIGN4, MIXED, random_repr_data(random.Random(41), n_half=4, eta=1)):
         calls.clear()
         PUBLIC_CALLS[name](r)
