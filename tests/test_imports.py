@@ -152,7 +152,8 @@ def test_the_factors_view_is_the_one_gamma_factor_construction():
 def test_the_lattice_form_is_built_once_per_entry():
     """_lattice is called only where ReprData, EmbeddingParams or an exact
     GammaExpr shift enters; the builders and the dual step work on the
-    checked lattice form alone, and dual_repr and _block_lattice stay deleted."""
+    checked lattice form alone; and the package has one lattice builder and
+    one dual step, so no second form of the checked data comes back."""
     lattice_callers, functions = set(), {}
     for node in ast.walk(ast.parse((SRC / "lfactors.py").read_text())):
         if isinstance(node, ast.FunctionDef):
@@ -172,4 +173,5 @@ def test_the_lattice_form_is_built_once_per_entry():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.FunctionDef)
     }
-    assert not {"dual_repr", "_block_lattice"} & defined
+    assert {name for name in defined if name.endswith("lattice")} == {"_lattice"}
+    assert {name for name in defined if "dual" in name} == {"_dual"}
