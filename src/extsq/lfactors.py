@@ -463,7 +463,8 @@ class GammaExpr:
         return tuple(parts)
 
     def value(self, s) -> complex:
-        """Numeric evaluation; a net pole raises PoleError, a net zero is 0."""
+        """Numeric evaluation; a net pole raises PoleError, a net zero is 0, and
+        a value past the float range raises OverflowError naming s."""
         s = complex(s)
         acc, order, hit = 0.0j, 0, False
         for kind, orient, shift, power in self._float_terms():
@@ -479,7 +480,10 @@ class GammaExpr:
             if order > 0:
                 return 0.0j
             raise PoleError(s, what="gamma-expr")
-        return _I_POW[self.unit_ipow] * cmath.exp(acc)
+        try:
+            return _I_POW[self.unit_ipow] * cmath.exp(acc)
+        except OverflowError:
+            raise OverflowError(f"a Gamma product at s={s} is outside the float range") from None
 
     def _hits(self, point) -> list:
         """The power of each factor whose Gamma argument at the exact point is a pole.

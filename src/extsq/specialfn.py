@@ -8,13 +8,13 @@ Gamma(s), and
 
 the normalized Fourier transform of sgn(x)^delta |x|^(s-1).  An independent
 oracle evaluates that Fourier integral directly, without any Gamma function:
-it splits the integral at CutoffSpec.inner_radius, integrates the piece
-next to 0 on the real axis and the rest on a path rotated into the complex
-plane, both by double-exponential quadrature.  Only the powers x^s and
-(a +- i t)^(s-1) depend on s: the nodes, weights and trig values of each
-step level are built once per (inner radius, parity, level), on first use,
-and kept in a bounded cache.  CutoffSpec.parts_count bounds the accepted
-domain 0 < Re s < parts_count; outer_radius is validated but no longer read.
+it splits the integral at CutoffSpec.inner_radius, sums the power series of
+the piece next to 0 (cos and sin integrated term by term), and integrates the
+rest on a path rotated into the complex plane by double-exponential
+quadrature.  Only the tail's powers (a +- i t)^(s-1) depend on s: its nodes
+and weights of each step level are built once per (inner radius, level), on
+first use, and kept in a bounded cache.  CutoffSpec.parts_count bounds the
+accepted domain 0 < Re s < parts_count; outer_radius is validated but unread.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ _LN_2PI = math.log(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**k for k mod 4
 
-# Lanczos parameters (g = 607/128, 15 terms).
-_LANCZOS_G = 607.0 / 128.0
+# Lanczos parameters (g = 607/128, 15 terms); term i >= 1 is c_i / (z - 1 + i).
 _LANCZOS_C = (
     0.99999999999999709182,
     57.156235665862923517,
@@ -49,6 +48,8 @@ _LANCZOS_C = (
     -2.6190838401581408670e-5,
     3.6899182659531622704e-6,
 )
+_LANCZOS_SHIFT = 607.0 / 128.0 - 0.5  # g - 1/2
+_LANCZOS_TERMS = tuple((c, float(i)) for i, c in enumerate(_LANCZOS_C) if i)
 
 
 class PoleError(ArithmeticError):
@@ -110,10 +111,11 @@ def lgamma(z) -> complex:
         raise PoleError(k)
     if z.real < 0.5:
         return _LN_PI - log_sin_pi(z) - lgamma(1.0 - z)
-    t = z + (_LANCZOS_G - 0.5)
+    t = z + _LANCZOS_SHIFT
+    zm1 = z - 1.0
     acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z - 1.0 + i)
+    for c, offset in _LANCZOS_TERMS:
+        acc += c / (zm1 + offset)
     return 0.5 * _LN_2PI + (z - 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
@@ -164,7 +166,10 @@ def g_delta(delta, s) -> complex:
         + 0.5 * (1.0 - s + delta) * _LN_PI
         - lgamma(den_arg)
     )
-    return _I_POW[delta % 4] * cmath.exp(log_ratio)
+    try:
+        return _I_POW[delta % 4] * cmath.exp(log_ratio)
+    except OverflowError:
+        raise OverflowError(f"g_delta at s={s} is outside the float range") from None
 
 
 # -- oscillatory-integral oracle -------------------------------------------
@@ -173,25 +178,23 @@ def g_delta(delta, s) -> complex:
 # a substitution whose weights decay like exp(-c e^|t|), the trapezoid rule
 # in t has an error like exp(-c'/h).  Steps run from 1 down to 2^-_DE_LEVELS.
 _DE_LEVELS = 9
-# tanh-sinh range for the head: just below t = -6 the node's weight
-# e^(-2|u|) underflows, and beyond t = 4 it is below 1e-37
-_HEAD_RANGE = (-6.0, 4.0)
 # exp-sinh range for the rotated tail: the nodes run from t = 2e-31 to
 # t = 28, where e^(-2 pi t) is below 1e-77
 _TAIL_RANGE = (-4.5, 1.5)
 _HALF_PI = 0.5 * math.pi
-# Tables kept per cache: every level of one inner radius and both
-# parities fits, and memory stays bounded however many radii callers pass.
+# Tail tables kept, one per (inner radius, level): ten levels per radius.
 _NODE_TABLES = 32
+_U = 2.0**-53  # unit roundoff of a float
 
 
 @dataclass(frozen=True)
 class CutoffSpec:
     """Where the quadrature oracle splits its integral, and what it accepts.
 
-    The oracle integrates over (0, inner_radius) on the real axis and
-    rotates the rest into the complex plane; it accepts 0 < Re s <
-    parts_count.  outer_radius is validated but no longer read.
+    The oracle sums a power series over (0, inner_radius), rotates the rest
+    into the complex plane and accepts 0 < Re s < parts_count.  The series'
+    rounding grows like e^(2 pi inner_radius), so radii above about 2.5 are
+    refused at the default budget; the program uses 1.  outer_radius is unread.
     """
 
     inner_radius: float
@@ -215,37 +218,45 @@ def _abscissae(lo: float, hi: float, level: int) -> list:
     return [k * h for k in range(k_lo + 1 - k_lo % 2, math.floor(hi / h) + 1, 2)]
 
 
-@lru_cache(maxsize=_NODE_TABLES)
-def _head_nodes(a, delta: int, level: int) -> tuple:
-    """The tuples of trig(2 pi x), x and weight over the head's new nodes of a
-    level, where the integrand is trig(2 pi x) x^s weight.  Three tuples of
-    floats take a third less memory than one tuple per node."""
-    # e(x) + (-1)^delta e(-x) is 2 cos(2 pi x) or 2i sin(2 pi x)
-    trig = math.sin if delta else math.cos
-    cs, xs, ws = [], [], []
-    for t in _abscissae(*_HEAD_RANGE, level):
-        # x = a / (1 + e^(-2u)), u = (pi/2) sinh t.  With q = e^(-2|u|) the
-        # nodes near 0 are x = a q / (1 + q), so no exponential overflows
-        u = _HALF_PI * math.sinh(t)
-        q = math.exp(-2.0 * abs(u))
-        if u < 0.0:
-            x = a * q / (1.0 + q)
-            weight = 2.0 / (1.0 + q)
-        else:
-            x = a / (1.0 + q)
-            weight = 2.0 * q / (1.0 + q)
-        # x^(s-1) dx/dt = x^s weight (pi/2) cosh t
-        cs.append(trig(_TWO_PI * x))
-        xs.append(x)
-        ws.append(weight * _HALF_PI * math.cosh(t))
-    return tuple(cs), tuple(xs), tuple(ws)
+def _head_series(delta: int, s: complex, a: float) -> tuple[complex, float]:
+    """H = int_0^a trig(2 pi x) x^(s-1) dx, trig cos or sin by delta, with an error bound.
+
+    Trig's Taylor series integrated term by term (DLMF 8.5) gives H = a^s
+    sum_k (-1)^k w^m / (m! (m + s)), m = 2k + delta, w = 2 pi a.  Once
+    (m+1)(m+2) >= 2 w^2 each later term is at most half the one before, so
+    the rest from the next term t on is at most 2|t|; the sum stops there
+    once |t| <= u mass (or mass overflows), mass = sum |terms|, u = 2^-53.
+    Rounding, first order, K terms, libm within 2u: w^m / m! is off by 2m u
+    from w, k u from w^2 and 2k u from the k steps; m + s and Smith's complex
+    quotient add 7u; summing adds (K - 1) u mass: (8K + 1) u mass in all.
+    a^s = a^Re(s) e^(i Im(s) ln a) is off by 5u (pow, cos or sin, product)
+    plus 3u |Im(s) ln a| (log, product), and the product adds 3u.  Taking
+    4.5 (m + 2) >= 9(K + 1) for 8K + 9 leaves room for second order.
+    """
+    w = _TWO_PI * a
+    step = -w * w
+    c = w if delta else 1.0  # (-1)^k w^m / m!
+    m, total, mass = delta, 0j, 0.0
+    while True:
+        term = c / (m + s)
+        size = abs(term)
+        d = (m + 1) * (m + 2)
+        if not size > _U * mass and (d >= -2.0 * step or mass == math.inf):
+            break
+        total += term
+        mass += size
+        c *= step / d
+        m += 2
+    scale = a**s
+    value = scale * total
+    bound = abs(scale) * (2.0 * size + 4.5 * (m + 2) * _U * mass)
+    return value, bound + 3.0 * _U * abs(s.imag * math.log(a)) * abs(value)
 
 
 @lru_cache(maxsize=_NODE_TABLES)
 def _tail_nodes(a, level: int) -> tuple:
-    """The tuples of weight, a + i t and a - i t over the tail's new nodes of a
-    level, where the integrand is
-    weight (c_plus (a + i t)^(s-1) + c_minus (a - i t)^(s-1))."""
+    """The tuples of weight, a + i t and a - i t over the tail's new nodes of a level,
+    where the integrand is weight (c_plus (a + i t)^(s-1) + c_minus (a - i t)^(s-1))."""
     ws, zps, zms = [], [], []
     for tau in _abscissae(*_TAIL_RANGE, level):
         # t = exp((pi/2) sinh tau) on the rotated paths x = a + i t, a - i t
@@ -286,34 +297,26 @@ def g_delta_integral(delta, s, cutoff: CutoffSpec, budget: float = 1e-7) -> comp
     """Evaluate the Fourier integral of sgn^delta |x|^(s-1) directly.
 
     Folding x -> -x gives int_0^inf (e(x) + (-1)^delta e(-x)) x^(s-1) dx,
-    e(x) = exp(2 pi i x), split at a = cutoff.inner_radius.  The head over
-    (0, a) is integrated by tanh-sinh, which absorbs the x^(s-1) endpoint
-    singularity.  On the tail the path x = a +- i t turns e(+-x) into
-    e(+-a) e^(-2 pi t) (Cauchy's theorem; for Re s >= 1 this is the analytic
-    continuation), integrated by exp-sinh.  The error estimate is the change
-    between the last two step halvings plus 2 x_min^Re(s) / Re(s), which
-    bounds the head's untouched piece (0, x_min).  The value does not depend
-    on budget; an estimate above it raises QuadratureToleranceError.
-    Requires 0 < Re s < parts_count.
+    e(x) = exp(2 pi i x), split at a = cutoff.inner_radius: the head over
+    (0, a) is 2 or 2i times _head_series; on the tail the path x = a +- i t
+    turns e(+-x) into e(+-a) e^(-2 pi t) (Cauchy's theorem; for Re s >= 1
+    this is the analytic continuation), integrated by exp-sinh.  The error
+    estimate is twice the head's bound plus the tail's last change.  The
+    value does not depend on budget; an estimate above it raises
+    QuadratureToleranceError.  Requires 0 < Re s < parts_count.
     """
     delta = as_parity(delta)
     s = complex(s)
-    sigma = s.real
-    if not (0.0 < sigma < cutoff.parts_count):
+    if not (0.0 < s.real < cutoff.parts_count):
         raise ValueError(f"quadrature oracle needs 0 < Re s < {cutoff.parts_count}")
-    sign = -1.0 if delta else 1.0
     a = cutoff.inner_radius
-
-    def head(level: int) -> list:
-        return [c * x**s * w for c, x, w in zip(*_head_nodes(a, delta, level))]
-
-    head_val, head_change = _double_exponential(head)
+    head_val, head_bound = _head_series(delta, s, a)
     head_val *= 2j if delta else 2.0
 
     s1 = s - 1.0
     e_a = complex(math.cos(_TWO_PI * a), math.sin(_TWO_PI * a))
     c_plus = 1j * e_a
-    c_minus = -sign * 1j * e_a.conjugate()
+    c_minus = (1.0 if delta else -1.0) * 1j * e_a.conjugate()
 
     def tail(level: int) -> list:
         return [w * (c_plus * zp**s1 + c_minus * zm**s1) for w, zp, zm in zip(*_tail_nodes(a, level))]
@@ -324,10 +327,7 @@ def g_delta_integral(delta, s, cutoff: CutoffSpec, budget: float = 1e-7) -> comp
         # once |Im s| is in the hundreds the rotated integrand outgrows floats
         raise QuadratureToleranceError(math.inf, budget, complex(math.nan, math.nan)) from None
     value = head_val + tail_val
-
-    # above the head's first node, x = a q / (1 + q) < a e^(2u)
-    x_min = a * math.exp(math.pi * math.sinh(_HEAD_RANGE[0]))
-    achieved = 2.0 * head_change + tail_change + 2.0 * x_min**sigma / sigma
+    achieved = 2.0 * head_bound + tail_change
     if not achieved <= budget:
         raise QuadratureToleranceError(achieved, budget, value)
     return value

@@ -137,15 +137,36 @@ def test_gamma_oracle_check(capsys):
 
 
 def test_gamma_oracle_refusal_is_a_failed_check(capsys):
-    # near Re s = 0 the head's untouched piece (0, x_min) exceeds the budget
-    code, out, err = run_cli(capsys, "gamma", "--delta", "0", "--s", "0.02", "--oracle")
+    # at Re s = 1e-9 the head's series sums terms near 1/Re s, and its
+    # rounding bound exceeds the budget
+    code, out, err = run_cli(capsys, "gamma", "--delta", "0", "--s", "1e-9", "--oracle")
     assert code == 1
     assert err == ""
     kv = _parse_kv(out)
     assert kv["oracle-agreement"] == (
-        "FAIL\tquadrature refused: error estimate 3.170e-04 exceeds budget 1.000e-07"
+        "FAIL\tquadrature refused: error estimate 2.819e-05 exceeds budget 1.000e-07"
     )
     assert "quadrature" not in kv
+
+
+@pytest.mark.parametrize(
+    "argv, s",
+    [
+        (["gamma", "--delta", "0", "--s", "1e-320"], "(1e-320+0j)"),
+        (["gamma", "--delta", "0", "--s", "1e-320", "--oracle"], "(1e-320+0j)"),
+        (["lfactor", "{repr}", "--s", "1e-320"], "(1e-320+0j)"),
+        (["lfactor", "{repr}", "--s", "1e300"], "(1e+300+0j)"),
+    ],
+)
+def test_a_value_past_the_float_range_names_s(capsys, tmp_path, argv, s):
+    # each --s is a float, but the Gamma ratio or product there is not
+    path = tmp_path / "k2.json"
+    path.write_text(json.dumps({"n": 1, "eta": 0, "sign_blocks": [], "ds_blocks": [{"k": 2, "s": "0"}]}))
+    code, out, err = run_cli(capsys, *(a.format(repr=path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of range: ") and err.count("\n") == 1
+    assert f" at s={s} is outside the float range" in err
 
 
 def test_gamma_oracle_names_its_domain(capsys):

@@ -175,3 +175,27 @@ def test_the_lattice_form_is_built_once_per_entry():
     }
     assert {name for name in defined if name.endswith("lattice")} == {"_lattice"}
     assert {name for name in defined if "dual" in name} == {"_dual"}
+
+
+def test_the_series_is_the_one_head_path():
+    """The quadrature oracle's head comes from _head_series alone:
+    g_delta_integral sums it once and runs the double-exponential rule once,
+    for the rotated tail, and the tanh-sinh head's table and range stay
+    deleted, so no second head path comes back beside the series."""
+    tree = ast.parse((SRC / "specialfn.py").read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert not {"_head_nodes", "_HEAD_RANGE"} & names
+    (oracle,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "g_delta_integral")
+    called = [
+        node.func.id
+        for node in ast.walk(oracle)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert called.count("_double_exponential") == 1
+    assert called.count("_head_series") == 1
+    assert "_tail_nodes" in called

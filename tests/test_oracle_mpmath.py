@@ -6,15 +6,17 @@ reference is exact for double-precision purposes.  The Lanczos log-Gamma
 loses absolute accuracy in proportion to |Im s|, and exponentiating turns
 that into relative error: about 2e-16 near the real axis, 1e-14 at
 |Im s| = 50, 1e-13 at 200 and 1e-12 at 1000.  The bound grows to match.
+The quadrature oracle's series head is held to its own error bound.
 """
 
+import math
 import random
 
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from extsq.specialfn import g_delta, gamma_c, gamma_r  # noqa: E402
+from extsq.specialfn import _head_series, g_delta, gamma_c, gamma_r  # noqa: E402
 
 
 def rel_bound(s: complex) -> float:
@@ -72,3 +74,27 @@ def test_g_delta_at_large_height_matches_mpmath():
                 for delta in (0, 1):
                     ref = mp_g_delta(delta, mpmath.mpc(sigma, t))
                     assert rel_err(g_delta(delta, s), ref) <= rel_bound(s), (delta, s)
+
+
+def mp_head(delta, s, a):
+    """int_0^a trig(2 pi x) x^(s-1) dx, cos for delta 0 and sin for 1, as
+    a^(s+delta) (2 pi)^delta / (s+delta) times a 1F2 (DLMF 8.5)."""
+    b = (s + delta) / 2
+    z = -((mpmath.pi * a) ** 2)
+    return (2 * mpmath.pi) ** delta * a ** (s + delta) / (s + delta) * mpmath.hyp1f2(
+        b, delta + mpmath.mpf(1) / 2, b + 1, z
+    )
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+def test_head_series_bound_covers_its_error(delta):
+    # Re s log-uniform in [1e-6, 3.9], |Im s| up to 60 and radii 0.1-2.5:
+    # the bound must hold at every draw, the phase rounding of a^s included
+    rng = random.Random(f"head:{delta}")
+    with mpmath.workdps(40):
+        for _ in range(600):
+            s = complex(10.0 ** rng.uniform(-6.0, math.log10(3.9)), rng.uniform(-60.0, 60.0))
+            a = rng.uniform(0.1, 2.5)
+            value, bound = _head_series(delta, s, a)
+            ref = mp_head(delta, mpmath.mpc(s.real, s.imag), mpmath.mpf(a))
+            assert abs(value - complex(ref)) <= bound, (delta, s, a)

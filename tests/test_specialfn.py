@@ -157,15 +157,26 @@ def test_quadrature_near_the_singular_end(delta, im):
 
 
 def test_refusal_estimate_covers_the_error():
-    # at Re s = 0.02 the untouched piece (0, x_min) of the head is too
-    # large for the default budget; the estimate counts it
-    s = 0.02
-    with pytest.raises(QuadratureToleranceError) as info:
-        g_delta_integral(0, s, CUTOFF)
-    refusal = info.value
-    assert refusal.budget == 1e-7
-    assert refusal.achieved >= abs(refusal.value - g_delta(0, s))
-    assert g_delta_integral(0, s, CUTOFF, budget=1e-2) == refusal.value
+    # the head's series sums terms near 1/Re s at Re s = 1e-9, and terms
+    # near e^(8 pi) / (8 pi) that cancel at radius 4; its rounding bound
+    # counts both and exceeds the default budget
+    for delta, s, radius in [(0, 1e-9, 1.0), (1, 0.7 + 0.3j, 4.0)]:
+        cutoff = CutoffSpec(radius, 8.0, 4)
+        with pytest.raises(QuadratureToleranceError) as info:
+            g_delta_integral(delta, s, cutoff)
+        refusal = info.value
+        assert refusal.budget == 1e-7
+        assert refusal.achieved >= abs(refusal.value - g_delta(delta, s))
+        assert g_delta_integral(delta, s, cutoff, budget=1e-2) == refusal.value
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+@pytest.mark.parametrize("re", [1e-6, 1e-3, 0.01, 0.03])
+def test_small_re_s_is_accepted(delta, re):
+    # the series integrates down to 0, so no piece next to 0 is left out
+    got = g_delta_integral(delta, re, CUTOFF)
+    want = g_delta(delta, re)
+    assert abs(got - want) <= 1e-14 * abs(want) + 1e-13
 
 
 @pytest.mark.parametrize("delta, s", [(0, 0.7 - 2j), (1, 0.7 - 5j), (0, 2.0)])
@@ -202,7 +213,8 @@ def test_quadrature_domain_check():
         g_delta_integral(0, complex(4.5, 0.0), CUTOFF)
 
 
-# -- the per-node quadrature as it was before the node tables --------------
+# -- per-node references: the tanh-sinh head the series replaced, and the
+# -- rotated tail as it was before the node tables
 
 
 def _reference_double_exponential(g, lo, hi):
@@ -223,14 +235,11 @@ def _reference_double_exponential(g, lo, hi):
     return total, max(change, 1e-14 * mass)
 
 
-def _reference_g_delta_integral(delta, s, cutoff, budget):
-    """g_delta_integral recomputing every node's abscissa, weight and trig
-    value at every call; returns the value or the refusal's fields."""
-    s = complex(s)
-    sigma = s.real
+def _tanh_sinh_head(delta, s, a):
+    """int_0^a trig(2 pi x) x^(s-1) dx by tanh-sinh quadrature, recomputing
+    every node, and its estimate: the change of the last step halving plus
+    x_min^Re(s) / Re(s), which bounds the untouched piece (0, x_min)."""
     half_pi, two_pi = 0.5 * math.pi, 2.0 * math.pi
-    sign = -1.0 if delta else 1.0
-    a = cutoff.inner_radius
     trig = math.sin if delta else math.cos
 
     def head(t):
@@ -244,7 +253,20 @@ def _reference_g_delta_integral(delta, s, cutoff, budget):
             weight = 2.0 * q / (1.0 + q)
         return trig(two_pi * x) * x**s * (weight * half_pi * math.cosh(t))
 
-    head_val, head_change = _reference_double_exponential(head, -6.0, 4.0)
+    value, change = _reference_double_exponential(head, -6.0, 4.0)
+    x_min = a * math.exp(math.pi * math.sinh(-6.0))
+    return value, change + x_min**s.real / s.real
+
+
+def _reference_g_delta_integral(delta, s, cutoff, budget, head=_tanh_sinh_head):
+    """g_delta_integral recomputing every tail node at every call, with the
+    tanh-sinh head or the given one; returns the value or the refusal's
+    fields."""
+    s = complex(s)
+    half_pi, two_pi = 0.5 * math.pi, 2.0 * math.pi
+    sign = -1.0 if delta else 1.0
+    a = cutoff.inner_radius
+    head_val, head_bound = head(delta, s, a)
     head_val *= 2j if delta else 2.0
     s1 = s - 1.0
     e_a = complex(math.cos(two_pi * a), math.sin(two_pi * a))
@@ -261,8 +283,7 @@ def _reference_g_delta_integral(delta, s, cutoff, budget):
     except OverflowError:
         return ("refused", math.inf, "nan")
     value = head_val + tail_val
-    x_min = a * math.exp(math.pi * math.sinh(-6.0))
-    achieved = 2.0 * head_change + tail_change + 2.0 * x_min**sigma / sigma
+    achieved = 2.0 * head_bound + tail_change
     if not achieved <= budget:
         return ("refused", achieved, value)
     return ("value", value)
@@ -278,26 +299,49 @@ def _outcome(delta, s, cutoff, budget):
 
 
 def test_quadrature_matches_the_per_node_reference_bit_for_bit():
+    # the tail's node tables change no bit of the per-node tail; the refusals
+    # come from Re s near 0 (delta 0), radius 4 (delta 1) and one overflow
     rng = random.Random(12)
     points = [(0, complex(0.5, 500.0), 1.0, 1e-7)]
     for i in range(200):
-        re = rng.uniform(0.01, 0.1) if i % 10 == 0 else rng.uniform(0.05, 3.9)
+        re = 10.0 ** rng.uniform(-12.0, -9.0) if i % 10 == 0 else rng.uniform(0.05, 3.9)
         im = rng.uniform(-30.0, 30.0) if i % 4 == 0 else rng.uniform(-3.0, 3.0)
-        points.append((i % 2, complex(re, im), (0.5, 1.0, 1.5)[i % 3], (1e-7, 1e-6)[i // 2 % 2]))
+        radius = 4.0 if i % 10 == 5 else (0.5, 1.0, 1.5)[i % 3]
+        points.append((i % 2, complex(re, im), radius, (1e-7, 1e-6)[i // 2 % 2]))
     refused = 0
     for delta, s, radius, budget in points:
-        cutoff = CutoffSpec(radius, 4.0, 4)
-        want = _reference_g_delta_integral(delta, s, cutoff, budget)
+        cutoff = CutoffSpec(radius, 8.0, 4)
+        want = _reference_g_delta_integral(delta, s, cutoff, budget, specialfn._head_series)
         assert _outcome(delta, s, cutoff, budget) == want, (delta, s, radius, budget)
         refused += want[0] == "refused"
     assert refused >= 10
 
 
-# -- the node tables ------------------------------------------------------
+def test_the_series_head_agrees_with_the_tanh_sinh_head():
+    rng = random.Random(13)
+    for i in range(300):
+        delta = i % 2
+        s = complex(rng.uniform(0.05, 3.9), rng.uniform(-30.0, 30.0) if i % 3 else rng.uniform(-3.0, 3.0))
+        a = rng.uniform(0.3, 1.5)
+        series, series_bound = specialfn._head_series(delta, s, a)
+        nodes, nodes_estimate = _tanh_sinh_head(delta, s, a)
+        assert abs(series - nodes) <= series_bound + nodes_estimate, (delta, s, a)
+
+
+def test_quadrature_matches_the_tanh_sinh_reference():
+    # the whole oracle against the per-node reference with the old head
+    rng = random.Random(15)
+    for i in range(60):
+        s = complex(rng.uniform(0.1, 3.9), rng.uniform(-3.0, 3.0))
+        want = _reference_g_delta_integral(i % 2, s, CUTOFF, 1e-6)
+        assert want[0] == "value"
+        assert g_delta_integral(i % 2, s, CUTOFF, budget=1e-6) == pytest.approx(want[1], abs=2e-6)
+
+
+# -- the tail's node tables -------------------------------------------------
 
 
 def _clear_node_tables():
-    specialfn._head_nodes.cache_clear()
     specialfn._tail_nodes.cache_clear()
 
 
@@ -324,19 +368,18 @@ def test_node_tables_stay_within_their_bound():
     _clear_node_tables()
     for i in range(80):
         g_delta_integral(i % 2, complex(1.2, 0.4), CutoffSpec(0.3 + 0.01 * i, 4.0, 4), budget=1e-6)
-    for table in (specialfn._head_nodes, specialfn._tail_nodes):
-        info = table.cache_info()
-        assert info.maxsize == specialfn._NODE_TABLES
-        assert info.currsize <= info.maxsize
+    info = specialfn._tail_nodes.cache_info()
+    assert info.maxsize == specialfn._NODE_TABLES
+    assert info.currsize <= info.maxsize
 
 
 def test_node_tables_are_tuples():
     g_delta_integral(0, complex(0.8, -0.5), CUTOFF, budget=1e-6)
     for level in range(3):
-        for table in (specialfn._head_nodes(1.0, 0, level), specialfn._tail_nodes(1.0, level)):
-            assert type(table) is tuple and len(table) == 3
-            assert all(type(column) is tuple for column in table)
-            assert len(set(map(len, table))) == 1 and table[0]
+        table = specialfn._tail_nodes(1.0, level)
+        assert type(table) is tuple and len(table) == 3
+        assert all(type(column) is tuple for column in table)
+        assert len(set(map(len, table))) == 1 and table[0]
 
 
 def test_a_failed_build_leaves_no_table(monkeypatch):
@@ -355,10 +398,48 @@ def test_a_failed_build_leaves_no_table(monkeypatch):
         patch.setattr(specialfn.math, "cosh", failing)
         with pytest.raises(RuntimeError):
             g_delta_integral(0, s, CUTOFF, budget=1e-6)
-    assert specialfn._head_nodes.cache_info().currsize == 0
     assert specialfn._tail_nodes.cache_info().currsize == 0
-    want = _reference_g_delta_integral(0, s, CUTOFF, 1e-6)
+    want = _reference_g_delta_integral(0, s, CUTOFF, 1e-6, specialfn._head_series)
     assert _outcome(0, s, CUTOFF, 1e-6) == want
+
+
+# -- lgamma's Lanczos loop --------------------------------------------------
+
+
+def _lgamma_indexed(z):
+    """lgamma with the Lanczos loop it had before the offsets were hoisted:
+    z - 1 + i recomputed and the coefficients indexed on every term."""
+    z = complex(z)
+    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
+        raise PoleError(int(z.real))
+    if z.real < 0.5:
+        return math.log(math.pi) - specialfn.log_sin_pi(z) - _lgamma_indexed(1.0 - z)
+    coefficients = specialfn._LANCZOS_C
+    t = z + (607.0 / 128.0 - 0.5)
+    acc = coefficients[0]
+    for i in range(1, len(coefficients)):
+        acc += coefficients[i] / (z - 1.0 + i)
+    return 0.5 * math.log(2.0 * math.pi) + (z - 0.5) * cmath.log(t) - t + cmath.log(acc)
+
+
+def _bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_lgamma_matches_the_indexed_loop_bit_for_bit():
+    rng = random.Random(16)
+    points = [complex(rng.uniform(-12.0, 12.0), rng.uniform(-60.0, 60.0)) for _ in range(3000)]
+    points += [complex(rng.uniform(-12.0, 12.0), 0.0) for _ in range(500)]
+    points += [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1e-3, 1e-3)) for _ in range(500)]
+    points += [0.5, 1.0, 2.0, -0.5, complex(0.5, -0.0), 1e-300, -2.5 + 1e-12j]
+    assert sum(complex(z).real < 0.5 for z in points) > 1000
+    for z in points:
+        assert _bits(lgamma(z)) == _bits(_lgamma_indexed(z)), z
+    for k in (0, -1, -2, -9):
+        for f in (lgamma, _lgamma_indexed):
+            with pytest.raises(PoleError) as info:
+                f(float(k))
+            assert info.value.location == k
 
 
 def test_gcancel_pair_agrees():
