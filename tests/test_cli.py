@@ -161,7 +161,8 @@ def test_gamma_oracle_refusal_is_a_failed_check(capsys):
 def test_a_value_past_the_float_range_names_s(capsys, tmp_path, argv, s):
     # each --s is a float, but the Gamma ratio or product there is not
     path = tmp_path / "k2.json"
-    path.write_text(json.dumps({"n": 1, "eta": 0, "sign_blocks": [], "ds_blocks": [{"k": 2, "s": "0"}]}))
+    doc = {"n": 1, "eta": 0, "sign_blocks": [], "ds_blocks": [{"k": 2, "s": "0"}]}
+    path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, *(a.format(repr=path) for a in argv))
     assert code == 2
     assert out == ""
