@@ -481,9 +481,11 @@ class GammaExpr:
                 return 0.0j
             raise PoleError(s, what="gamma-expr")
         try:
-            return _I_POW[self.unit_ipow] * cmath.exp(acc)
+            if value := cmath.exp(acc):  # Gamma has no zeros: 0 is an underflow
+                return _I_POW[self.unit_ipow] * value
         except OverflowError:
-            raise OverflowError(f"a Gamma product at s={s} is outside the float range") from None
+            pass
+        raise OverflowError(f"a Gamma product at s={s} is outside the float range")
 
     def _hits(self, point) -> list:
         """The power of each factor whose Gamma argument at the exact point is a pole.

@@ -2,9 +2,16 @@
 
 RatFunc keeps num/den fully cancelled with an integer-primitive denominator
 whose graded-lex leading coefficient is positive, so structural equality is
-mathematical equality.  FactoredFraction stores the denominator as exponents
-over a shared basis of primitive polynomials, so most cancellations become
-integer exponent arithmetic.  It now serves only the reconstruction check
+mathematical equality.  The constructor cancels by one gcd, then normalises
+the denominator.  Arithmetic on canonical a/b and c/d skips that gcd where
+coprimality is known (Henrici, JACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1).
+A product cancels g1 = (a, d) and g2 = (c, b), leaving a/g1 and c/g2 coprime
+to b/g2 and d/g1.  An inverse and a negative power are coprime.  A sum with
+(b, d) = 1 has (ad + cb, bd) = 1.  With g = (b, d), b = b1 g and d = d1 g,
+t = a d1 + c b1 is coprime to b1 d1, so only (t, g) cancels.
+FactoredFraction stores the denominator as exponents over a shared basis of
+primitive polynomials, so most cancellations become integer exponent
+arithmetic.  It now serves only the reconstruction check
 ``decomp.verify_udl_reconstruction``, whose sums have denominators that are
 products of the trailing minors; the elimination route runs fraction-free.
 """
@@ -20,24 +27,14 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial, _canonical=False):
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num = num
-            self.den = num.ring.one()
-            return
-        g = poly_gcd(num, den)
-        if not g.is_one():
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        c, prim = den.content_and_primitive()
-        if not prim.is_one() or c != 1:
-            num = num * (1 / c)
-            den = prim
+        if not _canonical:
+            if den.is_zero():
+                raise ZeroDivisionError("rational function with zero denominator")
+            if not num.is_zero():
+                g = poly_gcd(num, den)
+                if not g.is_one():
+                    num, den = num.exact_div(g), den.exact_div(g)
+            num, den = _normalised(num, den)
         self.num = num
         self.den = den
 
@@ -96,10 +93,14 @@ class RatFunc:
             return RatFunc(a + c, b)
         g = poly_gcd(b, d)
         if g.is_one():
-            return RatFunc(a * d + c * b, b * d)
+            return RatFunc(*_normalised(a * d + c * b, b * d), _canonical=True)
         b1 = b.exact_div(g)
         d1 = d.exact_div(g)
-        return RatFunc(a * d1 + c * b1, b1 * g * d1)
+        t = a * d1 + c * b1
+        h = poly_gcd(t, g)
+        if not h.is_one():
+            t, g = t.exact_div(h), g.exact_div(h)
+        return RatFunc(*_normalised(t, b1 * g * d1), _canonical=True)
 
     __radd__ = __add__
 
@@ -127,7 +128,7 @@ class RatFunc:
         d = other.den if g1.is_one() else other.den.exact_div(g1)
         c = other.num if g2.is_one() else other.num.exact_div(g2)
         b = self.den if g2.is_one() else self.den.exact_div(g2)
-        return RatFunc(a * c, b * d)
+        return RatFunc(*_normalised(a * c, b * d), _canonical=True)
 
     __rmul__ = __mul__
 
@@ -137,7 +138,7 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return self * RatFunc(other.den, other.num)
+        return self * RatFunc(*_normalised(other.den, other.num), _canonical=True)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -145,7 +146,9 @@ class RatFunc:
 
     def __pow__(self, k: int):
         if k < 0:
-            return RatFunc(self.den**-k, self.num**-k)
+            if self.is_zero():
+                raise ZeroDivisionError("negative power of a zero rational function")
+            return RatFunc(*_normalised(self.den**-k, self.num**-k), _canonical=True)
         return RatFunc(self.num**k, self.den**k, _canonical=True) if k else RatFunc.const(self.ring, 1)
 
     def evaluate(self, values: dict):
@@ -170,6 +173,15 @@ class RatFunc:
 
     def __repr__(self):
         return f"<RatFunc {self}>"
+
+
+def _normalised(num: Polynomial, den: Polynomial):
+    """num, den rescaled to an integer-primitive den with a positive leading
+    coefficient, and den 1 for a zero num; num and den must be coprime."""
+    if num.is_zero():
+        return num, num.ring.one()
+    c, prim = den.content_and_primitive()
+    return (num if c == 1 else num * (1 / c)), prim
 
 
 class FactorBasis:
@@ -203,10 +215,6 @@ class FactoredFraction:
         exps = list(exps)
         exps.extend([0] * (len(basis.factors) - len(exps)))
         self.exps = exps
-
-    @classmethod
-    def from_poly(cls, basis: FactorBasis, p: Polynomial) -> "FactoredFraction":
-        return cls(basis, p)
 
     @classmethod
     def from_ratfunc(cls, basis: FactorBasis, r: RatFunc) -> "FactoredFraction":

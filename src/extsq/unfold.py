@@ -23,8 +23,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .decomp import DegenerateMinorError, nhn_decompose
 from .matrices import Matrix, _clear, _is_zero
-from .polynomials import PolyRing
+from .polynomials import Polynomial, PolyRing
 from .ratfunc import RatFunc
 from .specialfn import as_parity, g_delta
 
@@ -232,6 +233,7 @@ class _Minors:
     and zero entries are skipped.  So det rows[r.., cols] is I(r, cols) over
     the product of the scales of rows r..; callers compare minors of
     neighbouring rows through s_r alone and never form that product.
+    superdiag_sum reads the one build_B's guard builds on the finished matrix.
     """
 
     def __init__(self, mat: Matrix):
@@ -340,8 +342,14 @@ def build_B(vars: UnfoldVars) -> Matrix:
     solves, which it reads uncleared, and the row above.
     _assert_tilde_relations then checks every condition on the finished
     matrix from a fresh table, independently of how the sweep solved it,
-    scaling by each row's own scale s_r instead of dividing minors out.
+    scaling by each row's own scale s_r instead of dividing minors out;
+    superdiag_sum reads that table.
     """
+    return _build_B(vars)[0]
+
+
+def _build_B(vars: UnfoldVars):
+    """build_B's matrix and the guard's table, built on the finished matrix."""
     n = vars.n_half
     mat = build_block_A(vars)
     minors = _Minors(mat)
@@ -352,8 +360,7 @@ def build_B(vars: UnfoldVars) -> Matrix:
             i, j = pos[0] // 2, 2 * n - pos[1]
             mat.data[2 * i - 2][j - 1] = new
             _refresh_middle_sum(mat, vars, i)
-    _assert_tilde_relations(mat, vars)
-    return mat
+    return mat, _assert_tilde_relations(mat, vars)
 
 
 def _refresh_middle_sum(mat: Matrix, vars: UnfoldVars, i: int):
@@ -368,10 +375,10 @@ def _sign_pow(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-def _assert_tilde_relations(mat: Matrix, vars: UnfoldVars):
-    """Check every condition on a fresh table of mat.  With S_r = s_r S_{r+1}
-    the product of the scales of rows r.., the condition I(r, cols) / S_r =
-    t * I(r + 1, nb) / S_{r+1} is I(r, cols) = _target(...) * s_r."""
+def _assert_tilde_relations(mat: Matrix, vars: UnfoldVars) -> _Minors:
+    """Check every condition on a fresh table of mat, and return it.  With
+    S_r = s_r S_{r+1} the product of the scales of rows r.., the condition
+    I(r, cols) / S_r = t * I(r + 1, nb) / S_{r+1} is I(r, cols) = _target * s_r."""
     n = vars.n_half
     minors = _Minors(mat)
     for pos, neighbour, value, name in _conditions(vars):
@@ -379,6 +386,7 @@ def _assert_tilde_relations(mat: Matrix, vars: UnfoldVars):
         target = _target(minors, n, pos, neighbour, value) * minors.cleared(r)[1]
         if minors.integral(r, cols) != target:
             raise ArithmeticError(f"determinant condition failed at shifted {name}")
+    return minors
 
 
 def tilde_c(mat: Matrix, n: int, i: int, j: int):
@@ -397,19 +405,33 @@ def tilde_z(mat: Matrix, n: int, i: int, j: int):
 def superdiag_sum(vars: UnfoldVars):
     """Sum of the superdiagonal of the unit-upper factor of the shifted block.
 
-    Computed through the elimination decomposition; the closed form
-    superdiag_closed_form must agree exactly.
+    n[i][i+1] = det B[{i} u {i+2..}, cols] / det B[cols, cols], cols = (i+1,
+    ..., N-1), is num * s_{i+1} / (s_i * d) on build_B's guard table: d =
+    I(i+1, cols) memoises the minors of row i+2 that num, cleared row i, is
+    expanded over.  superdiag_closed_form must agree exactly.  A zero d raises
+    DegenerateMinorError as nhn_decompose would; that needs a zero c or z, as
+    in x coordinates the trailing minors are signed monomials.
     """
-    from .decomp import nhn_decompose
-
-    b = build_B(vars)
-    nhn = nhn_decompose(b)
+    b, minors = _build_B(vars)
     size = b.nrows
     total = None
-    for i in range(size - 1):
-        e = nhn.n[i, i + 1]
+    for i in range(size - 2, -1, -1):
+        cols = tuple(range(i + 1, size))
+        d = minors.integral(i + 1, cols)
+        if _is_zero(d):
+            raise DegenerateMinorError(i + 2, size - i - 1)
+        (row, s_i), s_next = minors.cleared(i), minors.cleared(i + 1)[1]
+        e = _ratio(minors.expand(row, i + 1, cols, cols) * s_next, s_i * d)
         total = e if total is None else total + e
     return total
+
+
+def _ratio(num, den):
+    """num / den as one Fraction, or as one RatFunc if either is a Polynomial."""
+    ring = next((p.ring for p in (num, den) if isinstance(p, Polynomial)), None)
+    if ring is None:
+        return Fraction(num, den)
+    return RatFunc(*(p if isinstance(p, Polynomial) else ring.const(p) for p in (num, den)))
 
 
 def superdiag_closed_form(vars: UnfoldVars):
@@ -580,8 +602,6 @@ def _real_value(v) -> float:
 def whittaker_eval(eparams, g: Matrix) -> complex:
     """Open-cell value: e(sum of superdiagonal of the unit-upper factor)
     times prod_j |h_j|^((m+1)/2 - j - lambda_j) sgn(h_j)^(delta_j)."""
-    from .decomp import nhn_decompose
-
     m = g.nrows
     lam = list(eparams.lam)
     delta = list(eparams.delta)

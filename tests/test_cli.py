@@ -156,6 +156,7 @@ def test_gamma_oracle_refusal_is_a_failed_check(capsys):
         (["gamma", "--delta", "0", "--s", "1e-320", "--oracle"], "(1e-320+0j)"),
         (["lfactor", "{repr}", "--s", "1e-320"], "(1e-320+0j)"),
         (["lfactor", "{repr}", "--s", "1e300"], "(1e+300+0j)"),
+        (["lfactor", "{repr}", "--s", "0.5+1e5i"], "(0.5+100000j)"),
     ],
 )
 def test_a_value_past_the_float_range_names_s(capsys, tmp_path, argv, s):

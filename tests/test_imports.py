@@ -199,3 +199,28 @@ def test_the_series_is_the_one_head_path():
     assert called.count("_double_exponential") == 1
     assert called.count("_head_series") == 1
     assert "_tail_nodes" in called
+
+
+def test_the_guard_table_is_the_one_superdiagonal_route():
+    """superdiag_sum reads the table that build_B's guard built on the
+    finished matrix and reaches no elimination; besides the guard only the
+    sweep, whose table is of the matrix it is still solving, builds a _Minors."""
+    functions = {
+        node.name: node
+        for node in ast.walk(ast.parse((SRC / "unfold.py").read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    builders = {name for name, fn in functions.items() if "_Minors" in _calls(fn)}
+    assert builders == {"_build_B", "_assert_tilde_relations"}
+    assert "_assert_tilde_relations" in _calls(functions["_build_B"])
+    superdiag = functions["superdiag_sum"]
+    names = set()
+    for node in ast.walk(superdiag):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not {"nhn_decompose", "_Minors", "build_B"} & names
+    assert "_build_B" in names

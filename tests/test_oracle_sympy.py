@@ -221,6 +221,67 @@ def test_ratfunc_canonical_form_matches_cancel(common, n, d):
     assert sym_den.LC(order="grlex") > 0
 
 
+def _random_poly(rng, max_terms=2, max_exp=2):
+    while True:
+        terms = {
+            tuple(rng.randint(0, max_exp) for _ in NAMES): rng.choice((-3, -2, -1, 1, 2, 3))
+            for _ in range(rng.randint(1, max_terms))
+        }
+        p = Polynomial(R, terms)
+        if not p.is_zero():
+            return p
+
+
+def _planted_pair(rng, kind):
+    """Two canonical RatFuncs with planted common factors: a numerator factor
+    of one in the other's denominator, a shared denominator factor, or a
+    second operand that cancels part of the first (so a sum's numerator
+    shares a factor with the denominators' gcd)."""
+    p, q = _random_poly(rng), _random_poly(rng)
+    a, b, c, d = (_random_poly(rng) for _ in range(4))
+    if kind == "cross":
+        return RatFunc(a * p, b), RatFunc(c, d * p)
+    if kind == "shared":
+        return RatFunc(a, b * q), RatFunc(c, d * q)
+    first = RatFunc(a, b * q)
+    return first, RatFunc(c, b * d) - first
+
+
+OPS = {
+    "+": lambda a, b, c, d: (a * d + c * b, b * d),
+    "-": lambda a, b, c, d: (a * d - c * b, b * d),
+    "*": lambda a, b, c, d: (a * c, b * d),
+    "/": lambda a, b, c, d: (a * d, b * c),
+}
+
+
+def test_reduced_ratfunc_arithmetic_matches_sympy_cancel():
+    """Reduced +, -, * and / against sympy's cancel, and structurally against
+    the full cancelling constructor on the unreduced num/den."""
+    rng = random.Random(2056)
+    shared = cancelled = 0
+    for k in range(210):
+        x, y = _planted_pair(rng, ("cross", "shared", "cancelling")[k % 3])
+        g = poly_gcd(x.den, y.den)
+        if x.den != y.den and not g.is_one():
+            # the sum's g != 1 branch; a smaller denominator than lcm(b, d)
+            # means it cancelled a nontrivial gcd(t, g)
+            shared += 1
+            lcm = x.den * y.den.exact_div(g)
+            cancelled += (x + y).den.total_degree() < lcm.total_degree()
+        operands = [
+            sympy.Poly(to_sympy(p), *SYMS, domain="QQ") for p in (x.num, x.den, y.num, y.den)
+        ]
+        for op, got in (("+", x + y), ("-", x - y), ("*", x * y), ("/", x / y)):
+            want = RatFunc(*OPS[op](x.num, x.den, y.num, y.den))
+            assert (got.num, got.den) == (want.num, want.den), op
+            num, den = map(from_sympy, sympy.Poly.cancel(*OPS[op](*operands), include=True))
+            # the same value, and fully cancelled: sympy's denominator has our degree
+            assert got.num * den == num * got.den, op
+            assert got.den.total_degree() == den.total_degree(), op
+    assert shared >= 60 and cancelled >= 40, (shared, cancelled)
+
+
 # -- determinants ----------------------------------------------------------
 
 

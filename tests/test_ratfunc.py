@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extsq import ratfunc
 from extsq.polynomials import PolyRing
 from extsq.ratfunc import FactorBasis, FactoredFraction, RatFunc
 
@@ -32,6 +33,25 @@ def test_zero_and_division():
         RatFunc(X, R.zero())
     with pytest.raises(ZeroDivisionError):
         RatFunc.from_poly(X) / z
+    with pytest.raises(ZeroDivisionError, match="negative power"):
+        z**-2
+
+
+def test_product_of_canonical_operands_forms_two_gcds(monkeypatch):
+    """Only the two cross gcds: the reduced product is coprime already."""
+    gcd = ratfunc.poly_gcd
+    calls = []
+
+    def counting(f, g):
+        calls.append(None)
+        return gcd(f, g)
+
+    a = RatFunc((X + Y) * (X - 1), (Y + 2) * (X + 3))
+    b = RatFunc((Y + 2) * (Y - X), (X + Y) * (Y + 5))
+    monkeypatch.setattr(ratfunc, "poly_gcd", counting)
+    product = a * b
+    assert len(calls) == 2
+    assert product == RatFunc((X - 1) * (Y - X), (X + 3) * (Y + 5))
 
 
 def nonzero_polys():

@@ -10,7 +10,7 @@ import extsq.matrices as matrices
 import extsq.polynomials as polynomials
 import extsq.ratfunc as ratfunc
 import extsq.unfold as unfold
-from extsq.decomp import nhn_decompose
+from extsq.decomp import DegenerateMinorError, nhn_decompose
 from extsq.lfactors import EmbeddingParams
 from extsq.matrices import Matrix
 from extsq.polynomials import PolyRing
@@ -297,6 +297,71 @@ def test_build_B_gcd_budget(monkeypatch):
     monkeypatch.setattr(matrices, "poly_gcd", counting)
     build_B(v)
     assert 0 < len(calls) <= 168
+
+
+def test_superdiag_gcd_budget(monkeypatch):
+    """superdiag_sum reads the guard's table and builds each entry as one
+    fraction, so it forms few more gcds than build_B itself."""
+    v = UnfoldVars.symbolic_x(4)
+    gcd = polynomials.poly_gcd
+    calls = []
+
+    def counting(f, g):
+        calls.append(None)
+        return gcd(f, g)
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", counting)
+    monkeypatch.setattr(matrices, "poly_gcd", counting)
+    superdiag_sum(v)
+    assert 0 < len(calls) <= 125
+
+
+def _superdiag_by_elimination(v):
+    nhn = nhn_decompose(build_B(v))
+    return sum((nhn.n[i, i + 1] for i in range(1, nhn.n.nrows - 1)), nhn.n[0, 1])
+
+
+def _superdiag_oracle_vars():
+    """Symbolic n_half=2..5 in both presentations, seeded rational n_half=2..6,
+    and symbolic x with rational x_{1,j}, whose top rows of B are rational
+    over polynomial minors."""
+    out = []
+    for n_half in (2, 3, 4, 5):
+        out.append(pytest.param(UnfoldVars.symbolic(n_half), id=f"cz-{n_half}"))
+        out.append(pytest.param(UnfoldVars.symbolic_x(n_half), id=f"x-{n_half}"))
+    for n_half in (3, 4):
+        vx = UnfoldVars.symbolic_x(n_half)
+        x = {k: vx.x(*k) for k in unfold._x_index_set(n_half)}
+        x.update({(1, j): Fraction(j, 3) for j in range(2, 2 * n_half)})
+        out.append(pytest.param(UnfoldVars.from_x(n_half, x), id=f"mixed-{n_half}"))
+    rng = random.Random(41)
+    for n_half in range(2, 7):
+        for k in range(3):
+            v = UnfoldVars.from_x(n_half, _random_x(rng, n_half))
+            out.append(pytest.param(v, id=f"rational-{n_half}-{k}"))
+    return out
+
+
+@pytest.mark.parametrize("v", _superdiag_oracle_vars())
+def test_superdiag_sum_matches_elimination(v):
+    """The old route, a full nhn_decompose of build_B, as an oracle for the
+    superdiagonal read from the guard table."""
+    assert superdiag_sum(v) == _superdiag_by_elimination(v)
+
+
+@pytest.mark.parametrize("zero", ["c11", "c21", "c31", "z11", "z21", "z31"])
+def test_superdiag_names_the_minor_elimination_names(zero):
+    # each zero makes a different trailing minor of B vanish, d_2 to d_7
+    keys = [(i, j) for i in range(1, 4) for j in range(1, i + 1)]
+    c = {(i, j): Fraction(i + j) for i, j in keys}
+    z = {(i, j): Fraction(i - j + 1) for i, j in keys}
+    (c if zero[0] == "c" else z)[int(zero[1]), int(zero[2])] = Fraction(0)
+    v = UnfoldVars(4, c, z, {k: 1 for k in unfold._x_index_set(4)})
+    with pytest.raises(DegenerateMinorError) as want:
+        _superdiag_by_elimination(v)
+    with pytest.raises(DegenerateMinorError) as got:
+        superdiag_sum(v)
+    assert str(got.value) == str(want.value)
 
 
 def test_superdiag_identity_symbolic():
