@@ -138,6 +138,8 @@ def _inv(e):
 def _as_pair(e):
     if isinstance(e, RatFunc):
         return e.num, e.den
+    if isinstance(e, Fraction):
+        return e.numerator, e.denominator
     return e, 1
 
 

@@ -39,7 +39,14 @@ class ShuffleSigma:
 
     n_half: int
     permutation: tuple  # image of index k is permutation[k-1], 1-based values
-    matrix: Matrix
+
+    @property
+    def matrix(self) -> Matrix:
+        two_n = len(self.permutation)
+        mat = [[0] * two_n for _ in range(two_n)]
+        for j, p in enumerate(self.permutation):
+            mat[p - 1][j] = 1
+        return Matrix(mat)
 
 
 def sigma(n_half: int) -> ShuffleSigma:
@@ -54,10 +61,7 @@ def sigma(n_half: int) -> ShuffleSigma:
     for k in range(1, two_n):
         perm.append((2 * k - 2) % (two_n - 1) + 1)
     perm.append(two_n)
-    mat = [[0] * two_n for _ in range(two_n)]
-    for j in range(1, two_n + 1):
-        mat[perm[j - 1] - 1][j - 1] = 1
-    return ShuffleSigma(n_half, tuple(perm), Matrix(mat))
+    return ShuffleSigma(n_half, tuple(perm))
 
 
 # -- coordinate arrays -------------------------------------------------------
@@ -166,6 +170,11 @@ def _div(a, b):
         if b == 0:
             raise ZeroDivisionError("zero value where a nonzero one is required")
         return Fraction(a) / Fraction(b)
+    if isinstance(a, (int, Fraction, Polynomial)) and isinstance(
+        b, (int, Fraction, Polynomial)
+    ):
+        # cleared minors of mixed rational/symbolic data
+        return _ratio(a, b)
     return a / b
 
 
@@ -623,16 +632,8 @@ def whittaker_eval(eparams, g: Matrix) -> complex:
     return val
 
 
-def assemble_shuffled(vars: UnfoldVars) -> Matrix:
-    """The 2n x 2n matrix whose Whittaker value the closed form evaluates:
-    sigma * [[C, Z], [0, C]] * diag(f1, f2), with C and Z triangular blocks
-    holding the shifted coordinate values, f1 the identity with an all-ones
-    last column, and f2 the reversal on the first n-1 coordinates.
-
-    The x coordinates parameterize the shifted matrix, so the blocks carry
-    the tilde values; the product then equals the shifted block bordered by
-    a trailing 1.
-    """
+def _shuffle_blocks(vars: UnfoldVars):
+    """The n x n blocks C and Z of the shuffled matrix, as lists of rows."""
     n = vars.n_half
     b = build_B(vars)
     cmat = [[0] * n for _ in range(n)]
@@ -647,16 +648,37 @@ def assemble_shuffled(vars: UnfoldVars) -> Matrix:
             zmat[i - 1][j - 1] = tilde_z(b, n, i - 1, j)
     for j in range(1, n):
         zmat[n - 1][j - 1] = vars.z(n - 1, j)
-    big = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            big[i][j] = cmat[i][j]
-            big[i][n + j] = zmat[i][j]
-            big[n + i][n + j] = cmat[i][j]
-    f1 = [[1 if (i == j or j == n - 1) else 0 for j in range(n)] for i in range(n)]
-    f2 = Matrix.block_diagonal(Matrix.reversal(n - 1), Matrix([[1]]))
-    right = Matrix.block_diagonal(Matrix(f1), f2)
-    return sigma(n).matrix * Matrix(big) * right
+    return cmat, zmat
+
+
+def assemble_shuffled(vars: UnfoldVars) -> Matrix:
+    """The 2n x 2n matrix whose Whittaker value the closed form evaluates:
+    sigma * [[C, Z], [0, C]] * diag(f1, f2), with C and Z triangular blocks
+    holding the shifted coordinate values, f1 the identity with an all-ones
+    last column, and f2 the reversal on the first n-1 coordinates.
+
+    The x coordinates parameterize the shifted matrix, so the blocks carry
+    the tilde values; the product then equals the shifted block bordered by
+    a trailing 1.
+
+    The product is evaluated by placing entries, since every factor around
+    the block matrix is a permutation or the identity plus one column of
+    ones: f1 keeps the left block's first n-1 columns and puts the sum of
+    its n columns last, f2 reverses the right block's first n-1 columns,
+    and sigma moves row k to row sigma(k).  No closed form is read.
+    ``tests/test_unfold.py::test_assembly_equals_the_dense_product`` holds
+    the result to the dense product of the three matrices.
+    """
+    n = vars.n_half
+    cmat, zmat = _shuffle_blocks(vars)
+    # row k of [[C, Z], [0, C]] diag(f1, f2) lands in row perm[k] - 1
+    perm = sigma(n).permutation
+    rows = [None] * (2 * n)
+    for k in range(n):
+        crow, zrow = cmat[k], zmat[k]
+        rows[perm[k] - 1] = crow[:-1] + [sum(crow)] + zrow[-2::-1] + zrow[-1:]
+        rows[perm[n + k] - 1] = [0] * n + crow[-2::-1] + crow[-1:]
+    return Matrix(rows)
 
 
 def kappa2_sign(delta) -> int:

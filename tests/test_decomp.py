@@ -308,6 +308,39 @@ def test_factor_check_rejects_a_corrupted_minor_diagonal():
             assert not nhn_matches_udl(bad, nhn)
 
 
+def _rational_pair():
+    g = _with_leading_pivots(random.Random(47), (-2, 3, -5, 7))
+    return udl_explicit(g), nhn_decompose(g)
+
+
+def test_factor_check_rejects_every_corrupted_rational_entry():
+    udl, nhn = _rational_pair()
+    assert nhn_matches_udl(udl, nhn)
+    for i in range(4):
+        for j in range(4):
+            if i == j:
+                continue
+            entry = nhn.n[i, j] if i < j else nhn.n_minus[i, j]
+            # a zero entry times 3 would be no corruption
+            assert type(entry) is Fraction and entry != 0
+            for wrong in (entry + 1, entry * 3):
+                if i < j:
+                    bad = NHNFactors(_corrupt(nhn.n, i, j, wrong), nhn.h, nhn.n_minus)
+                else:
+                    bad = NHNFactors(nhn.n, nhn.h, _corrupt(nhn.n_minus, i, j, wrong))
+                assert not nhn_matches_udl(udl, bad)
+
+
+def test_factor_check_rejects_every_corrupted_rational_diagonal():
+    udl, nhn = _rational_pair()
+    for j in range(4):
+        entry = nhn.h[j, j]
+        assert type(entry) is Fraction and entry != 0
+        for wrong in (entry + 1, entry * 3):
+            bad = NHNFactors(nhn.n, _corrupt(nhn.h, j, j, wrong), nhn.n_minus)
+            assert not nhn_matches_udl(udl, bad)
+
+
 def _many_denominators():
     """Entry (i, j) = x_{i+1,j+1} / (x_{(i+1)%3+1,(j+2)%3+1} + i + 1).
 

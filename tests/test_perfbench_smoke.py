@@ -1,10 +1,10 @@
-"""Small passes of the benchmark's ``analytic``, ``decomp`` and ``unfold``
-workloads.
+"""Small passes of the benchmark's ``suite``, ``analytic``, ``decomp`` and
+``unfold`` workloads.
 
 ``perfbench/`` has its own tests (``python -m pytest perfbench``); these
-keep the harness's view of the quadrature oracle, the functional equation,
-the pole checks, both triangular decompositions and the unfolding
-identities inside the default test run.
+keep the harness's view of the suite report, the quadrature oracle, the
+functional equation, the pole checks, both triangular decompositions and
+the unfolding identities inside the default test run.
 """
 
 import importlib.util
@@ -18,6 +18,18 @@ def load_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_suite_pass_is_correct():
+    workloads = load_workloads()
+    workload, first_quad_s = workloads.prepare("suite", 1, trials=1)
+    tally = workloads.Tally()
+    workload.run_pass(tally)
+    assert first_quad_s >= 0.0
+    # the run itself and its twelve checks
+    assert tally.attempted == 13
+    assert tally.failed == 0
+    assert tally.correct, tally.wrong
 
 
 def test_analytic_pass_is_correct():

@@ -495,6 +495,68 @@ def test_whittaker_dual_paths_agree():
             assert a == pytest.approx(b, rel=1e-10)
 
 
+def _dense_assembly(v):
+    """sigma * [[C, Z], [0, C]] * diag(f1, f2) as two dense matrix products."""
+    n = v.n_half
+    cmat, zmat = unfold._shuffle_blocks(v)
+    big = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            big[i][j] = cmat[i][j]
+            big[i][n + j] = zmat[i][j]
+            big[n + i][n + j] = cmat[i][j]
+    f1 = [[1 if (i == j or j == n - 1) else 0 for j in range(n)] for i in range(n)]
+    f2 = Matrix.block_diagonal(Matrix.reversal(n - 1), Matrix([[1]]))
+    right = Matrix.block_diagonal(Matrix(f1), f2)
+    return sigma(n).matrix * Matrix(big) * right
+
+
+def _assembly_inputs():
+    out = []
+    rng = random.Random(29)
+    for n_half in range(2, 7):
+        for k in range(3):
+            v = UnfoldVars.from_x(n_half, _random_x(rng, n_half))
+            out.append(pytest.param(v, id=f"rational-{n_half}-{k}"))
+    for n_half in (2, 3, 4):
+        out.append(pytest.param(UnfoldVars.symbolic(n_half), id=f"cz-{n_half}"))
+        out.append(pytest.param(UnfoldVars.symbolic_x(n_half), id=f"x-{n_half}"))
+    return out
+
+
+@pytest.mark.parametrize("v", _assembly_inputs())
+def test_assembly_equals_the_dense_product(v):
+    placed = unfold.assemble_shuffled(v)
+    dense = _dense_assembly(v)
+    assert placed == dense
+    assert [[type(e) for e in row] for row in placed.data] == [
+        [type(e) for e in row] for row in dense.data
+    ]
+
+
+def _mixed_x(rng, n_half):
+    """Rational x values, each replaced by its own variable with probability 0.3."""
+    keys = unfold._x_index_set(n_half)
+    ring = PolyRing(sorted(f"x{i}_{j}" for i, j in keys))
+    x = _random_x(rng, n_half)
+    for i, j in keys:
+        if rng.random() < 0.3:
+            x[(i, j)] = ring.var(f"x{i}_{j}")
+    return x
+
+
+@pytest.mark.parametrize("n_half", [2, 3, 4, 5])
+def test_identities_on_mixed_rational_and_symbolic_x(n_half):
+    # a rational shifted value over polynomial minors hands unfold._div two
+    # Polynomials, or a Polynomial and an int
+    rng = random.Random(1000 * n_half)
+    for _ in range(60):
+        v = UnfoldVars.from_x(n_half, _mixed_x(rng, n_half))
+        assert superdiag_sum(v) == superdiag_closed_form_x(v)
+        lhs, rhs = altsum_check(v)
+        assert lhs == rhs
+
+
 def test_kappa_product_identity_exhaustive():
     import itertools
 
