@@ -199,6 +199,40 @@ def test_poly_gcd_past_the_certificate_matches_sympy(monkeypatch, common_vars, c
         assert len(prs_calls) > before
 
 
+EXPONENTS = st.tuples(*(st.integers(0, 3) for _ in NAMES))
+
+
+def monomial_operands():
+    """A monomial or a constant with a nonzero int or Fraction coefficient."""
+    return st.builds(
+        R.monomial, st.one_of(EXPONENTS, st.just((0, 0, 0))), coeffs(6).filter(bool)
+    )
+
+
+def without_monomial_content():
+    """A polynomial with a nonzero constant term, so no monomial divides it."""
+    terms = st.dictionaries(EXPONENTS, coeffs(6), max_size=4)
+    return st.builds(
+        lambda t, c: Polynomial(R, {**t, (0, 0, 0): c}), terms, coeffs(6).filter(bool)
+    )
+
+
+def with_monomial_content():
+    """A nonzero polynomial times a non-constant monomial."""
+    return st.builds(
+        lambda p, e: p * R.monomial(e), nonzero_polys(max_terms=4), EXPONENTS.filter(any)
+    )
+
+
+@given(monomial_operands(), st.one_of(without_monomial_content(), with_monomial_content()))
+@settings(max_examples=120, deadline=None)
+def test_poly_gcd_with_a_monomial_operand_matches_sympy(m, f):
+    # exact equality: the primitive gcd is unique
+    want = from_sympy(sympy.gcd(to_sympy(f), to_sympy(m))).content_and_primitive()[1]
+    assert poly_gcd(f, m) == want
+    assert poly_gcd(m, f) == want
+
+
 @given(nonzero_polys(max_terms=3, max_exp=2), polys(max_terms=3, max_exp=2),
        nonzero_polys(max_terms=3, max_exp=2))
 @settings(max_examples=60, deadline=None)
