@@ -28,6 +28,11 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def _is_zero(x) -> bool:
+    # the common kinds skip the attribute probe; isinstance would be slower,
+    # since Fraction's metaclass is ABCMeta
+    t = type(x)
+    if t is int or t is Fraction:
+        return x == 0
     if hasattr(x, "is_zero"):
         return x.is_zero()
     return x == 0
@@ -94,6 +99,13 @@ class Matrix:
         return Matrix([list(col) for col in zip(*self.data)])
 
     def __mul__(self, other):
+        """Matrix product over any entries that multiply and add.
+
+        A product with an int zero factor is skipped, so int zero padding
+        never meets a Polynomial or RatFunc.  Each left row's other entries
+        are collected once, and only those are walked for every column;
+        each entry is summed in index order, starting from int 0.
+        """
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
@@ -101,12 +113,12 @@ class Matrix:
         bt = list(zip(*other.data))
         out = []
         for row in self.data:
+            live = [(k, a) for k, a in enumerate(row) if not isinstance(a, int) or a != 0]
             new = []
             for col in bt:
                 acc = 0
-                for a, b in zip(row, col):
-                    if isinstance(a, int) and a == 0:
-                        continue
+                for k, a in live:
+                    b = col[k]
                     if isinstance(b, int) and b == 0:
                         continue
                     acc = acc + a * b

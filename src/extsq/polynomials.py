@@ -19,17 +19,19 @@ finds the leading term without rescanning the remainder (after Monagan &
 Pearce, "Sparse polynomial division using a heap", J. Symbolic Comput.
 46(7), 2011).
 
-The gcd is layered: monomial content, trial division, an exact
-coprimality certificate, and the subresultant pseudo-remainder sequence
-(Knuth, TAOCP vol. 2, 4.6.1) as the one fallback.  This is enough to keep
-rational functions canonical without a computer-algebra dependency.  The
-certificate substitutes one seeded integer point for all variables but one,
-v, for every shared v in one pass over the terms.  When lc_v(f) or lc_v(g)
-survives and the two univariate images have a constant gcd, v does not
-occur in gcd(f, g): the gcd's lc_v divides both, so its image keeps its
-degree in v and divides both images.  Most coprime pairs, such as two
-distinct minors of a generic matrix, are settled by that alone; every other
-pair goes to the PRS.
+A gcd with a constant or monomial operand is answered from the packed
+exponents: it is 1, or the fieldwise minimum of the two monomial contents.
+The gcd of two other polynomials is layered: monomial content, trial
+division, an exact coprimality certificate, and the subresultant
+pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1) as the one
+fallback.  This is enough to keep rational functions canonical without a
+computer-algebra dependency.  The certificate substitutes one seeded
+integer point for all variables but one, v, for every shared v in one pass
+over the terms.  When lc_v(f) or lc_v(g) survives and the two univariate
+images have a constant gcd, v does not occur in gcd(f, g): the gcd's lc_v
+divides both, so its image keeps its degree in v and divides both images.
+Most coprime pairs, such as two distinct minors of a generic matrix, are
+settled by that alone; every other pair goes to the PRS.
 """
 
 from __future__ import annotations
@@ -490,7 +492,13 @@ class Polynomial:
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Primitive gcd (positive leading coefficient), monomial part included."""
+    """Primitive gcd (positive leading coefficient), monomial part included.
+
+    A constant or monomial operand is answered from the packed exponents
+    alone: the gcd is 1, or the fieldwise minimum of the two monomial
+    contents.  Any other pair has its monomial contents divided out and its
+    primitive parts passed to ``_gcd_core``.
+    """
     if f.ring != g.ring:
         raise ValueError("polynomial rings differ")
     if f.is_zero():
@@ -498,11 +506,16 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if g.is_zero():
         return f.content_and_primitive()[1]
     ring = f.ring
+    if f.is_constant() or g.is_constant():
+        return ring.one()
     mf, mg = f._content_key(), g._content_key()
+    m = ring._pack(map(min, ring._unpack(mf), ring._unpack(mg))) if mf and mg else 0
+    if f.is_monomial() or g.is_monomial():
+        # a monomial is its own monomial content
+        return Polynomial._make(ring, {m: 1})
     fp = f._shift_key(mf)
     gp = g._shift_key(mg)
     core = _gcd_core(fp.content_and_primitive()[1], gp.content_and_primitive()[1])
-    m = ring._pack(map(min, ring._unpack(mf), ring._unpack(mg))) if mf and mg else 0
     return core * Polynomial._make(ring, {m: 1}) if m else core
 
 
@@ -561,11 +574,20 @@ def _proved_coprime(f: Polynomial, g: Polynomial, shared) -> bool:
     return False
 
 
+_GCD_POINTS: dict = {}
+
+
 def _gcd_points(nvars: int):
-    """The seeded integer points of the certificate, nonzero in every variable."""
-    rng = random.Random(0x5EED)
-    for _ in range(4):
-        yield [rng.randint(1, 40) * rng.choice((1, -1)) for _ in range(nvars)]
+    """An iterator over the seeded integer points of the certificate, nonzero
+    in every variable.  The points are drawn once per number of variables."""
+    points = _GCD_POINTS.get(nvars)
+    if points is None:
+        rng = random.Random(0x5EED)
+        points = _GCD_POINTS[nvars] = tuple(
+            tuple(rng.randint(1, 40) * rng.choice((1, -1)) for _ in range(nvars))
+            for _ in range(4)
+        )
+    return iter(points)
 
 
 def _images(p: Polynomial, names, point) -> list:

@@ -47,6 +47,77 @@ def test_arithmetic():
     assert a * Matrix.identity(2) == a
 
 
+def _reference_product(a, b):
+    """The plain triple loop: every index in order, int zero factors skipped."""
+    out = []
+    for row in a.data:
+        new = []
+        for col in zip(*b.data):
+            acc = 0
+            for x, y in zip(row, col):
+                if isinstance(x, int) and x == 0:
+                    continue
+                if isinstance(y, int) and y == 0:
+                    continue
+                acc = acc + x * y
+            new.append(acc)
+        out.append(new)
+    return out
+
+
+def _entries(kind):
+    ring = PolyRing(("x", "y"))
+    x, y = ring.var("x"), ring.var("y")
+    xr, yr = RatFunc.from_poly(x), RatFunc.from_poly(y)
+    F = Fraction
+    return {
+        # each list carries one zero that is not an int, which is never skipped
+        "int": [3, -2, 5, 7, 1, -4, 6],
+        "fraction": [F(1, 2), F(-3, 4), F(5, 3), 2, F(0), F(7, 6), -1],
+        "polynomial": [x + 1, y, x * y - 2, 3, ring.zero(), F(1, 2) * x, ring.one()],
+        "ratfunc": [
+            1 / (xr + 1), yr, xr / (yr - 1), 2, RatFunc.const(ring, 0), F(2, 3), xr * yr
+        ],
+    }[kind]
+
+
+def _shaped(kind, shape, n=4):
+    vals = _entries(kind)
+
+    def at(i, j):
+        return vals[(2 * i + 3 * j) % len(vals)]
+
+    keep = {
+        "diagonal": lambda i, j: i == j,
+        "lower": lambda i, j: j <= i,
+        "upper": lambda i, j: j >= i,
+        # int zeros scattered through the rows, and one all-zero row
+        "padded": lambda i, j: i != 1 and (i + j) % 3 != 0,
+    }[shape]
+    return Matrix([[at(i, j) if keep(i, j) else 0 for j in range(n)] for i in range(n)])
+
+
+SHAPES = ("diagonal", "lower", "upper", "padded")
+KINDS = ("int", "fraction", "polynomial", "ratfunc")
+
+
+@pytest.mark.parametrize("left", KINDS)
+@pytest.mark.parametrize("right", KINDS)
+def test_product_matches_the_triple_loop(left, right):
+    for sa in SHAPES:
+        for sb in SHAPES:
+            a, b = _shaped(left, sa), _shaped(right, sb)
+            got, want = (a * b).data, _reference_product(a, b)
+            assert got == want, (sa, sb)
+            assert [[type(e) for e in row] for row in got] == [
+                [type(e) for e in row] for row in want
+            ], (sa, sb)
+    # a rectangular pair, wider than it is tall on the right
+    a = Matrix(_shaped(left, "padded").data[:3])
+    b = Matrix([row + row[:2] for row in _shaped(right, "lower").data])
+    assert (a * b).data == _reference_product(a, b)
+
+
 def square_int_matrices(n):
     return st.lists(
         st.lists(st.integers(-9, 9), min_size=n, max_size=n),

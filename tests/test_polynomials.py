@@ -215,6 +215,32 @@ def test_coprime_generic_minors_settle_by_the_certificate(monkeypatch):
         assert poly_gcd(a, b).is_one()
 
 
+def _refuse_general(*args):
+    raise AssertionError("a monomial or constant operand needs no general gcd")
+
+
+def test_monomial_and_constant_operands_are_answered_from_exponents(monkeypatch):
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = (ring.var(n) for n in ring.names)
+    cases = [
+        # (operand, other, gcd)
+        (ring.const(7), x * y + 1, ring.one()),
+        (ring.const(Fraction(-2, 3)), x**2 * z, ring.one()),
+        (ring.const(5), ring.const(Fraction(1, 4)), ring.one()),
+        (-3 * x**2 * y, x**3 * z + x * y**2, x),
+        (Fraction(1, 2) * x * y**2 * z, 6 * x**2 * y * z**3 - 4 * x * y**3 * z, x * y * z),
+        (x**2 * y, y**3 * z + x, ring.one()),
+        (4 * y, -y * z + Fraction(2, 5) * y**2, y),
+        (-x**3, Fraction(5, 7) * x**2, x**2),
+    ]
+    monkeypatch.setattr(polynomials, "_gcd_core", _refuse_general)
+    monkeypatch.setattr(Polynomial, "_shift_key", _refuse_general)
+    monkeypatch.setattr(Polynomial, "content_and_primitive", _refuse_general)
+    for m, f, want in cases:
+        assert poly_gcd(f, m) == want
+        assert poly_gcd(m, f) == want
+
+
 def test_a_point_that_zeroes_a_leading_coefficient_proves_nothing():
     ring = PolyRing(("x", "y", "z"))
     x, y, z = (ring.var(n) for n in ring.names)

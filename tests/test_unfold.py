@@ -557,6 +557,38 @@ def test_identities_on_mixed_rational_and_symbolic_x(n_half):
         assert lhs == rhs
 
 
+def _mixed_cz(rng, n_half):
+    """Rational c and z values, each replaced by its own variable with
+    probability 0.3."""
+    keys = unfold._cz_index_set(n_half)
+    ring = PolyRing(sorted(f"{a}{i}{j}" for a in "cz" for i, j in keys))
+    c, z = {}, {}
+    for name, values in (("c", c), ("z", z)):
+        for i, j in keys:
+            q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            values[(i, j)] = ring.var(f"{name}{i}{j}") if rng.random() < 0.3 else q
+    return c, z
+
+
+@pytest.mark.parametrize("n_half", [2, 3, 4, 5])
+def test_identities_on_mixed_rational_and_symbolic_cz(n_half):
+    rng = random.Random(2000 * n_half)
+    for _ in range(60):
+        v = UnfoldVars.from_cz(n_half, *_mixed_cz(rng, n_half))
+        assert superdiag_sum(v) == superdiag_closed_form(v)
+        lhs, rhs = altsum_check(v)
+        assert lhs == rhs
+
+
+@pytest.mark.parametrize("n_half", [2, 3, 4])
+def test_recursion_on_mixed_rational_and_symbolic_x(n_half):
+    rng = random.Random(3000 * n_half)
+    for _ in range(30):
+        x = _mixed_x(rng, n_half)
+        nhn = nhn_decompose(build_B(UnfoldVars.from_x(n_half, x)))
+        assert lower_factor_recursive(n_half, x) == nhn.h * nhn.n_minus
+
+
 def test_kappa_product_identity_exhaustive():
     import itertools
 
