@@ -520,15 +520,14 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def _gcd_core(f: Polynomial, g: Polynomial) -> Polynomial:
-    """gcd of two primitive polynomials that have no monomial factor.
+    """gcd of two primitive polynomials of two or more terms that have no
+    monomial factor, so neither is constant.
 
-    After the cheap cases (a constant, equal inputs, one dividing the other)
-    the image certificate either proves the gcd is 1 or hands the pair to
-    the subresultant PRS gcd, the one fallback.
+    After the cheap cases (equal inputs, one dividing the other) the image
+    certificate either proves the gcd is 1 or hands the pair to the
+    subresultant PRS gcd, the one fallback.
     """
     ring = f.ring
-    if f.is_constant() or g.is_constant():
-        return ring.one()
     if f.terms == g.terms:
         return f
     if f.total_degree() > g.total_degree():
