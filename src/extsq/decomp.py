@@ -31,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import Matrix, _bareiss, _clear, _div_int, _is_zero
+from .matrices import Matrix, _bareiss, _clear, _is_zero
 from .polynomials import Polynomial
-from .ratfunc import FactorBasis, FactoredFraction, RatFunc
+from .ratfunc import FactorBasis, FactoredFraction, RatFunc, quotient
 
 
 class DegenerateMinorError(ZeroDivisionError):
@@ -73,13 +73,11 @@ class NHNFactors:
     n_minus: Matrix
 
 
-def _require_exact(g: Matrix):
-    for row in g.data:
+def _require_exact(rows):
+    for row in rows:
         for e in row:
             if not isinstance(e, (int, Fraction, Polynomial, RatFunc)):
-                raise TypeError(
-                    f"decompositions need exact entries, not {type(e).__name__}"
-                )
+                raise TypeError(f"need exact values, not {type(e).__name__}")
 
 
 def trailing_minor(g: Matrix, i: int):
@@ -113,7 +111,7 @@ def udl_explicit(g: Matrix) -> UDLFactors:
     determinant of the same submatrix.  No two minors are multiplied here;
     UDLFactors.a derives a from that diagonal.
     """
-    _require_exact(g)
+    _require_exact(g.data)
     n = g.nrows
     d = [trailing_minor(g, i) for i in range(1, n + 1)]
     for i in range(1, n + 1):
@@ -127,12 +125,6 @@ def udl_explicit(g: Matrix) -> UDLFactors:
             bp[i - 1][j - 1] = minor_upper(g, i, j)
             bm[j - 1][i - 1] = minor_lower(g, j, i)
     return UDLFactors(Matrix(bp), Matrix(bm))
-
-
-def _inv(e):
-    if isinstance(e, int):
-        return Fraction(1, e)
-    return 1 / e
 
 
 def _as_pair(e):
@@ -220,9 +212,8 @@ def nhn_decompose(g: Matrix) -> NHNFactors:
     n = g.nrows
     if n != g.ncols:
         raise ValueError("matrix must be square")
-    _require_exact(g)
+    _require_exact(g.data)
     m, scales, divide = _clear([row[::-1] for row in reversed(g.data)])
-    ratio = Fraction if divide is _div_int else RatFunc
     if n:
         _bareiss(m, divide, swap=False)
     piv = [m[i][i] for i in range(n)]
@@ -236,12 +227,12 @@ def nhn_decompose(g: Matrix) -> NHNFactors:
     for i in range(n):
         a = n - 1 - i
         den = scales[a] if a == 0 else piv[a - 1] * scales[a]
-        hdiag.append(ratio(piv[a], den))
+        hdiag.append(quotient(piv[a], den))
         for j in range(i):
-            nl[i][j] = ratio(m[a][n - 1 - j], piv[a])
+            nl[i][j] = quotient(m[a][n - 1 - j], piv[a])
         for j in range(i + 1, n):
             b = n - 1 - j
-            nu[i][j] = ratio(m[a][b] * scales[b], piv[b] * scales[a])
+            nu[i][j] = quotient(m[a][b] * scales[b], piv[b] * scales[a])
     return NHNFactors(Matrix(nu), Matrix.diagonal(hdiag), Matrix(nl))
 
 
@@ -253,10 +244,10 @@ def verify_udl_reconstruction(g: Matrix, udl: UDLFactors) -> bool:
     denominators: each entry must satisfy
     sum_k (b_plus)_{ik} (b_minus)_{kj} / (d_k d_{k+1}) = g_{ij}, verified in
     factored-fraction form over the basis {d_1, ..., d_n}, so a itself is
-    never formed.  Rational entries are multiplied out directly with a.
-    Entries that are not exact raise TypeError.
+    never formed.  Other matrices are multiplied out with a^{-1} from
+    ``ratfunc.quotient``.  Entries that are not exact raise TypeError.
     """
-    _require_exact(g)
+    _require_exact(g.data)
     n = g.nrows
     poly_like = all(
         isinstance(e, (Polynomial, RatFunc)) for row in g.data for e in row
@@ -264,7 +255,7 @@ def verify_udl_reconstruction(g: Matrix, udl: UDLFactors) -> bool:
     if poly_like and n > 0:
         return _verify_reconstruction_poly(g, udl)
     a = udl.a
-    ainv = Matrix.diagonal([_inv(a[i, i]) for i in range(n)])
+    ainv = Matrix.diagonal([quotient(1, a[i, i]) for i in range(n)])
     return udl.b_plus * ainv * udl.b_minus == g
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .polynomials import Polynomial, PolyRing, poly_gcd
 from .rational import format_rational, parse_rational
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, quotient
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -151,11 +151,11 @@ class Matrix:
 
         The rows are cleared by ``_clear``, Bareiss elimination runs over
         the integers or Q[x] with every division checked exact, and the
-        product of the row scales is divided out once.  An all-int matrix
-        gives an int, int/Fraction entries a Fraction, polynomial entries
-        (with any int or Fraction) a Polynomial, and any RatFunc entry a
-        RatFunc.  Other entry types, such as complex, run the same
-        elimination with true division.
+        product of the row scales is divided out once, by
+        ``ratfunc.quotient``.  An all-int matrix gives an int, int/Fraction
+        entries a Fraction, polynomial entries (with any int or Fraction) a
+        Polynomial, and any RatFunc entry a RatFunc.  Other entry types,
+        such as complex, run the same elimination with true division.
         """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
@@ -164,14 +164,13 @@ class Matrix:
             return 1
         entries, scales, divide = _clear(rows)
         d = _bareiss(entries, divide)
-        # only the result type is decided here
+        # d is the determinant unless a Fraction or RatFunc entry was cleared
         kinds = {type(e) for row in rows for e in row}
+        if RatFunc in kinds:
+            return quotient(d, math.prod(s for s in scales if not s.is_one()))
         if divide is _div_int and Fraction in kinds:
-            return Fraction(d, math.prod(scales))
-        if RatFunc not in kinds:
-            return d
-        scale = math.prod(s for s in scales if not s.is_one())
-        return RatFunc(d, scale) if isinstance(scale, Polynomial) else RatFunc.from_poly(d)
+            return quotient(d, math.prod(scales))
+        return d
 
 
 def _clear(rows):

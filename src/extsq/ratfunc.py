@@ -9,6 +9,9 @@ A product cancels g1 = (a, d) and g2 = (c, b), leaving a/g1 and c/g2 coprime
 to b/g2 and d/g1.  An inverse and a negative power are coprime.  A sum with
 (b, d) = 1 has (ad + cb, bd) = 1.  With g = (b, d), b = b1 g and d = d1 g,
 t = a d1 + c b1 is coprime to b1 d1, so only (t, g) cancels.
+``quotient`` is the one exact quotient of the package: every a / b of int,
+Fraction, Polynomial or RatFunc operands elsewhere goes through it, so one
+rule decides whether the result is a Fraction or a RatFunc.
 FactoredFraction stores the denominator as exponents over a shared basis of
 primitive polynomials, so most cancellations become integer exponent
 arithmetic.  It now serves only the reconstruction check
@@ -27,7 +30,8 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial, _canonical=False):
-        if not _canonical:
+        # a unit denominator is already canonical
+        if not _canonical and not den.is_one():
             if den.is_zero():
                 raise ZeroDivisionError("rational function with zero denominator")
             if not num.is_zero():
@@ -122,12 +126,14 @@ class RatFunc:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return RatFunc.const(self.ring, 0)
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        a = self.num if g1.is_one() else self.num.exact_div(g1)
-        d = other.den if g1.is_one() else other.den.exact_div(g1)
-        c = other.num if g2.is_one() else other.num.exact_div(g2)
-        b = self.den if g2.is_one() else self.den.exact_div(g2)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        # a unit denominator shares no factor, so its gcd is not computed
+        g1 = d if d.is_one() else poly_gcd(a, d)
+        g2 = b if b.is_one() else poly_gcd(c, b)
+        if not g1.is_one():
+            a, d = a.exact_div(g1), d.exact_div(g1)
+        if not g2.is_one():
+            c, b = c.exact_div(g2), b.exact_div(g2)
         return RatFunc(*_normalised(a * c, b * d), _canonical=True)
 
     __rmul__ = __mul__
@@ -173,6 +179,29 @@ class RatFunc:
 
     def __repr__(self):
         return f"<RatFunc {self}>"
+
+
+def quotient(a, b):
+    """a / b exactly, for a and b each an int, Fraction, Polynomial or RatFunc.
+
+    Two rationals give a Fraction, and a RatFunc operand gives a / b, so the
+    reduced RatFunc arithmetic above does the work.  Otherwise the result
+    is the canonical RatFunc over the Polynomial operand's ring.  A zero b
+    raises ZeroDivisionError, and any other operand type TypeError.
+    """
+    ta, tb = type(a), type(b)
+    # the common rational case first; isinstance would be slower, since
+    # Fraction's metaclass is ABCMeta
+    if (ta is int or ta is Fraction) and (tb is int or tb is Fraction):
+        return Fraction(a, b)
+    if ta is RatFunc or tb is RatFunc:
+        return a / b
+    p = a if ta is Polynomial else b
+    if type(p) is Polynomial:
+        num, den = p._coerce(a), p._coerce(b)
+        if num is not None and den is not None:
+            return RatFunc(num, den)
+    raise TypeError(f"no exact quotient of {ta.__name__} by {tb.__name__}")
 
 
 def _normalised(num: Polynomial, den: Polynomial):

@@ -21,12 +21,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .decomp import DegenerateMinorError, nhn_decompose
+from .decomp import DegenerateMinorError, _require_exact, nhn_decompose
 from .matrices import Matrix, _clear, _is_zero
-from .polynomials import Polynomial, PolyRing
-from .ratfunc import RatFunc
+from .polynomials import PolyRing
+from .ratfunc import RatFunc, quotient
 from .specialfn import as_parity, g_delta
 
 
@@ -78,9 +77,10 @@ def _x_index_set(n: int):
 class UnfoldVars:
     """Triangular coordinate data in both the c/z and the x presentation.
 
-    Values may be exact rationals, complex numbers, or rational functions;
-    both presentations are populated at construction (they determine each
-    other when everything needed is nonzero).
+    Values must be exact: int, Fraction, Polynomial or RatFunc, and any
+    other value raises TypeError at construction.  Both presentations are
+    populated at construction (they determine each other when everything
+    needed is nonzero).
     """
 
     def __init__(self, n_half: int, c: dict, z: dict, x: dict):
@@ -93,6 +93,7 @@ class UnfoldVars:
             raise ValueError("c/z arrays must cover exactly 1 <= j <= i <= n-1")
         if set(self._x) != set(_x_index_set(n_half)):
             raise ValueError("x array must cover exactly 2i <= j <= 2n-1")
+        _require_exact((self._c.values(), self._z.values(), self._x.values()))
 
     def c(self, i: int, j: int):
         return self._c[(i, j)]
@@ -107,6 +108,7 @@ class UnfoldVars:
 
     @classmethod
     def from_cz(cls, n_half: int, c: dict, z: dict) -> "UnfoldVars":
+        _require_exact((c.values(), z.values()))
         x = {}
         for i in range(1, n_half):
             prev = None
@@ -116,7 +118,7 @@ class UnfoldVars:
                 if prev is None:
                     x[(i, j)] = val
                 else:
-                    x[(i, j)] = _div(val, prev)
+                    x[(i, j)] = quotient(val, prev)
                 prev = val
         return cls(n_half, c, z, x)
 
@@ -163,19 +165,6 @@ class UnfoldVars:
             for i, j in _x_index_set(n_half)
         }
         return cls.from_x(n_half, x)
-
-
-def _div(a, b):
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        if b == 0:
-            raise ZeroDivisionError("zero value where a nonzero one is required")
-        return Fraction(a) / Fraction(b)
-    if isinstance(a, (int, Fraction, Polynomial)) and isinstance(
-        b, (int, Fraction, Polynomial)
-    ):
-        # cleared minors of mixed rational/symbolic data
-        return _ratio(a, b)
-    return a / b
 
 
 # -- the interleaved block ---------------------------------------------------
@@ -319,7 +308,7 @@ def _solve_affine(minors: _Minors, n: int, pos, target):
             f"vanishing pivot determinant while shifting entry at {pos}"
         )
     beta = minors.expand(minors.rows[r], r, cols, cols[:-1])
-    new = _div(target - beta, alpha)
+    new = quotient(target - beta, alpha)
     minors.rows[r][cols[-1]] = new
     return new
 
@@ -430,17 +419,9 @@ def superdiag_sum(vars: UnfoldVars):
         if _is_zero(d):
             raise DegenerateMinorError(i + 2, size - i - 1)
         (row, s_i), s_next = minors.cleared(i), minors.cleared(i + 1)[1]
-        e = _ratio(minors.expand(row, i + 1, cols, cols) * s_next, s_i * d)
+        e = quotient(minors.expand(row, i + 1, cols, cols) * s_next, s_i * d)
         total = e if total is None else total + e
     return total
-
-
-def _ratio(num, den):
-    """num / den as one Fraction, or as one RatFunc if either is a Polynomial."""
-    ring = next((p.ring for p in (num, den) if isinstance(p, Polynomial)), None)
-    if ring is None:
-        return Fraction(num, den)
-    return RatFunc(*(p if isinstance(p, Polynomial) else ring.const(p) for p in (num, den)))
 
 
 def superdiag_closed_form(vars: UnfoldVars):
@@ -453,11 +434,11 @@ def superdiag_closed_form(vars: UnfoldVars):
     total = None
     for i in range(1, n):
         for j in range(1, i + 1):
-            t = _div(vars.c(i, j), vars.z(i, j))
+            t = quotient(vars.c(i, j), vars.z(i, j))
             total = t if total is None else total + t
     for i in range(1, n - 1):
         for j in range(1, i + 1):
-            t = _div(vars.z(i, j), vars.c(i + 1, j))
+            t = quotient(vars.z(i, j), vars.c(i + 1, j))
             total = total + t
     for j in range(1, n):
         total = total - vars.z(n - 1, j)
@@ -514,7 +495,7 @@ def altsum_check(vars: UnfoldVars):
         for r in range(j, n):
             den = vars.c(r, r) if den is None else den * vars.c(r, r)
         sgn = _sign_pow(1 + (n - j) * (n - j + 1) // 2)
-        s_j = sgn * _div(ctilde_row_sum * e_j, den)
+        s_j = sgn * quotient(ctilde_row_sum * e_j, den)
         lhs = s_j if lhs is None else lhs + s_j
     rhs = None
     for j in range(1, n):
@@ -600,14 +581,6 @@ def _e(z) -> complex:
     return cmath.exp(2j * math.pi * float(z))
 
 
-def _real_value(v) -> float:
-    if isinstance(v, complex):
-        if abs(v.imag) > 1e-12 * max(1.0, abs(v.real)):
-            raise ValueError("expected a real diagonal value")
-        return v.real
-    return float(v)
-
-
 def whittaker_eval(eparams, g: Matrix) -> complex:
     """Open-cell value: e(sum of superdiagonal of the unit-upper factor)
     times prod_j |h_j|^((m+1)/2 - j - lambda_j) sgn(h_j)^(delta_j)."""
@@ -619,10 +592,10 @@ def whittaker_eval(eparams, g: Matrix) -> complex:
     nhn = nhn_decompose(g)
     ssum = 0.0
     for i in range(m - 1):
-        ssum += _real_value(nhn.n[i, i + 1])
+        ssum += float(nhn.n[i, i + 1])
     val = _e(ssum)
     for j in range(1, m + 1):
-        h = _real_value(nhn.h[j - 1, j - 1])
+        h = float(nhn.h[j - 1, j - 1])
         if h == 0.0:
             return 0.0j
         expo = complex((m + 1) / 2 - j) - complex(lam[j - 1])
@@ -709,7 +682,7 @@ def shuffled_whittaker_eval(vars: UnfoldVars, eparams) -> complex:
     val = _e(phase) * kappa2_sign(delta)
     for i in range(1, n):
         for j in range(2 * i, 2 * n):
-            xv = _real_value(vars.x(i, j))
+            xv = float(vars.x(i, j))
             expo = -complex(lam[i - 1]) - complex(lam[j - i]) + (2 * n - j)
             val *= cmath.exp(expo * math.log(abs(xv)))
             if xv < 0.0 and (delta[i - 1] + delta[j - i]) % 2:

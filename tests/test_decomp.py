@@ -14,6 +14,7 @@ from extsq.decomp import (
     verify_udl_reconstruction,
 )
 from extsq.matrices import Matrix, generic_matrix, _is_zero
+from extsq.polynomials import PolyRing
 from extsq.ratfunc import RatFunc
 
 
@@ -405,3 +406,15 @@ def test_float_and_complex_entries_are_refused():
         rows[1][2] = convert(1)
         with pytest.raises(TypeError):
             nhn_decompose(Matrix(rows))
+
+
+def test_reconstruction_of_mixed_int_and_polynomial_entries():
+    """Entries that are not all Polynomial or RatFunc take the rational
+    route, where a = diag(d_i d_{i+1}) holds Polynomials; each is inverted
+    exactly into a RatFunc."""
+    R = PolyRing(["x", "y"])
+    x, y = R.var("x"), R.var("y")
+    g = Matrix([[x, 1], [2, y]])
+    udl = udl_explicit(g)
+    assert verify_udl_reconstruction(g, udl)
+    assert nhn_matches_udl(udl, nhn_decompose(g))

@@ -224,3 +224,61 @@ def test_the_guard_table_is_the_one_superdiagonal_route():
             names.add(node.name)
     assert not {"nhn_decompose", "_Minors", "build_B"} & names
     assert "_build_B" in names
+
+
+def _ratfunc_builders(tree: ast.Module) -> list:
+    """Lines that call RatFunc or bind it to another name.
+
+    Only attribute reads (RatFunc.from_poly, RatFunc.const), isinstance
+    arguments and comparisons such as ``RatFunc in kinds`` may read the
+    name, so a RatFunc of two operands can only come from ratfunc.quotient.
+    """
+    parents = {c: node for node in ast.walk(tree) for c in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [node.lineno for a in node.names if a.name == "RatFunc" and a.asname]
+        if not (isinstance(node, ast.Name) and node.id == "RatFunc"):
+            continue
+        up = parents[node]
+        if isinstance(up, ast.Tuple):
+            up = parents[up]
+        if isinstance(up, (ast.Attribute, ast.Compare)):
+            continue
+        if isinstance(up, ast.Call) and getattr(up.func, "id", None) == "isinstance":
+            continue
+        found.append(node.lineno)
+    return found
+
+
+def test_the_guard_sees_a_call_and_an_alias():
+    bad = (
+        "r = RatFunc(a, b)",
+        "ratio = Fraction if divide is _div_int else RatFunc",
+        "ratio = RatFunc",
+        "from .ratfunc import RatFunc as R",
+    )
+    good = (
+        "r = RatFunc.from_poly(p)",
+        "r = RatFunc.const(ring, 1)",
+        "ok = isinstance(e, (Polynomial, RatFunc))",
+        "ok = RatFunc in kinds",
+    )
+    assert all(_ratfunc_builders(ast.parse(src)) == [1] for src in bad)
+    assert all(_ratfunc_builders(ast.parse(src)) == [] for src in good)
+
+
+def test_quotient_is_the_one_exact_quotient():
+    """Outside ratfunc.py no module builds a RatFunc from two operands or
+    aliases the class, so ratfunc.quotient alone decides whether an exact
+    quotient is a Fraction or a RatFunc, and the helpers it replaced stay
+    deleted."""
+    found, defined = [], set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        defined |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        if path.name != "ratfunc.py":
+            found += [(path.name, line) for line in _ratfunc_builders(tree)]
+    assert found == []
+    assert "quotient" in defined
+    assert not {"_div", "_ratio", "_inv"} & defined

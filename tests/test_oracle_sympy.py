@@ -21,7 +21,7 @@ from sympy.combinatorics import Permutation  # noqa: E402
 from extsq import polynomials  # noqa: E402
 from extsq.matrices import Matrix  # noqa: E402
 from extsq.polynomials import PolyRing, Polynomial, poly_gcd  # noqa: E402
-from extsq.ratfunc import RatFunc  # noqa: E402
+from extsq.ratfunc import RatFunc, quotient  # noqa: E402
 from extsq.unfold import _Minors  # noqa: E402
 
 NAMES = ("x", "y", "z")
@@ -314,6 +314,66 @@ def test_reduced_ratfunc_arithmetic_matches_sympy_cancel():
             assert got.num * den == num * got.den, op
             assert got.den.total_degree() == den.total_degree(), op
     assert shared >= 60 and cancelled >= 40, (shared, cancelled)
+
+
+SCALARS = (int, Fraction, Polynomial, RatFunc)
+
+
+def _scalar(rng, kind, common):
+    """A nonzero operand of the given kind; Polynomial and RatFunc numerators
+    carry the factor common, so a quotient of two of them cancels it."""
+    if kind is int:
+        return rng.choice((-6, -3, -1, 1, 2, 5))
+    if kind is Fraction:
+        return Fraction(rng.choice((-5, -2, -1, 1, 3, 7)), rng.randint(2, 5))
+    if kind is Polynomial:
+        return _random_poly(rng) * common
+    return RatFunc(_random_poly(rng) * common, _random_poly(rng))
+
+
+def _zero(kind):
+    return {int: 0, Fraction: Fraction(0), Polynomial: R.zero(), RatFunc: RatFunc.const(R, 0)}[kind]
+
+
+def to_sympy_scalar(e):
+    if isinstance(e, RatFunc):
+        return to_sympy(e.num) / to_sympy(e.den)
+    if isinstance(e, Polynomial):
+        return to_sympy(e)
+    return sympy.Rational(e.numerator, e.denominator)
+
+
+def test_quotient_matches_sympy_cancel():
+    """quotient over all 16 ordered pairs of operand kinds, zero numerators
+    included: sympy's cancel(a / b) as a value, a Fraction exactly when both
+    operands are rational, otherwise a canonical RatFunc, and a zero divisor
+    refused."""
+    rng = random.Random(2871)
+    for ka, kb in itertools.product(SCALARS, repeat=2):
+        rational = ka in (int, Fraction) and kb in (int, Fraction)
+        for k in range(8):
+            common = _random_poly(rng) if k % 2 else R.one()
+            a = _zero(ka) if k == 0 else _scalar(rng, ka, common)
+            b = _scalar(rng, kb, common)
+            got = quotient(a, b)
+            assert type(got) is (Fraction if rational else RatFunc), (ka, kb)
+            want = sympy.cancel(to_sympy_scalar(a) / to_sympy_scalar(b))
+            assert sympy.cancel(to_sympy_scalar(got) - want) == 0, (ka, kb)
+            if rational:
+                continue
+            if got.is_zero():
+                assert got.den.is_one()
+                continue
+            # canonical: an integer-primitive denominator with a positive
+            # leading coefficient, of the same degree as sympy's cancelled one
+            sym_den = sympy.Poly(to_sympy(got.den), *SYMS, domain="QQ")
+            assert all(c.q == 1 for c in sym_den.coeffs())
+            assert sympy.igcd(*(int(c) for c in sym_den.coeffs()), 0) == 1
+            assert sym_den.LC(order="grlex") > 0
+            want_den = sympy.Poly(sympy.fraction(want)[1], *SYMS, domain="QQ")
+            assert got.den.total_degree() == want_den.total_degree(), (ka, kb)
+        with pytest.raises(ZeroDivisionError):
+            quotient(a, _zero(kb))
 
 
 # -- determinants ----------------------------------------------------------

@@ -122,6 +122,28 @@ def test_build_B_refuses_a_vanishing_pivot():
         build_B(UnfoldVars.from_x(3, x))
 
 
+@pytest.mark.parametrize("convert", [float, complex])
+def test_inexact_coordinates_are_refused_at_construction(convert):
+    """The identities are checked with exact equality, so a float or complex
+    coordinate is a TypeError naming its type, in either presentation."""
+    x = _random_x(random.Random(9), 3)
+    with pytest.raises(TypeError, match=convert.__name__):
+        UnfoldVars.from_x(3, {k: convert(v) for k, v in x.items()})
+    # one inexact value is enough
+    x[(1, 3)] = convert(2)
+    with pytest.raises(TypeError, match=convert.__name__):
+        UnfoldVars.from_x(3, x)
+    v = UnfoldVars.from_x(3, _random_x(random.Random(9), 3))
+    keys = unfold._cz_index_set(3)
+    c = {k: v.c(*k) for k in keys}
+    z = {k: v.z(*k) for k in keys}
+    z[(2, 1)] = convert(3)
+    with pytest.raises(TypeError, match=convert.__name__):
+        UnfoldVars.from_cz(3, c, z)
+    with pytest.raises(TypeError, match=convert.__name__):
+        UnfoldVars.from_cz(3, {k: convert(e) for k, e in c.items()}, z)
+
+
 def _seeded_vars():
     """Symbolic n_half <= 4 in both presentations, seeded rational n_half <= 8."""
     out = []
