@@ -148,6 +148,8 @@ class RatFunc:
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return other / self
 
     def __pow__(self, k: int):

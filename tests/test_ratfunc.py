@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from extsq import ratfunc
 from extsq.polynomials import PolyRing
-from extsq.ratfunc import FactorBasis, FactoredFraction, RatFunc
+from extsq.ratfunc import FactorBasis, FactoredFraction, RatFunc, quotient
 
 R = PolyRing(("x", "y"))
 X, Y = R.var("x"), R.var("y")
@@ -52,6 +52,31 @@ def test_product_of_canonical_operands_forms_two_gcds(monkeypatch):
     product = a * b
     assert len(calls) == 2
     assert product == RatFunc((X - 1) * (Y - X), (X + 3) * (Y + 5))
+
+
+def test_a_unit_denominator_forms_no_gcd(monkeypatch):
+    """A polynomial operand's denominator is one, so its cross gcd is skipped."""
+    a = RatFunc((X + Y) * (X - 1), (Y + 2) * (X + 3))
+    want = RatFunc((X + Y) * (X - 1), Y + 2)
+    calls = []
+    gcd = ratfunc.poly_gcd
+    monkeypatch.setattr(ratfunc, "poly_gcd", lambda f, g: calls.append(None) or gcd(f, g))
+    assert a * RatFunc.from_poly(X + 3) == want
+    assert len(calls) == 1
+    assert RatFunc.from_poly(X) * RatFunc.from_poly(Y) == RatFunc.from_poly(X * Y)
+    assert RatFunc(X - Y, R.one()) == RatFunc.from_poly(X - Y)
+    assert len(calls) == 1
+
+
+def test_quotient_refuses_inexact_operands():
+    """A float or complex operand is a TypeError in either position, also
+    against a RatFunc, whose reflected division hands it back."""
+    for exact in (2, Fraction(1, 3), X + 1, RatFunc(X, Y + 1)):
+        for inexact in (1.5, 2j):
+            with pytest.raises(TypeError):
+                quotient(exact, inexact)
+            with pytest.raises(TypeError):
+                quotient(inexact, exact)
 
 
 def nonzero_polys():
