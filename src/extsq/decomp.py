@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import Matrix, _bareiss, _clear, _is_zero
+from .matrices import Matrix, _bareiss, _clear, _is_zero, _require_exact
 from .polynomials import Polynomial
 from .ratfunc import FactorBasis, FactoredFraction, RatFunc, quotient
 
@@ -71,13 +71,6 @@ class NHNFactors:
     n: Matrix
     h: Matrix
     n_minus: Matrix
-
-
-def _require_exact(rows):
-    for row in rows:
-        for e in row:
-            if not isinstance(e, (int, Fraction, Polynomial, RatFunc)):
-                raise TypeError(f"need exact values, not {type(e).__name__}")
 
 
 def trailing_minor(g: Matrix, i: int):
@@ -240,15 +233,27 @@ def verify_udl_reconstruction(g: Matrix, udl: UDLFactors) -> bool:
     """Check g == b_plus * a^{-1} * b_minus exactly.
 
     Here d_i = (b_minus)_{ii} and a = udl.a = diag(d_i d_{i+1}), with
-    d_{n+1} = 1.  For polynomial-valued matrices the check clears
-    denominators: each entry must satisfy
-    sum_k (b_plus)_{ik} (b_minus)_{kj} / (d_k d_{k+1}) = g_{ij}, verified in
-    factored-fraction form over the basis {d_1, ..., d_n}, so a itself is
-    never formed.  Other matrices are multiplied out with a^{-1} from
-    ``ratfunc.quotient``.  Entries that are not exact raise TypeError.
+    d_{n+1} = 1.  The check returns False unless (b_plus)_{ii} == d_i for
+    every i, since a is derived from that shared diagonal, and it raises
+    DegenerateMinorError when some d_i is zero.  For polynomial-valued
+    matrices it clears denominators: with m = max(i, j), each entry must
+    satisfy sum_{k >= m} (b_plus)_{ik} (b_minus)_{kj} / (d_k d_{k+1}) =
+    g_{ij}, verified in factored-fraction form over the basis
+    {d_1, ..., d_n}, so a itself is never formed.  The k = m term has d_m
+    as one factor, (b_minus)_{mm} when i <= j and (b_plus)_{mm} otherwise,
+    so it is peeled to the other factor over d_{m+1}; that cancellation is
+    exact because d_m is not zero.  Other matrices are multiplied out with
+    a^{-1} from ``ratfunc.quotient``.  Entries that are not exact raise
+    TypeError.
     """
     _require_exact(g.data)
     n = g.nrows
+    d = [udl.b_minus[k, k] for k in range(n)]
+    if d != [udl.b_plus[k, k] for k in range(n)]:
+        return False
+    for k in range(n):
+        if _is_zero(d[k]):
+            raise DegenerateMinorError(k + 1, n - k)
     poly_like = all(
         isinstance(e, (Polynomial, RatFunc)) for row in g.data for e in row
     )
@@ -279,16 +284,15 @@ def _verify_reconstruction_poly(g: Matrix, udl: UDLFactors) -> bool:
         return FactoredFraction.from_ratfunc(basis, _as_ratfunc(e, ring))
 
     d = [ff(udl.b_minus[i, i]) for i in range(n)]
-    one = FactoredFraction(basis, ring.one())
-    d.append(one)
+    d.append(FactoredFraction(basis, ring.one()))
     for i in range(n):
         for j in range(n):
-            acc = None
-            for k in range(max(i, j), n):
-                t = ff(udl.b_plus[i, k]) * ff(udl.b_minus[k, j]) / d[k] / d[k + 1]
-                acc = t if acc is None else acc + t
-            if acc is None:
-                acc = FactoredFraction(basis, ring.zero())
+            m = max(i, j)
+            # the k = m term with its factor d_m cancelled
+            other = udl.b_plus[i, m] if i <= j else udl.b_minus[m, j]
+            acc = ff(other) / d[m + 1]
+            for k in range(m + 1, n):
+                acc = acc + ff(udl.b_plus[i, k]) * ff(udl.b_minus[k, j]) / d[k] / d[k + 1]
             if acc.to_ratfunc() != _as_ratfunc(g[i, j], ring):
                 return False
     return True

@@ -154,8 +154,10 @@ class Matrix:
         product of the row scales is divided out once, by
         ``ratfunc.quotient``.  An all-int matrix gives an int, int/Fraction
         entries a Fraction, polynomial entries (with any int or Fraction) a
-        Polynomial, and any RatFunc entry a RatFunc.  Other entry types,
-        such as complex, run the same elimination with true division.
+        Polynomial, and any RatFunc entry a RatFunc.  When no entry is a
+        Polynomial or RatFunc, other entry types, such as complex, run the
+        same elimination with true division; beside one they raise
+        TypeError.
         """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
@@ -173,16 +175,27 @@ class Matrix:
         return d
 
 
+def _require_exact(rows):
+    # the symbolic kinds first: Fraction's ABCMeta check is the slow one
+    for row in rows:
+        for e in row:
+            if not isinstance(e, (Polynomial, RatFunc, int, Fraction)):
+                raise TypeError(f"need exact values, not {type(e).__name__}")
+
+
 def _clear(rows):
     """Cleared rows, their scales, and the exact division of their ring.
 
     This is the one clearing decision: any Polynomial or RatFunc entry
-    clears over Q[x] with ``_div_poly``, int and Fraction entries alone
-    clear over the integers with ``_div_int``, and any other rows (complex,
-    say) are copied as they are, with scale 1 and true division.
+    clears over Q[x] with ``_div_poly``, and then every entry must be int,
+    Fraction, Polynomial or RatFunc, or TypeError is raised; int and
+    Fraction entries alone clear over the integers with ``_div_int``; and
+    any other rows (complex, say) are copied as they are, with scale 1 and
+    true division.
     """
     kinds = {type(e) for row in rows for e in row}
     if Polynomial in kinds or RatFunc in kinds:
+        _require_exact(rows)
         return (*_clear_symbolic(rows), _div_poly)
     if kinds <= {int, Fraction}:
         return (*_clear_rational(rows), _div_int)

@@ -15,7 +15,7 @@ from extsq.decomp import (
 )
 from extsq.matrices import Matrix, generic_matrix, _is_zero
 from extsq.polynomials import PolyRing
-from extsq.ratfunc import RatFunc
+from extsq.ratfunc import FactoredFraction, RatFunc
 
 
 def test_udl_known_values():
@@ -418,3 +418,83 @@ def test_reconstruction_of_mixed_int_and_polynomial_entries():
     udl = udl_explicit(g)
     assert verify_udl_reconstruction(g, udl)
     assert nhn_matches_udl(udl, nhn_decompose(g))
+
+
+# -- the reconstruction check ------------------------------------------------
+
+
+def _reconstruction_rejects_corruptions(g):
+    """Every minor of either factor, changed alone, breaks the check; so does
+    a diagonal entry changed in one factor; and a diagonal entry zero in both
+    is refused by name."""
+    udl = udl_explicit(g)
+    assert verify_udl_reconstruction(g, udl)
+    n = g.nrows
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            # the check reads each factor on its triangle only
+            factor = udl.b_plus if i < j else udl.b_minus
+            entry = factor[i, j]
+            # a zero entry times 3 would be no corruption
+            assert not _is_zero(entry)
+            for wrong in (entry + 1, entry * 3):
+                bad = _corrupt(factor, i, j, wrong)
+                pair = UDLFactors(bad, udl.b_minus) if i < j else UDLFactors(udl.b_plus, bad)
+                assert not verify_udl_reconstruction(g, pair)
+    for k in range(n):
+        d = udl.b_plus[k, k]
+        assert not verify_udl_reconstruction(g, UDLFactors(_corrupt(udl.b_plus, k, k, d * 3), udl.b_minus))
+        assert not verify_udl_reconstruction(g, UDLFactors(udl.b_plus, _corrupt(udl.b_minus, k, k, d + 1)))
+        zero = d - d
+        bad = UDLFactors(_corrupt(udl.b_plus, k, k, zero), _corrupt(udl.b_minus, k, k, zero))
+        with pytest.raises(DegenerateMinorError) as exc:
+            verify_udl_reconstruction(g, bad)
+        assert (exc.value.minor_index, exc.value.size) == (k + 1, n - k)
+
+
+def test_reconstruction_rejects_corrupted_rational_factors():
+    g = _with_leading_pivots(random.Random(47), (-2, 3, -5, 7))
+    assert all(type(e) is Fraction for row in g.data for e in row)
+    _reconstruction_rejects_corruptions(g)
+
+
+def test_reconstruction_rejects_corrupted_generic_factors():
+    _reconstruction_rejects_corruptions(generic_matrix(3))
+
+
+def test_reconstruction_refuses_a_singular_matrix():
+    """g = [[x, x], [1, 1]] has d_1 = det g = 0.  With factors built by hand
+    around that zero, the peeled k = m term would never divide by d_1, and
+    the sum would match g; the zero diagonal entry is refused first, on both
+    the factored and the matrix-product branch."""
+    R = PolyRing(["x"])
+    x, one = RatFunc.from_poly(R.var("x")), RatFunc.const(R, 1)
+    for top, unit in ((x, one), (Fraction(2), Fraction(1))):
+        g = Matrix([[top, top], [unit, unit]])
+        with pytest.raises(DegenerateMinorError):
+            udl_explicit(g)
+        bad = UDLFactors(Matrix([[0, top], [0, unit]]), Matrix([[0, 0], [unit, unit]]))
+        with pytest.raises(DegenerateMinorError) as exc:
+            verify_udl_reconstruction(g, bad)
+        assert (exc.value.minor_index, exc.value.size) == (1, 2)
+
+
+@pytest.mark.parametrize("n, calls", [(2, 1), (3, 5), (4, 14)])
+def test_reconstruction_peels_the_diagonal_term(monkeypatch, n, calls):
+    """The k = m term of entry (i, j), m = max(i, j), is one factor over
+    d_{m+1}, so only the n - 1 - m terms after it multiply two minors."""
+    g = generic_matrix(n)
+    udl = udl_explicit(g)
+    count = 0
+    real = FactoredFraction.__mul__
+
+    def spy(self, other):
+        nonlocal count
+        count += 1
+        return real(self, other)
+
+    monkeypatch.setattr(FactoredFraction, "__mul__", spy)
+    assert verify_udl_reconstruction(g, udl)
+    assert count == sum(n - 1 - max(i, j) for i in range(n) for j in range(n)) == calls

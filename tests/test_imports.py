@@ -282,3 +282,59 @@ def test_quotient_is_the_one_exact_quotient():
     assert found == []
     assert "quotient" in defined
     assert not {"_div", "_ratio", "_inv"} & defined
+
+
+_FACTORED = {"FactoredFraction", "FactorBasis"}
+
+
+def _factored_readers(tree: ast.Module) -> set:
+    """Where a module reads FactoredFraction or FactorBasis.
+
+    A module-level import of either name without an alias is "import";
+    every other read, an aliased import included, is named by the top-level
+    definition around it, or "<module>" outside any.
+    """
+    found = set()
+    for top in tree.body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.alias) and node.name in _FACTORED:
+                plain = isinstance(top, ast.ImportFrom) and node.asname is None
+                found.add("import" if plain else where)
+            elif isinstance(node, ast.Name) and node.id in _FACTORED:
+                found.add(where)
+            elif isinstance(node, ast.Attribute) and node.attr in _FACTORED:
+                found.add(where)
+    return found
+
+
+_FACTORED_ALLOWED = {"import", "_verify_reconstruction_poly"}
+
+
+def test_the_factored_guard_sees_every_read():
+    bad = (
+        "ff = FactoredFraction(basis, p)",
+        "def check(g): return FactorBasis(g.ring)",
+        "from .ratfunc import FactorBasis as Basis",
+        "make = ratfunc.FactoredFraction.from_ratfunc",
+    )
+    good = (
+        "from .ratfunc import FactorBasis, FactoredFraction, RatFunc",
+        "def _verify_reconstruction_poly(g, udl): return FactorBasis(g.ring)",
+        "r = RatFunc.from_poly(p)",
+    )
+    assert all(_factored_readers(ast.parse(src)) - _FACTORED_ALLOWED for src in bad)
+    assert all(_factored_readers(ast.parse(src)) <= _FACTORED_ALLOWED for src in good)
+
+
+def test_factored_fractions_serve_the_reconstruction_check_alone():
+    """Outside ratfunc.py only decomp's import line and
+    _verify_reconstruction_poly read FactoredFraction or FactorBasis, so the
+    two classes gain no caller that would outlive that check's use of them."""
+    found = {
+        (path.name, where)
+        for path in MODULES
+        if path.name != "ratfunc.py"
+        for where in _factored_readers(ast.parse(path.read_text()))
+    }
+    assert found == {("decomp.py", "import"), ("decomp.py", "_verify_reconstruction_poly")}

@@ -221,6 +221,21 @@ def test_det_with_int_fraction_and_ratfunc_entries():
     assert m.det() == want
 
 
+@pytest.mark.parametrize("inexact", [1j, 1.5, 2 + 0.5j], ids=["complex", "float", "mixed"])
+def test_inexact_entries_beside_symbolic_ones_are_refused(inexact):
+    """An entry that is not exact cannot be lifted into Q[x], so beside a
+    Polynomial or RatFunc entry it is refused by name, in either position."""
+    ring = PolyRing(("x",))
+    x = ring.var("x")
+    r = RatFunc.from_poly(x)
+    name = type(inexact).__name__
+    for rows in ([[r, inexact], [1, r]], [[inexact, r], [r, 1]], [[x, inexact], [1, x]]):
+        with pytest.raises(TypeError, match=f"^need exact values, not {name}$"):
+            Matrix(rows).det()
+    # without a symbolic entry the same value still runs with true division
+    assert Matrix([[2, inexact], [1, 3]]).det() == 6 - inexact
+
+
 def test_ratfunc_det_whose_denominator_cancels():
     ring = PolyRing(("t",))
     t = RatFunc.from_poly(ring.var("t"))
