@@ -4,6 +4,10 @@ Every subcommand prints either tab-delimited text or, with --json, one
 deterministic JSON document (sorted keys, fixed separators, no timing
 fields), so identical seeds and inputs give byte-identical reports.
 Exit status is 0 exactly when every check in the run passed.
+
+Each ``cmd_*`` function only builds the command's ``RunReport``.  ``main``
+alone times the command, prints its report and turns an input error into
+one ``error:`` line on stderr with exit status 2.
 """
 
 import argparse
@@ -60,7 +64,6 @@ class RunReport:
     seed: int | None
     checks: tuple
     output: dict
-    wall_time_ms: float
 
     @property
     def passed(self) -> bool:
@@ -82,19 +85,14 @@ class RunReport:
         return obj
 
 
-def report_to_json(report: RunReport) -> str:
-    return json.dumps(report.to_json_obj(), sort_keys=True, separators=(",", ":"))
-
-
-def _make_report(command, seed, checks, output=None, t0=None) -> RunReport:
-    wall = (time.monotonic() - t0) * 1000.0 if t0 is not None else 0.0
+def _make_report(command, seed, checks, output=None) -> RunReport:
     ordered = tuple(sorted(checks, key=lambda c: c.name))
-    return RunReport(command, seed, ordered, output or {}, wall)
+    return RunReport(command, seed, ordered, output or {})
 
 
-def _emit(report: RunReport, as_json: bool) -> int:
+def _emit(report: RunReport, as_json: bool, wall_ms: float) -> int:
     if as_json:
-        print(report_to_json(report))
+        print(json.dumps(report.to_json_obj(), sort_keys=True, separators=(",", ":")))
     else:
         for key, val in sorted(report.output.items()):
             print(f"{key}\t{val}")
@@ -104,7 +102,7 @@ def _emit(report: RunReport, as_json: bool) -> int:
         if report.checks:
             print(
                 f"# {n_pass}/{len(report.checks)} checks passed "
-                f"in {report.wall_time_ms:.0f} ms"
+                f"in {wall_ms:.0f} ms"
             )
     return 0 if report.passed else 1
 
@@ -147,15 +145,10 @@ def _positive_float(text: str) -> float:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_decompose(args) -> int:
-    t0 = time.monotonic()
+def cmd_decompose(args) -> RunReport:
     g = genmatrix_from_json(_load_json(args.matrix))
-    try:
-        udl = udl_explicit(g)
-        nhn = nhn_decompose(g)
-    except DegenerateMinorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    udl = udl_explicit(g)
+    nhn = nhn_decompose(g)
     checks = [
         CheckResult(
             "reconstruction",
@@ -178,8 +171,7 @@ def cmd_decompose(args) -> int:
         ("n_lower", nhn.n_minus),
     ):
         output[name] = genmatrix_to_json(m) if args.json else _flat(m)
-    report = _make_report("decompose", None, checks, output, t0)
-    return _emit(report, args.json)
+    return _make_report("decompose", None, checks, output)
 
 
 def _flat(m) -> str:
@@ -188,12 +180,10 @@ def _flat(m) -> str:
     )
 
 
-def cmd_shuffle_verify(args) -> int:
-    t0 = time.monotonic()
+def cmd_shuffle_verify(args) -> RunReport:
     n, trials, tol = args.n, args.trials, args.tol or 1e-10
     if n < 2 or n > 6:
-        print("error: --n must be between 2 and 6", file=sys.stderr)
-        return 2
+        raise ValueError("--n must be between 2 and 6")
     rng = random.Random(f"{args.seed}:shuffle-verify:{n}")
     checks = []
     for name, draws in (
@@ -210,18 +200,12 @@ def cmd_shuffle_verify(args) -> int:
     failure, count = kappa_sweep(n)
     detail = failure or f"{count} exhaustive choices"
     checks.append(CheckResult("kappa", failure is None, detail))
-    report = _make_report("shuffle-verify", args.seed, checks, {"n": n}, t0)
-    return _emit(report, args.json)
+    return _make_report("shuffle-verify", args.seed, checks, {"n": n})
 
 
-def cmd_gamma(args) -> int:
-    t0 = time.monotonic()
+def cmd_gamma(args) -> RunReport:
     s = _parse_s(args.s)
-    try:
-        closed = g_delta(args.delta, s)
-    except PoleError as exc:
-        print(f"error: pole at {exc.location}", file=sys.stderr)
-        return 2
+    closed = g_delta(args.delta, s)
     output = {"closed": _cx(closed), "delta": args.delta, "s": _cx(s)}
     checks = []
     if args.oracle:
@@ -241,12 +225,10 @@ def cmd_gamma(args) -> int:
             ok = diff <= tol
             detail = f"closed form and quadrature differ by {diff:.3e} (tol {tol:g})"
         checks.append(CheckResult("oracle-agreement", ok, detail))
-    report = _make_report("gamma", None, checks, output, t0)
-    return _emit(report, args.json)
+    return _make_report("gamma", None, checks, output)
 
 
-def cmd_lfactor(args) -> int:
-    t0 = time.monotonic()
+def cmd_lfactor(args) -> RunReport:
     c = _checked(repr_from_json(_load_json(args.repr)))
     expr = _l_inf(c)
     output = {"factors": list(expr.describe()), "omega": _cx(_omega(c))}
@@ -259,12 +241,10 @@ def cmd_lfactor(args) -> int:
             output["value"] = "pole"
     if not args.json:
         output["factors"] = "; ".join(output["factors"])
-    report = _make_report("lfactor", None, [], output, t0)
-    return _emit(report, args.json)
+    return _make_report("lfactor", None, [], output)
 
 
-def cmd_poles(args) -> int:
-    t0 = time.monotonic()
+def cmd_poles(args) -> RunReport:
     r = repr_from_json(_load_json(args.repr))
     poles = pole_enumeration(r)
     rows = [
@@ -284,12 +264,10 @@ def cmd_poles(args) -> int:
                 f"{row['location']}\torder {row['order']}\t"
                 + ",".join(row["provenance"])
             )
-    report = _make_report("poles", None, [], output, t0)
-    return _emit(report, args.json)
+    return _make_report("poles", None, [], output)
 
 
-def cmd_fe_check(args) -> int:
-    t0 = time.monotonic()
+def cmd_fe_check(args) -> RunReport:
     r = repr_from_json(_load_json(args.repr))
     rng = random.Random(f"{args.seed}:fe-check")
     failure, worst = fe_draws(rng, args.samples, args.tol, r)
@@ -297,14 +275,12 @@ def cmd_fe_check(args) -> int:
         f"{args.samples} samples, worst relative deviation {worst:.3e} (tol {args.tol:g})"
     )
     output = {} if failure else {"omega": _cx(omega_closed_form(r)), "samples": args.samples}
-    report = _make_report(
-        "fe-check", args.seed, [CheckResult("identity", not failure, detail)], output, t0
+    return _make_report(
+        "fe-check", args.seed, [CheckResult("identity", not failure, detail)], output
     )
-    return _emit(report, args.json)
 
 
-def cmd_euler(args) -> int:
-    t0 = time.monotonic()
+def cmd_euler(args) -> RunReport:
     raw = _load_json(args.satake)
     objs = raw if isinstance(raw, list) else [raw]
     data = [satake_from_json(o) for o in objs]
@@ -313,23 +289,15 @@ def cmd_euler(args) -> int:
     s = _parse_s(args.s)
     factor = ext2_factor if args.kind == "ext2" else standard_factor
     output = {"kind": args.kind, "s": _cx(s), "places": len(data)}
-    try:
-        for d in sorted(data, key=lambda d: d.p):
-            output[f"factor-{d.p}"] = _cx(factor(d, s))
-        output["partial-product"] = _cx(partial_L(data, s, kind=args.kind))
-    except (VanishingFactorError, ConvergenceGuardError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = _make_report("euler", None, [], output, t0)
-    return _emit(report, args.json)
+    for d in sorted(data, key=lambda d: d.p):
+        output[f"factor-{d.p}"] = _cx(factor(d, s))
+    output["partial-product"] = _cx(partial_L(data, s, kind=args.kind))
+    return _make_report("euler", None, [], output)
 
 
-def cmd_suite(args) -> int:
-    t0 = time.monotonic()
-    names = args.check or None
-    results = run_suite(args.seed, trials=args.trials, tol=args.tol, names=names)
-    report = _make_report("suite", args.seed, results, {}, t0)
-    return _emit(report, args.json)
+def cmd_suite(args) -> RunReport:
+    results = run_suite(args.seed, trials=args.trials, names=args.check or None)
+    return _make_report("suite", args.seed, results)
 
 
 # -- argument parsing --------------------------------------------------------
@@ -394,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run the full seeded verification suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=None)
-    p.add_argument("--tol", type=_positive_float, default=None)
     p.add_argument("--check", action="append", choices=sorted(CHECKS), default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_suite)
@@ -404,10 +371,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.fn(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        report = args.fn(args)
+        return _emit(report, args.json, (time.monotonic() - t0) * 1000.0)
+    except (
+        OSError,
+        ValueError,
+        DegenerateMinorError,
+        VanishingFactorError,
+        ConvergenceGuardError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except PoleError as exc:
+        print(f"error: pole at {exc.location}", file=sys.stderr)
         return 2
     except OverflowError as exc:
         # every number the commands evaluate in floats is exact input, so a

@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 
 from .polynomials import Polynomial, PolyRing, poly_gcd
-from .rational import format_rational, parse_rational
+from .rational import parse_rational
 from .ratfunc import RatFunc, quotient
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -358,31 +358,11 @@ def genmatrix_from_json(obj) -> Matrix:
     return Matrix(out)
 
 
-def _entry_to_str(e) -> str:
-    if isinstance(e, int):
-        return str(e)
-    if isinstance(e, Fraction):
-        return format_rational(e)
-    if isinstance(e, Polynomial):
-        e = RatFunc.from_poly(e)
-    if isinstance(e, RatFunc):
-        if e.is_polynomial():
-            p = e.num
-            if p.is_constant():
-                return format_rational(Fraction(p.constant_value()))
-            if p.is_monomial():
-                exps, coeff = p.leading()
-                if coeff == 1 and sum(exps) == 1:
-                    return p.ring.names[exps.index(1)]
-        return str(e)
-    return str(e)
-
-
 def genmatrix_to_json(m: Matrix) -> dict:
     return {
         "rows": m.nrows,
         "cols": m.ncols,
-        "entries": [[_entry_to_str(e) for e in row] for row in m.data],
+        "entries": [[str(e) for e in row] for row in m.data],
     }
 
 

@@ -160,12 +160,7 @@ def g_delta(delta, s) -> complex:
         raise PoleError(s, what="g_delta")
     if den_pole:
         return 0.0j
-    log_ratio = (
-        -0.5 * (s + delta) * _LN_PI
-        + lgamma(num_arg)
-        + 0.5 * (1.0 - s + delta) * _LN_PI
-        - lgamma(den_arg)
-    )
+    log_ratio = log_gamma_r(s + delta) - log_gamma_r(1.0 - s + delta)
     try:
         return _I_POW[delta % 4] * cmath.exp(log_ratio)
     except OverflowError:

@@ -3,7 +3,7 @@
 Every check draws randomness from its own stream, keyed by the run seed
 and the check name, so the report is reproducible and independent of
 execution order.  Each check returns a pass flag and a short detail
-string; tolerances are fixed here unless the caller overrides them.
+string; tolerances are fixed here.
 
 The five unfolding identities draw through one per-size loop each:
 ``superdiag_draws``, ``altsum_draws``, ``recursion_draws``,
@@ -69,14 +69,10 @@ ORACLE_CUTOFF = CutoffSpec(1.0, 2.0, 4)
 class CheckContext:
     rng: random.Random
     trials: int | None
-    tol: float | None
     seed: int
 
     def count(self, default: int) -> int:
         return default if self.trials is None else self.trials
-
-    def rel(self, default: float) -> float:
-        return default if self.tol is None else self.tol
 
 
 @dataclass(frozen=True)
@@ -211,7 +207,7 @@ def check_anchors_gdelta(ctx: CheckContext):
         s = complex(ctx.rng.uniform(0.1, 0.9), ctx.rng.uniform(-2.0, 2.0))
         lhs = g_delta(delta, s) * g_delta(delta, 1 - s)
         rhs = -1.0 if delta else 1.0
-        if abs(lhs - rhs) > ctx.rel(1e-10):
+        if abs(lhs - rhs) > 1e-10:
             return False, f"reflection fails at delta={delta}, s={s!r}: {lhs!r}"
     for _ in range(2 * n_ref):
         s = complex(ctx.rng.uniform(0.1, 2.5), ctx.rng.uniform(-2.0, 2.0))
@@ -295,7 +291,7 @@ def check_whittaker(ctx: CheckContext):
     per = ctx.count(100)
     worst = 0.0
     for n_half in (2, 3):
-        failure, err = whittaker_draws(ctx.rng, n_half, per, ctx.rel(1e-10))
+        failure, err = whittaker_draws(ctx.rng, n_half, per, 1e-10)
         worst = max(worst, err)
         if failure:
             return False, failure
@@ -314,7 +310,6 @@ def check_kappa(ctx: CheckContext):
 
 def check_gamma_table(ctx: CheckContext):
     draws = ctx.count(50)
-    tol = ctx.rel(1e-12)
     done = 0
     while done < draws:
         rd = random_repr_data(ctx.rng)
@@ -327,7 +322,7 @@ def check_gamma_table(ctx: CheckContext):
             gv = ge.value(s)
         except PoleError:
             continue
-        if abs(tv - gv) > tol * max(1.0, abs(gv)):
+        if abs(tv - gv) > 1e-12 * max(1.0, abs(gv)):
             return False, f"table and product disagree for {repr_to_json(rd)} at s={s!r}"
         done += 1
     return True, f"{draws} random embeddings"
@@ -335,7 +330,7 @@ def check_gamma_table(ctx: CheckContext):
 
 def check_fe_ratio(ctx: CheckContext):
     samples = ctx.count(50)
-    failure, _ = fe_draws(ctx.rng, samples, ctx.rel(1e-8))
+    failure, _ = fe_draws(ctx.rng, samples, 1e-8)
     if failure:
         return False, failure
     return True, f"{samples} samples across random data"
@@ -364,7 +359,6 @@ def check_euler(ctx: CheckContext):
             return False, f"pairwise degree wrong at size {size}"
         if poly_degree(standard_reciprocal_poly(d)) != size:
             return False, f"standard degree wrong at size {size}"
-    tol = ctx.rel(1e-14)
     draws = ctx.count(20)
     for _ in range(draws):
         p = ctx.rng.choice((2, 3, 5, 7))
@@ -390,17 +384,17 @@ def check_euler(ctx: CheckContext):
             shuffled = ext2_factor(SatakeData(p, tuple(perm), chi), s)
         except (ZeroDivisionError, ArithmeticError):
             continue
-        if abs(whole - parts) > tol * abs(whole) * 10:
+        if abs(whole - parts) > 1e-14 * abs(whole) * 10:
             return False, f"splitting fails at p={p}, s={s!r}"
-        if abs(shuffled - whole) > tol * abs(whole) * 10:
+        if abs(shuffled - whole) > 1e-14 * abs(whole) * 10:
             return False, f"permutation changes the factor at p={p}"
     return True, f"symbolic degrees at sizes 2, 4, 6 and {draws} numeric draws"
 
 
 def check_report_determinism(ctx: CheckContext):
     sub = ("anchors-gdelta", "euler")
-    first = [run_check(name, ctx.seed, ctx.trials, ctx.tol) for name in sub]
-    second = [run_check(name, ctx.seed, ctx.trials, ctx.tol) for name in sub]
+    first = [run_check(name, ctx.seed, ctx.trials) for name in sub]
+    second = [run_check(name, ctx.seed, ctx.trials) for name in sub]
     if first != second:
         return False, "re-running seeded checks changed their results"
     return True, f"double-run of {len(sub)} seeded checks is bytewise stable"
@@ -422,14 +416,12 @@ CHECKS = {
 }
 
 
-def run_check(name: str, seed: int, trials=None, tol=None) -> CheckResult:
-    """Run one check; trials and tol override its defaults when given."""
+def run_check(name: str, seed: int, trials=None) -> CheckResult:
+    """Run one check; trials overrides its default draw counts when given."""
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials}")
-    if tol is not None and not tol > 0:  # also rejects nan
-        raise ValueError(f"tol must be a positive number, got {tol}")
     fn = CHECKS[name]
-    ctx = CheckContext(random.Random(f"{seed}:{name}"), trials, tol, seed)
+    ctx = CheckContext(random.Random(f"{seed}:{name}"), trials, seed)
     try:
         passed, detail = fn(ctx)
     except Exception as exc:
@@ -437,10 +429,10 @@ def run_check(name: str, seed: int, trials=None, tol=None) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
-def run_suite(seed: int, trials=None, tol=None, names=None) -> list:
+def run_suite(seed: int, trials=None, names=None) -> list:
     """Run the named checks (all of them by default), sorted by name."""
     todo = sorted(names if names is not None else CHECKS)
     unknown = [n for n in todo if n not in CHECKS]
     if unknown:
         raise KeyError(f"unknown checks: {', '.join(unknown)}")
-    return [run_check(n, seed, trials, tol) for n in todo]
+    return [run_check(n, seed, trials) for n in todo]

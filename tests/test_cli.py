@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -411,9 +412,6 @@ def test_shuffle_verify_checks_that_kappa_rejects_the_wrong_parity(capsys, monke
         ("suite", "--trials", "-3", "--check", "whittaker"),
         ("suite", "--trials", "0"),
         ("suite", "--trials", "two"),
-        ("suite", "--tol", "0"),
-        ("suite", "--tol", "-1"),
-        ("suite", "--tol", "nan"),
         ("shuffle-verify", "--n", "2", "--trials", "-1"),
         ("shuffle-verify", "--n", "2", "--tol", "-0.5"),
         ("gamma", "--delta", "0", "--s", "0.5", "--oracle", "--tol", "0"),
@@ -427,6 +425,24 @@ def test_non_positive_counts_and_tolerances_are_input_errors(capsys, repr_file, 
     err = capsys.readouterr().err
     assert "error: argument --" in err
     assert "Traceback" not in err
+
+
+def test_suite_has_no_blanket_tolerance(capsys):
+    # each check fixes its own tolerance; --tol is left to the numeric commands
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "extsq: error: unrecognized arguments: --tol 1e-3"
+    ]
+    assert "Traceback" not in err
+
+
+def test_text_report_ends_with_the_timed_footer(capsys):
+    code, out, err = run_cli(capsys, "suite", "--seed", "42", "--check", "kappa")
+    assert code == 0 and err == ""
+    assert re.fullmatch(r"# 1/1 checks passed in \d+ ms", out.splitlines()[-1])
 
 
 def test_suite_subset(capsys):

@@ -338,3 +338,64 @@ def test_factored_fractions_serve_the_reconstruction_check_alone():
         for where in _factored_readers(ast.parse(path.read_text()))
     }
     assert found == {("decomp.py", "import"), ("decomp.py", "_verify_reconstruction_poly")}
+
+
+def _command_overreach(tree: ast.Module) -> list:
+    """(command, what) for each cmd_* function that does main's work.
+
+    A command builds its report and returns it: it prints nothing to
+    stderr, reads no clock, emits nothing, and returns only _make_report(...).
+    """
+    found = []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")):
+            continue
+        returns = [n for n in ast.walk(fn) if isinstance(n, ast.Return)]
+        if not returns:
+            found.append((fn.name, "no return"))
+        for node in returns:
+            call = node.value
+            if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_make_report"):
+                found.append((fn.name, "return"))
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if getattr(f, "id", None) == "_emit":
+                found.append((fn.name, "_emit"))
+            elif isinstance(f, ast.Attribute) and f.attr == "monotonic":
+                found.append((fn.name, "time.monotonic"))
+            elif getattr(f, "id", None) == "print" and any(
+                k.arg == "file" and getattr(k.value, "attr", None) == "stderr"
+                for k in node.keywords
+            ):
+                found.append((fn.name, "stderr"))
+    return found
+
+
+def test_the_command_guard_sees_each_overreach():
+    bad = (
+        "def cmd_a(args):\n    t0 = time.monotonic()\n    return _make_report('a', None, [])",
+        "def cmd_a(args):\n    return _emit(_make_report('a', None, []), args.json)",
+        "def cmd_a(args):\n    print('error: x', file=sys.stderr)\n    return _make_report('a', None, [])",
+        "def cmd_a(args):\n    if args.n:\n        return 2\n    return _make_report('a', None, [])",
+        "def cmd_a(args):\n    _make_report('a', None, [])",
+    )
+    good = (
+        "def cmd_a(args):\n    return _make_report('a', None, [])",
+        "def cmd_a(args):\n    if args.n > 6:\n        raise ValueError('--n')\n"
+        "    return _make_report('a', None, [], {'n': args.n})",
+        "def main(argv):\n    t0 = time.monotonic()\n    return _emit(report, True, t0)",
+    )
+    assert all(_command_overreach(ast.parse(src)) for src in bad)
+    assert all(_command_overreach(ast.parse(src)) == [] for src in good)
+
+
+def test_main_alone_times_emits_and_maps_errors():
+    """Every cmd_* function in cli.py only builds and returns its RunReport;
+    main times the command, prints the report and turns an exception into
+    the error line and exit status, so no command grows its own copy."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    commands = [n.name for n in tree.body if getattr(n, "name", "").startswith("cmd_")]
+    assert len(commands) == 8
+    assert _command_overreach(tree) == []
