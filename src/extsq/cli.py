@@ -48,12 +48,12 @@ from .suite import (
     CHECKS,
     CheckResult,
     ORACLE_CUTOFF,
-    altsum_draws,
+    altsum_proof,
     fe_draws,
     kappa_sweep,
-    recursion_draws,
+    recursion_proof,
     run_suite,
-    superdiag_draws,
+    superdiag_proof,
     whittaker_draws,
 )
 
@@ -184,16 +184,16 @@ def cmd_shuffle_verify(args) -> RunReport:
     n, trials, tol = args.n, args.trials, args.tol or 1e-10
     if n < 2 or n > 6:
         raise ValueError("--n must be between 2 and 6")
-    rng = random.Random(f"{args.seed}:shuffle-verify:{n}")
     checks = []
-    for name, draws in (
-        ("superdiag", superdiag_draws),
-        ("altsum", altsum_draws),
-        ("recursion", recursion_draws),
+    for name, proof in (
+        ("superdiag", superdiag_proof),
+        ("altsum", altsum_proof),
+        ("recursion", recursion_proof),
     ):
-        failure = draws(rng, n, trials)
-        detail = failure or f"{trials} rational draws at n_half={n}"
+        failure = proof(n)
+        detail = failure or f"symbolic proof at n_half={n}"
         checks.append(CheckResult(name, failure is None, detail))
+    rng = random.Random(f"{args.seed}:shuffle-verify:{n}")
     failure, worst = whittaker_draws(rng, n, trials, tol)
     detail = failure or f"{trials} dual-path draws, worst {worst:.3e}"
     checks.append(CheckResult("whittaker", failure is None, detail))
@@ -318,9 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shuffle-verify", help="run the unfolding identities at one size")
     p.add_argument("--n", type=int, required=True, help="half-size n (2..6)")
-    p.add_argument("--trials", type=_positive_int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_positive_float, default=None)
+    proved = "superdiag, altsum and recursion are proved symbolically at --n"
+    p.add_argument("--trials", type=_positive_int, default=20, help=f"whittaker draws; {proved}")
+    p.add_argument("--seed", type=int, default=0, help=f"seed of the whittaker draws; {proved}")
+    p.add_argument("--tol", type=_positive_float, default=None, help="whittaker tolerance")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_shuffle_verify)
 

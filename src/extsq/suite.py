@@ -1,16 +1,19 @@
-"""Seeded verification checks shared by the command-line front end.
+"""Verification checks shared by the command-line front end.
 
-Every check draws randomness from its own stream, keyed by the run seed
-and the check name, so the report is reproducible and independent of
-execution order.  Each check returns a pass flag and a short detail
-string; tolerances are fixed here.
+Every check that samples draws its randomness from its own stream, keyed
+by the run seed and the check name, so the report is reproducible and
+independent of execution order.  Each check returns a pass flag and a
+short detail string; tolerances are fixed here.
 
-The five unfolding identities draw through one per-size loop each:
-``superdiag_draws``, ``altsum_draws``, ``recursion_draws``,
-``whittaker_draws`` and ``kappa_sweep``.  The suite checks and the
-``shuffle-verify`` command both call them, and each returns the failure
-text or None.  The functional-equation ratio draws through ``fe_draws``,
-which the ``fe-ratio`` check and the ``fe-check`` command share.
+The decomposition and unfolding identities are polynomial identities, so
+their checks prove them exactly on indeterminates and draw nothing:
+``udl-explicit`` at generic n = 2..5, and ``superdiag_proof``,
+``altsum_proof`` and ``recursion_proof`` at one symbolic n_half each,
+which the suite runs at n_half = 2, 3, 4 and ``shuffle-verify`` at its
+``--n``.  Each proof returns the failure text or None.  The
+``whittaker_draws`` and ``kappa_sweep`` loops are shared the same way,
+and the functional-equation ratio draws through ``fe_draws``, which the
+``fe-ratio`` check and the ``fe-check`` command share.
 """
 
 import cmath
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .decomp import (
-    DegenerateMinorError,
     nhn_decompose,
     nhn_matches_udl,
     udl_explicit,
@@ -44,7 +46,7 @@ from .lfactors import (
     repr_to_json,
     script_g,
 )
-from .matrices import Matrix, generic_matrix
+from .matrices import generic_matrix
 from .rational import RationalComplex
 from .specialfn import CutoffSpec, PoleError, g_delta, g_delta_integral, gamma_c, gamma_r
 from .unfold import (
@@ -82,15 +84,6 @@ class CheckResult:
     detail: str
 
 
-def _random_rational_matrix(rng, n: int) -> Matrix:
-    return Matrix(
-        [
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
-            for _ in range(n)
-        ]
-    )
-
-
 def _random_x_vars(rng, n_half: int) -> dict:
     return {
         key: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
@@ -98,35 +91,42 @@ def _random_x_vars(rng, n_half: int) -> dict:
     }
 
 
-# -- rational draws of the unfolding identities, shared with shuffle-verify --
+# -- the unfolding identities, shared with shuffle-verify --------------------
 
 
-def superdiag_draws(rng, n_half: int, draws: int):
-    for _ in range(draws):
-        v = UnfoldVars.from_x(n_half, _random_x_vars(rng, n_half))
-        closed = superdiag_closed_form(v)
-        if superdiag_sum(v) != closed:
-            return f"rational mismatch at n_half={n_half}"
-        if closed != superdiag_closed_form_x(v):
-            return f"closed forms disagree at n_half={n_half}"
+def superdiag_proof(n_half: int):
+    """The superdiagonal sum against its closed form, on c/z and on x
+    indeterminates; on x both readings of the closed form must agree."""
+    v = UnfoldVars.symbolic(n_half)
+    if superdiag_sum(v) != superdiag_closed_form(v):
+        return f"symbolic mismatch at n_half={n_half}"
+    vx = UnfoldVars.symbolic_x(n_half)
+    total = superdiag_sum(vx)
+    if total != superdiag_closed_form_x(vx):
+        return f"symbolic x-form mismatch at n_half={n_half}"
+    if total != superdiag_closed_form(vx):
+        return f"closed forms disagree at n_half={n_half}"
     return None
 
 
-def altsum_draws(rng, n_half: int, draws: int):
-    for _ in range(draws):
-        lhs, rhs = altsum_check(UnfoldVars.from_x(n_half, _random_x_vars(rng, n_half)))
-        if lhs != rhs:
-            return f"rational mismatch at n_half={n_half}"
+def altsum_proof(n_half: int):
+    """Both sides of the alternating sum, on c/z and on x indeterminates."""
+    lhs, rhs = altsum_check(UnfoldVars.symbolic(n_half))
+    if lhs != rhs:
+        return f"symbolic mismatch at n_half={n_half}"
+    lhs, rhs = altsum_check(UnfoldVars.symbolic_x(n_half))
+    if lhs != rhs:
+        return f"symbolic x-form mismatch at n_half={n_half}"
     return None
 
 
-def recursion_draws(rng, n_half: int, draws: int):
-    for _ in range(draws):
-        x = _random_x_vars(rng, n_half)
-        rec = lower_factor_recursive(n_half, x)
-        nhn = nhn_decompose(build_B(UnfoldVars.from_x(n_half, x)))
-        if nhn.h * nhn.n_minus != rec:
-            return f"rational mismatch at n_half={n_half}"
+def recursion_proof(n_half: int):
+    """The recursive lower factor against the elimination of build_B."""
+    vx = UnfoldVars.symbolic_x(n_half)
+    x = {key: vx.x(*key) for key in _x_index_set(n_half)}
+    nhn = nhn_decompose(build_B(vx))
+    if nhn.h * nhn.n_minus != lower_factor_recursive(n_half, x):
+        return f"symbolic mismatch at n_half={n_half}"
     return None
 
 
@@ -226,65 +226,27 @@ def check_udl_explicit(ctx: CheckContext):
             return False, f"generic reconstruction fails at n={n}"
         if not nhn_matches_udl(udl, nhn_decompose(g)):
             return False, f"generic factors disagree at n={n}"
-    draws = ctx.count(50)
-    done = 0
-    while done < draws:
-        n = ctx.rng.randint(2, 5)
-        g = _random_rational_matrix(ctx.rng, n)
-        try:
-            udl = udl_explicit(g)
-        except DegenerateMinorError:
-            continue
-        if not verify_udl_reconstruction(g, udl):
-            return False, f"rational reconstruction fails for {g.data}"
-        if not nhn_matches_udl(udl, nhn_decompose(g)):
-            return False, f"rational factor mismatch for {g.data}"
-        done += 1
-    return True, f"generic n=2..5 and {draws} rational matrices"
+    return True, "generic n=2..5"
+
+
+def _prove(proof, detail: str):
+    for n_half in (2, 3, 4):
+        failure = proof(n_half)
+        if failure:
+            return False, failure
+    return True, detail
 
 
 def check_superdiag(ctx: CheckContext):
-    for n_half in (2, 3):
-        v = UnfoldVars.symbolic(n_half)
-        if superdiag_sum(v) != superdiag_closed_form(v):
-            return False, f"symbolic mismatch at n_half={n_half}"
-        vx = UnfoldVars.symbolic_x(n_half)
-        if superdiag_sum(vx) != superdiag_closed_form_x(vx):
-            return False, f"symbolic x-form mismatch at n_half={n_half}"
-    draws = ctx.count(20)
-    failure = superdiag_draws(ctx.rng, 4, draws)
-    if failure:
-        return False, failure
-    return True, f"symbolic n_half=2,3 and {draws} rational points at n_half=4"
+    return _prove(superdiag_proof, "symbolic n_half=2..4 in c/z and x, closed forms agree")
 
 
 def check_altsum(ctx: CheckContext):
-    for n_half in (2, 3):
-        v = UnfoldVars.symbolic(n_half)
-        lhs, rhs = altsum_check(v)
-        if lhs != rhs:
-            return False, f"symbolic mismatch at n_half={n_half}"
-    draws = ctx.count(10)
-    failure = altsum_draws(ctx.rng, 4, draws)
-    if failure:
-        return False, failure
-    return True, f"symbolic n_half=2,3 and {draws} rational points at n_half=4"
+    return _prove(altsum_proof, "symbolic n_half=2..4 in c/z and x")
 
 
 def check_recursion(ctx: CheckContext):
-    for n_half in (2, 3):
-        vx = UnfoldVars.symbolic_x(n_half)
-        x = {key: vx.x(*key) for key in _x_index_set(n_half)}
-        rec = lower_factor_recursive(n_half, x)
-        nhn = nhn_decompose(build_B(vx))
-        if nhn.h * nhn.n_minus != rec:
-            return False, f"symbolic mismatch at n_half={n_half}"
-    draws = ctx.count(10)
-    for _ in range(draws):
-        failure = recursion_draws(ctx.rng, ctx.rng.choice((2, 3)), 1)
-        if failure:
-            return False, failure
-    return True, f"symbolic n_half=2,3 and {draws} rational draws"
+    return _prove(recursion_proof, "symbolic n_half=2..4")
 
 
 def check_whittaker(ctx: CheckContext):

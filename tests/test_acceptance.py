@@ -79,6 +79,6 @@ def test_criterion_12_report_determinism():
     assert b.returncode == 0, b.stderr
     assert a.stdout == b.stdout, "seeded suite reports differ between processes"
     # the behavioural contract: a change that keeps behaviour keeps this report
-    assert hashlib.md5(a.stdout.encode()).hexdigest() == "576207b5a13bd99dd75d8ccf3ec77be7"
+    assert hashlib.md5(a.stdout.encode()).hexdigest() == "5a83c1a07ba310cd04dc8d98c2387d6a"
     doc = json.loads(a.stdout)
     assert all(c["passed"] for c in doc["checks"])

@@ -384,7 +384,7 @@ def test_suite_and_shuffle_verify_share_one_draw_path(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "shuffle-verify", "--n", "2", "--trials", "3")
     assert code == 1
     kv = _parse_kv(out)
-    assert kv["superdiag"] == "FAIL\trational mismatch at n_half=2"
+    assert kv["superdiag"] == "FAIL\tsymbolic mismatch at n_half=2"
     for name in ("altsum", "recursion", "whittaker", "kappa"):
         assert kv[name].startswith("PASS")
 

@@ -78,3 +78,103 @@ def test_only_a_missing_override_means_the_default():
     assert CheckContext(rng, None, 0).count(7) == 7
     # the entry points reject a zero count; the context passes it through
     assert CheckContext(rng, 0, 0).count(7) == 0
+
+
+class _NoDraws:
+    """An rng that refuses every use, so a check that samples fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the check read rng.{name}")
+
+
+@pytest.mark.parametrize("name", ["udl-explicit", "superdiag", "altsum", "recursion"])
+def test_algebra_checks_draw_nothing(name):
+    passed, detail = CHECKS[name](CheckContext(_NoDraws(), None, 0))
+    assert passed, detail
+
+
+def _plus_one(real):
+    return lambda v: real(v) + 1
+
+
+def _perturbed_rhs(real):
+    def altsum(v):
+        lhs, rhs = real(v)
+        return lhs, rhs + 1
+
+    return altsum
+
+
+def _on_x_only(fault):
+    """The fault, applied only to x indeterminates (symbolic_x)."""
+
+    def wrap(real):
+        wrong = fault(real)
+        return lambda v: wrong(v) if str(v.x(1, 2)) == "x1_2" else real(v)
+
+    return wrap
+
+
+def _one_x_doubled(real):
+    return lambda n_half, x: real(n_half, {**x, (1, 2): x[(1, 2)] * 2})
+
+
+def _one_factor_entry_corrupted(real):
+    def udl(g):
+        factors = real(g)
+        factors.b_plus.data[0][1] += 1
+        return factors
+
+    return udl
+
+
+# each side of each proved identity, made wrong on its own
+FAULTS = {
+    "superdiag-closed-form": (
+        "superdiag",
+        "superdiag_closed_form",
+        _plus_one,
+        "symbolic mismatch at n_half=2",
+    ),
+    "superdiag-closed-form-x": (
+        "superdiag",
+        "superdiag_closed_form_x",
+        _plus_one,
+        "symbolic x-form mismatch at n_half=2",
+    ),
+    "superdiag-closed-form-on-x": (
+        "superdiag",
+        "superdiag_closed_form",
+        _on_x_only(_plus_one),
+        "closed forms disagree at n_half=2",
+    ),
+    "altsum-rhs": ("altsum", "altsum_check", _perturbed_rhs, "symbolic mismatch at n_half=2"),
+    "altsum-rhs-on-x": (
+        "altsum",
+        "altsum_check",
+        _on_x_only(_perturbed_rhs),
+        "symbolic x-form mismatch at n_half=2",
+    ),
+    "recursion-x": (
+        "recursion",
+        "lower_factor_recursive",
+        _one_x_doubled,
+        "symbolic mismatch at n_half=2",
+    ),
+    "udl-entry": (
+        "udl-explicit",
+        "udl_explicit",
+        _one_factor_entry_corrupted,
+        "generic reconstruction fails at n=2",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_a_committed_fault_fails_its_check(monkeypatch, fault):
+    import extsq.suite
+
+    name, attr, wrap, detail = FAULTS[fault]
+    assert run_check(name, 42).passed
+    monkeypatch.setattr(extsq.suite, attr, wrap(getattr(extsq.suite, attr)))
+    assert run_check(name, 42) == CheckResult(name, False, detail)

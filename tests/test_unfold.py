@@ -556,13 +556,14 @@ def test_assembly_equals_the_dense_product(v):
     ]
 
 
-def _mixed_x(rng, n_half):
-    """Rational x values, each replaced by its own variable with probability 0.3."""
+def _mixed_x(rng, n_half, p_symbol=0.3):
+    """Rational x values, each replaced by its own variable with probability
+    p_symbol."""
     keys = unfold._x_index_set(n_half)
     ring = PolyRing(sorted(f"x{i}_{j}" for i, j in keys))
     x = _random_x(rng, n_half)
     for i, j in keys:
-        if rng.random() < 0.3:
+        if rng.random() < p_symbol:
             x[(i, j)] = ring.var(f"x{i}_{j}")
     return x
 
@@ -602,11 +603,15 @@ def test_identities_on_mixed_rational_and_symbolic_cz(n_half):
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("n_half", [2, 3, 4])
-def test_recursion_on_mixed_rational_and_symbolic_x(n_half):
+@pytest.mark.parametrize(
+    "p_symbol, n_half",
+    [pytest.param(0.3, n, id=str(n)) for n in (2, 3, 4)]
+    + [pytest.param(0.0, n, id=f"all-rational-{n}") for n in (2, 3, 4)],
+)
+def test_recursion_on_mixed_rational_and_symbolic_x(p_symbol, n_half):
     rng = random.Random(3000 * n_half)
     for _ in range(30):
-        x = _mixed_x(rng, n_half)
+        x = _mixed_x(rng, n_half, p_symbol)
         nhn = nhn_decompose(build_B(UnfoldVars.from_x(n_half, x)))
         assert lower_factor_recursive(n_half, x) == nhn.h * nhn.n_minus
 
