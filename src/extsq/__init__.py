@@ -30,7 +30,6 @@ from .lfactors import (
     GammaExpr,
     HolomorphyReport,
     IdentityMismatchError,
-    PoleList,
     PoleProximityError,
     PoleRecord,
     ReprData,
@@ -73,7 +72,6 @@ from .specialfn import (
 )
 from .suite import CHECKS, CheckResult, run_check, run_suite
 from .unfold import (
-    GammaTable,
     KappaSigns,
     UnfoldVars,
     altsum_check,

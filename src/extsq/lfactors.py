@@ -696,19 +696,9 @@ class PoleRecord:
     provenance: tuple
 
 
-@dataclass(frozen=True)
-class PoleList:
-    entries: tuple
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def pole_enumeration(r: ReprData) -> PoleList:
-    """Poles of l_inf in Re s >= 1/2, with multiplicity and family labels.
+def pole_enumeration(r: ReprData) -> tuple:
+    """The PoleRecord of each pole of l_inf in Re s >= 1/2, with
+    multiplicity and family labels, ordered by location.
 
     Scans the Gamma-argument lattices of the full factor and cross-checks
     the result against the three structural pole families (squared ds
@@ -740,7 +730,7 @@ def pole_enumeration(r: ReprData) -> PoleList:
         raise IdentityMismatchError(
             f"lattice scan {scanned} disagrees with the structural families {counted}"
         )
-    return PoleList(tuple(PoleRecord(pt, len(tags), tuple(tags)) for pt, tags in points.items()))
+    return tuple(PoleRecord(pt, len(tags), tuple(tags)) for pt, tags in points.items())
 
 
 def partial_products(r: ReprData) -> tuple:
@@ -802,7 +792,7 @@ def _partial_products(c: _Checked, g_expr: GammaExpr) -> tuple:
 @dataclass(frozen=True)
 class HolomorphyReport:
     ok: bool
-    poles: PoleList
+    poles: tuple  # of PoleRecord
     notes: tuple
 
 

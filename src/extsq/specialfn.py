@@ -28,6 +28,7 @@ _LN_2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 _LN_2PI = math.log(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
+_TWO_53 = 2.0**53
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**k for k mod 4
 
 # Lanczos parameters (g = 607/128, 15 terms); term i >= 1 is c_i / (z - 1 + i).
@@ -148,9 +149,14 @@ def g_delta(delta, s) -> complex:
 
     Poles of the numerator raise PoleError; poles of the denominator give an
     exact zero.  The value satisfies g_delta(s) g_delta(1-s) = (-1)^delta.
+    From |Re s| = 2^53 on, every real part is an even integer, so the pole
+    tests would fire at points that are not poles; there the value is far
+    outside the float range, and it raises OverflowError.
     """
     delta = as_parity(delta)
     s = complex(s)
+    if abs(s.real) >= _TWO_53:
+        raise OverflowError(f"g_delta at s={s} is outside the float range")
     num_arg = 0.5 * (s + delta)
     den_arg = 0.5 * (1.0 - s + delta)
     num_pole = _is_nonpositive_integer(num_arg) is not None

@@ -23,10 +23,11 @@ import math
 from dataclasses import dataclass
 
 from .decomp import DegenerateMinorError, _require_exact, nhn_decompose
+from .lfactors import GammaExpr
 from .matrices import Matrix, _clear, _is_zero
 from .polynomials import PolyRing
 from .ratfunc import RatFunc, quotient
-from .specialfn import as_parity, g_delta
+from .specialfn import as_parity
 
 
 # -- the card-shuffle permutation -------------------------------------------
@@ -745,33 +746,18 @@ def kappa_signs(n_half: int, delta, eps, eta) -> KappaSigns:
 # -- the unfolded Gamma table ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GammaTable:
-    entries: tuple  # ((shift, parity), ...) for pairs i < j with i+j <= 2n
-
-    def value(self, s) -> complex:
-        out = complex(1.0)
-        for shift, parity in self.entries:
-            out *= g_delta(parity, s + shift)
-        return out
-
-
-def unfolded_gamma_table(eparams, eta) -> GammaTable:
-    """One G-factor per index pair i < j with i + j <= 2n: shift
-    -lam_i - lam_j and parity delta_i + delta_j + eta."""
+def unfolded_gamma_table(eparams, eta) -> GammaExpr:
+    """The product of G(delta_i + delta_j + eta mod 2, -lam_i - lam_j) over
+    the index pairs i < j with i + j <= 2n, built factor by factor."""
     eta = as_parity(eta)
     lam = list(eparams.lam)
     delta = list(eparams.delta)
     two_n = len(lam)
-    n = two_n // 2
-    if 2 * n != two_n:
+    if two_n % 2:
         raise ValueError("parameter length must be even")
-    entries = []
+    table = GammaExpr.one()
     for i in range(1, two_n + 1):
-        for j in range(i + 1, two_n + 1):
-            if i + j > two_n:
-                continue
-            entries.append(
-                (-lam[i - 1] - lam[j - 1], (delta[i - 1] + delta[j - 1] + eta) % 2)
-            )
-    return GammaTable(tuple(entries))
+        for j in range(i + 1, two_n + 1 - i):
+            parity = (delta[i - 1] + delta[j - 1] + eta) % 2
+            table *= GammaExpr.g_factor(parity, -lam[i - 1] - lam[j - 1])
+    return table

@@ -149,6 +149,22 @@ def test_the_factors_view_is_the_one_gamma_factor_construction():
     assert not {"_accumulate_g", "_pole_lattice_hit"} & defined
 
 
+def test_gamma_expr_is_the_one_gamma_product():
+    """The unfolded Gamma table is a GammaExpr, so the gamma-table check
+    compares it with script_g exactly and evaluates neither; the float-only
+    table and the pole-list wrapper stay deleted."""
+    defined, check = set(), None
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+                if (path.name, node.name) == ("suite.py", "check_gamma_table"):
+                    check = node
+    assert not {"GammaTable", "PoleList"} & defined
+    assert "value" not in _calls(check)
+    assert {"unfolded_gamma_table", "script_g"} <= _calls(check)
+
+
 def test_the_lattice_form_is_built_once_per_entry():
     """_lattice is called only where ReprData, EmbeddingParams or an exact
     GammaExpr shift enters; the builders and the dual step work on the

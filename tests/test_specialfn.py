@@ -103,6 +103,20 @@ def test_g_delta_num_pole_raises_den_pole_vanishes():
     assert g_delta(1, 2.0) == 0.0
 
 
+@pytest.mark.parametrize("delta", [0, 1])
+@pytest.mark.parametrize("s", [1e16, 1e20, -1e20, complex(2.0**53, 1.0)])
+def test_g_delta_refuses_real_parts_past_2_53(delta, s):
+    # there every float is an even integer, and the pole tests would fire
+    # at points that are not poles: 1e20 read as a denominator pole, 0
+    with pytest.raises(OverflowError, match=r"g_delta at s=.* is outside the float range"):
+        g_delta(delta, s)
+
+
+def test_g_delta_keeps_the_last_denominator_poles_below_2_53():
+    assert g_delta(0, 2.0**53 - 1) == 0.0
+    assert g_delta(1, 2.0**53 - 2) == 0.0
+
+
 def test_cutoff_spec_validation():
     with pytest.raises(ValueError):
         CutoffSpec(2.0, 1.0, 4)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from extsq.lfactors import GammaExpr
 from extsq.suite import CHECKS, CheckContext, CheckResult, run_check, run_suite
 
 
@@ -128,6 +129,22 @@ def _one_factor_entry_corrupted(real):
     return udl
 
 
+def _eta_flipped(real):
+    return lambda e, eta: real(e, 1 - eta)
+
+
+def _stray_g_factor(real):
+    return lambda e, eta: real(e, eta) * GammaExpr.g_factor(0, 0)
+
+
+# the first gamma-table draw at seed 42
+_GAMMA_TABLE_SEED_42 = (
+    "table and product disagree for {'n': 3, 'eta': 0, 'sign_blocks': "
+    "[{'eps': 0, 's': '-3/20-11/10i'}, {'eps': 0, 's': '-3/50+6/5i'}, "
+    "{'eps': 0, 's': '3/50+6/5i'}, {'eps': 0, 's': '3/20-11/10i'}], "
+    "'ds_blocks': [{'k': 4, 's': '-7/5i'}]}"
+)
+
 # each side of each proved identity, made wrong on its own
 FAULTS = {
     "superdiag-closed-form": (
@@ -166,6 +183,18 @@ FAULTS = {
         "udl_explicit",
         _one_factor_entry_corrupted,
         "generic reconstruction fails at n=2",
+    ),
+    "gamma-table-eta": (
+        "gamma-table",
+        "unfolded_gamma_table",
+        _eta_flipped,
+        _GAMMA_TABLE_SEED_42,
+    ),
+    "gamma-table-stray-factor": (
+        "gamma-table",
+        "script_g",
+        _stray_g_factor,
+        _GAMMA_TABLE_SEED_42,
     ),
 }
 
