@@ -73,12 +73,14 @@ from .specialfn import (
 from .suite import CHECKS, CheckResult, run_check, run_suite
 from .unfold import (
     KappaSigns,
+    ShuffledFactors,
     UnfoldVars,
     altsum_check,
     build_block_A,
     build_B,
     kappa_signs,
     lower_factor_recursive,
+    shuffled_factors,
     shuffled_whittaker_eval,
     shuffled_whittaker_oracle,
     sigma,

@@ -74,11 +74,12 @@ def ext2_factor(d: SatakeData, s) -> complex:
     x = cmath.exp(-s * cmath.log(d.p))
     chi = complex(d.chi)
     out = complex(1.0)
-    m = len(d.alpha)
+    alpha = [complex(a) for a in d.alpha]
+    m = len(alpha)
     for j in range(m):
-        aj = complex(d.alpha[j])
+        aj = alpha[j]
         for k in range(j + 1, m):
-            lin = 1.0 - aj * complex(d.alpha[k]) * chi * x
+            lin = 1.0 - aj * alpha[k] * chi * x
             if lin == 0:
                 raise VanishingFactorError(
                     d.p, (j + 1, k + 1),

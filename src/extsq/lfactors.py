@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .rational import RationalComplex, _json_complex, _json_field, _json_int, _json_list
-from .specialfn import _I_POW, PoleError, as_parity, log_gamma_c, log_gamma_r
+from .specialfn import _I_POW, _TWO_53, PoleError, as_parity, log_gamma_c, log_gamma_r
 
 # fe_ratio_check refuses sample points closer than this to a Gamma pole
 _MIN_POLE_DISTANCE = 1e-6
@@ -464,8 +464,13 @@ class GammaExpr:
 
     def value(self, s) -> complex:
         """Numeric evaluation; a net pole raises PoleError, a net zero is 0, and
-        a value past the float range raises OverflowError naming s."""
+        a value past the float range raises OverflowError naming s.  As in
+        g_delta, |Re s| >= 2^53 is refused that way: every real part there is
+        an even integer, so the pole tests would fire at points that are not
+        poles."""
         s = complex(s)
+        if abs(s.real) >= _TWO_53:
+            raise OverflowError(f"a Gamma product at s={s} is outside the float range")
         acc, order, hit = 0.0j, 0, False
         for kind, orient, shift, power in self._float_terms():
             z = orient * s + shift

@@ -448,17 +448,26 @@ class Polynomial:
     # -- evaluation ------------------------------------------------------
 
     def evaluate(self, values: dict):
-        """Substitute a value for every variable; values may live in any ring."""
+        """Substitute a value for every variable; values may live in any ring.
+
+        Every ring variable needs a value, but each term multiplies in only
+        the variables it has, in ring order: with the degree field masked
+        off, the highest set bit of a packed monomial lies in the field of
+        its first variable.
+        """
         vals = [values[name] for name in self.ring.names]
-        unpack = self.ring._unpack
+        last = len(vals) - 1
+        fields = (1 << self.ring._deg_shift) - 1
         total = None
         for e, c in self.terms.items():
             term = c
-            for v, k in zip(vals, unpack(e)):
-                if k == 1:
-                    term = term * v
-                elif k:
-                    term = term * v**k
+            e &= fields
+            while e:
+                f = (e.bit_length() - 1) // _FIELD_BITS
+                k = e >> (f * _FIELD_BITS)
+                e ^= k << (f * _FIELD_BITS)
+                v = vals[last - f]
+                term = term * v if k == 1 else term * v**k
             total = term if total is None else total + term
         return 0 if total is None else total
 

@@ -18,6 +18,14 @@ and the functional-equation ratio draws through ``fe_draws``, which the
 ``gamma-table`` proves its identity exactly as well: the unfolded Gamma
 table equals ``script_g`` as a ``GammaExpr``, with no point s evaluated.
 It still draws the random embeddings it compares the two on.
+
+``whittaker`` still compares two float evaluations at drawn x, lambda and
+delta, but no draw decomposes a matrix: each ``whittaker_draws`` call runs
+one symbolic decomposition (``shuffled_factors``) and evaluates its exact
+factors at every draw's rational x.  Each call pays for its own
+decomposition, as nothing is kept between calls; at n_half = 5 and 6,
+with ``shuffle-verify``'s default 20 draws, that costs more than
+eliminating at each draw would.
 """
 
 import cmath
@@ -60,6 +68,7 @@ from .unfold import (
     build_B,
     kappa_signs,
     lower_factor_recursive,
+    shuffled_factors,
     shuffled_whittaker_eval,
     shuffled_whittaker_oracle,
     superdiag_closed_form,
@@ -135,7 +144,12 @@ def recursion_proof(n_half: int):
 
 
 def whittaker_draws(rng, n_half: int, draws: int, tol: float):
-    """Return the failure text (or None) and the worst relative error."""
+    """Return the failure text (or None) and the worst relative error.
+
+    The oracle side's exact factors come from one symbolic decomposition
+    per call, evaluated at each draw's rational x; no draw decomposes.
+    """
+    factors = shuffled_factors(n_half)
     worst = 0.0
     for _ in range(draws):
         v = UnfoldVars.from_x(n_half, _random_x_vars(rng, n_half))
@@ -143,7 +157,7 @@ def whittaker_draws(rng, n_half: int, draws: int, tol: float):
         delta = tuple(rng.randint(0, 1) for _ in range(2 * n_half))
         e = EmbeddingParams(lam, delta)
         a = shuffled_whittaker_eval(v, e)
-        b = shuffled_whittaker_oracle(v, e)
+        b = shuffled_whittaker_oracle(factors, v, e)
         err = abs(a - b) / max(abs(b), 1e-300)
         worst = max(worst, err)
         if err > tol:
@@ -332,9 +346,10 @@ def check_euler(ctx: CheckContext):
             parts = ext2_factor(SatakeData(p, tuple(a), chi), s) * ext2_factor(
                 SatakeData(p, tuple(b), chi), s
             )
-            for ai in a:
-                for bj in b:
-                    parts /= 1.0 - complex(ai) * complex(bj) * complex(chi) * x
+            a_f, b_f, chi_f = [complex(v) for v in a], [complex(v) for v in b], complex(chi)
+            for ai in a_f:
+                for bj in b_f:
+                    parts /= 1.0 - ai * bj * chi_f * x
             perm = list(a + b)
             ctx.rng.shuffle(perm)
             shuffled = ext2_factor(SatakeData(p, tuple(perm), chi), s)

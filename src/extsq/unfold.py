@@ -8,7 +8,9 @@ conditions then shifts those entries ("tilde" values), yielding a matrix
 whose triangular decomposition has monomial structure in the product
 coordinates x_{i,j}.  This module constructs all of it and provides both
 sides of every identity it relies on, so each formula can be checked against
-an independent elimination path.
+an independent elimination path.  The Whittaker oracle's elimination
+runs once per size, on indeterminates (``shuffled_factors``), and its
+factors are evaluated at each rational x.
 
 Index conventions (all 1-based, n = n_half):
   c_{i,j}, z_{i,j}        1 <= j <= i <= n-1, plus the structural c_{n,n} = 1
@@ -73,6 +75,11 @@ def _cz_index_set(n: int):
 
 def _x_index_set(n: int):
     return [(i, j) for i in range(1, n) for j in range(2 * i, 2 * n)]
+
+
+def _x_name(i: int, j: int) -> str:
+    """The name of the indeterminate x_{i,j} in symbolic_x."""
+    return f"x{i}_{j}"
 
 
 class UnfoldVars:
@@ -159,12 +166,8 @@ class UnfoldVars:
     @classmethod
     def symbolic_x(cls, n_half: int) -> "UnfoldVars":
         """Independent x indeterminates; c/z become monomials."""
-        names = sorted(f"x{i}_{j}" for i, j in _x_index_set(n_half))
-        ring = PolyRing(names)
-        x = {
-            (i, j): RatFunc.from_poly(ring.var(f"x{i}_{j}"))
-            for i, j in _x_index_set(n_half)
-        }
+        ring = PolyRing(sorted(_x_name(*key) for key in _x_index_set(n_half)))
+        x = {key: RatFunc.from_poly(ring.var(_x_name(*key))) for key in _x_index_set(n_half)}
         return cls.from_x(n_half, x)
 
 
@@ -582,21 +585,22 @@ def _e(z) -> complex:
     return cmath.exp(2j * math.pi * float(z))
 
 
-def whittaker_eval(eparams, g: Matrix) -> complex:
-    """Open-cell value: e(sum of superdiagonal of the unit-upper factor)
-    times prod_j |h_j|^((m+1)/2 - j - lambda_j) sgn(h_j)^(delta_j)."""
-    m = g.nrows
+def whittaker_eval(eparams, diag, superdiag) -> complex:
+    """Open-cell value of g = n h n_minus from its exact factors: with diag
+    the diagonal of h and superdiag that of the unit-upper n, it is
+    e(sum of superdiag) times prod_j |h_j|^((m+1)/2 - j - lambda_j)
+    sgn(h_j)^(delta_j)."""
+    m = len(diag)
     lam = list(eparams.lam)
     delta = list(eparams.delta)
     if len(lam) != m or len(delta) != m:
         raise ValueError("parameter length must match matrix size")
-    nhn = nhn_decompose(g)
     ssum = 0.0
-    for i in range(m - 1):
-        ssum += float(nhn.n[i, i + 1])
+    for e in superdiag:
+        ssum += float(e)
     val = _e(ssum)
     for j in range(1, m + 1):
-        h = float(nhn.h[j - 1, j - 1])
+        h = float(diag[j - 1])
         if h == 0.0:
             return 0.0j
         expo = complex((m + 1) / 2 - j) - complex(lam[j - 1])
@@ -655,6 +659,39 @@ def assemble_shuffled(vars: UnfoldVars) -> Matrix:
     return Matrix(rows)
 
 
+@dataclass(frozen=True)
+class ShuffledFactors:
+    """h's diagonal and the unit-upper n's superdiagonal of the decomposition
+    n h n_minus of an assembled shuffle matrix."""
+
+    diag: tuple
+    superdiag: tuple
+
+    def at(self, vars: UnfoldVars) -> "ShuffledFactors":
+        """The entries, functions of the x indeterminates, at the x of vars."""
+        values = {_x_name(*key): v for key, v in vars._x.items()}
+        return ShuffledFactors(
+            tuple(e.evaluate(values) for e in self.diag),
+            tuple(e.evaluate(values) for e in self.superdiag),
+        )
+
+
+def shuffled_factors(n_half: int) -> ShuffledFactors:
+    """The factors of nhn_decompose(assemble_shuffled(symbolic_x(n_half))).
+
+    h's diagonal is signed monomials in x and n's superdiagonal Laurent
+    polynomials, so at any nonzero rational x their values are the factors
+    of the pointwise decomposition, exactly: it is unique, and its pivots
+    are those monomials.  One decomposition then serves every draw.
+    """
+    nhn = nhn_decompose(assemble_shuffled(UnfoldVars.symbolic_x(n_half)))
+    m = 2 * n_half
+    return ShuffledFactors(
+        tuple(nhn.h[j, j] for j in range(m)),
+        tuple(nhn.n[i, i + 1] for i in range(m - 1)),
+    )
+
+
 def kappa2_sign(delta) -> int:
     two_n = len(delta)
     return _sign_pow(sum(delta[k - 1] for k in range(2, two_n - 1, 2)))
@@ -667,32 +704,36 @@ def shuffled_whittaker_eval(vars: UnfoldVars, eparams) -> complex:
           * prod |x_{i,j}|^(-lam_i - lam_{j+1-i} + 2n - j)
                  sgn(x_{i,j})^(delta_i + delta_{j+1-i})
 
-    over 2i <= j <= 2n-1.  The oracle path is whittaker_eval on
-    assemble_shuffled(vars).
+    over 2i <= j <= 2n-1.  The oracle path is shuffled_whittaker_oracle:
+    whittaker_eval on the exact factors of assemble_shuffled(vars).
     """
     n = vars.n_half
-    lam = list(eparams.lam)
+    lam = [complex(v) for v in eparams.lam]
     delta = list(eparams.delta)
     if len(lam) != 2 * n:
         raise ValueError("parameter length must be 2 n_half")
+    x = {key: float(v) for key, v in vars._x.items()}
     phase = 0.0
     for i in range(1, n):
         for j in range(2 * i, 2 * n - 1):
-            phase += float(vars.x(i, j))
-        phase -= float(vars.x(i, 2 * n - 1))
+            phase += x[i, j]
+        phase -= x[i, 2 * n - 1]
     val = _e(phase) * kappa2_sign(delta)
     for i in range(1, n):
         for j in range(2 * i, 2 * n):
-            xv = float(vars.x(i, j))
-            expo = -complex(lam[i - 1]) - complex(lam[j - i]) + (2 * n - j)
+            xv = x[i, j]
+            expo = -lam[i - 1] - lam[j - i] + (2 * n - j)
             val *= cmath.exp(expo * math.log(abs(xv)))
             if xv < 0.0 and (delta[i - 1] + delta[j - i]) % 2:
                 val = -val
     return val
 
 
-def shuffled_whittaker_oracle(vars: UnfoldVars, eparams) -> complex:
-    return whittaker_eval(eparams, assemble_shuffled(vars))
+def shuffled_whittaker_oracle(factors: ShuffledFactors, vars: UnfoldVars, eparams) -> complex:
+    """whittaker_eval on the factors of assemble_shuffled(vars), read from
+    factors = shuffled_factors(vars.n_half) at the x values of vars."""
+    at = factors.at(vars)
+    return whittaker_eval(eparams, at.diag, at.superdiag)
 
 
 # -- kappa bookkeeping -------------------------------------------------------

@@ -481,6 +481,19 @@ def test_g_factor_value_matches_g_delta():
         checked += 1
 
 
+@pytest.mark.parametrize("s", [1e16, complex(-1e16, 1), complex(2.0**53, 1)])
+def test_gamma_value_refuses_real_parts_past_2_53(s):
+    # there every float is an even integer: 1 - 1e16 read as a pole gave a
+    # false zero, though 1 - 1e16 is odd
+    with pytest.raises(OverflowError, match=r"a Gamma product at s=.* is outside the float range"):
+        GammaExpr.g_factor(0, 0).value(s)
+
+
+def test_gamma_value_keeps_true_zeros_below_2_53():
+    assert GammaExpr.g_factor(0, 0).value(2**53 - 1) == 0j
+    assert GammaExpr.g_factor(0, 0).value(3) == 0j
+
+
 def test_contragredient_is_an_involution():
     for r in (SIGN4, DS_PAIR, MIXED):
         e = casselman_embedding(r)

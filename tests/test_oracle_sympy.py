@@ -102,6 +102,42 @@ def test_exact_div_non_multiple_spot():
     assert ((x + y) * (z - 1) + 1).exact_div(x + y) is None
 
 
+def point_values():
+    """An int, a Fraction or a sympy symbol, for one variable."""
+    return st.one_of(
+        st.integers(-5, 5),
+        st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+        st.sampled_from(sympy.symbols("u v")),
+    )
+
+
+@given(
+    st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in NAMES)), coeffs(6), max_size=5),
+    st.tuples(*(point_values() for _ in NAMES)),
+)
+@settings(max_examples=120, deadline=None)
+def test_evaluate_matches_sympy_substitution(terms, point):
+    # the sympy side is built from the exponent tuples, not through evaluate
+    want = sympy.Integer(0)
+    for exps, c in terms.items():
+        c = Fraction(c)
+        want += sympy.Rational(c.numerator, c.denominator) * sympy.Mul(
+            *(sym**k for sym, k in zip(SYMS, exps))
+        )
+    want = want.subs(dict(zip(SYMS, point)), simultaneous=True)
+    got = Polynomial(R, terms).evaluate(dict(zip(NAMES, point)))
+    assert sympy.expand(sympy.sympify(got) - want) == 0
+
+
+def test_evaluate_needs_a_value_for_every_ring_variable():
+    p = Polynomial(R, {(1, 0, 0): 2, (0, 0, 0): 1})  # 2x + 1: no y, no z
+    assert p.evaluate({"x": Fraction(1, 2), "y": 7, "z": sympy.Symbol("u")}) == 2
+    with pytest.raises(KeyError):
+        p.evaluate({"x": 1, "y": 2})
+    with pytest.raises(KeyError):
+        R.zero().evaluate({"x": 1, "y": 2})
+
+
 @given(polys(max_terms=3, max_exp=2), polys(max_terms=3, max_exp=2), polys(max_terms=3, max_exp=2))
 @settings(max_examples=60, deadline=None)
 def test_poly_gcd_matches_sympy(common, a, b):

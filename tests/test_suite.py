@@ -1,9 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
+import extsq.suite
+import extsq.unfold
 from extsq.lfactors import GammaExpr
-from extsq.suite import CHECKS, CheckContext, CheckResult, run_check, run_suite
+from extsq.suite import CHECKS, CheckContext, CheckResult, run_check, run_suite, whittaker_draws
 
 
 EXPECTED_CHECKS = {
@@ -137,6 +140,19 @@ def _stray_g_factor(real):
     return lambda e, eta: real(e, eta) * GammaExpr.g_factor(0, 0)
 
 
+def _kappa2_negated(real):
+    # kappa2 is a sign that multiplies the whole closed form
+    return lambda v, e: -real(v, e)
+
+
+def _first_h_doubled(real):
+    def factors(n_half):
+        f = real(n_half)
+        return dataclasses.replace(f, diag=(2 * f.diag[0],) + f.diag[1:])
+
+    return factors
+
+
 # the first gamma-table draw at seed 42
 _GAMMA_TABLE_SEED_42 = (
     "table and product disagree for {'n': 3, 'eta': 0, 'sign_blocks': "
@@ -196,14 +212,46 @@ FAULTS = {
         _stray_g_factor,
         _GAMMA_TABLE_SEED_42,
     ),
+    "whittaker-closed-form": (
+        "whittaker",
+        "shuffled_whittaker_eval",
+        _kappa2_negated,
+        "dual paths differ by 2.000e+00 at n_half=2",
+    ),
+    "whittaker-factors": (
+        "whittaker",
+        "shuffled_factors",
+        _first_h_doubled,
+        "dual paths differ by 4.142e-01 at n_half=2",
+    ),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_a_committed_fault_fails_its_check(monkeypatch, fault):
-    import extsq.suite
-
     name, attr, wrap, detail = FAULTS[fault]
     assert run_check(name, 42).passed
     monkeypatch.setattr(extsq.suite, attr, wrap(getattr(extsq.suite, attr)))
     assert run_check(name, 42) == CheckResult(name, False, detail)
+
+
+def test_whittaker_draws_decompose_once_per_call(monkeypatch):
+    # one symbolic decomposition per call, none per draw, and none kept
+    # from one call to the next
+    calls = []
+
+    def counted(real, attr):
+        def spy(*args):
+            calls.append(attr)
+            return real(*args)
+
+        return spy
+
+    for module in (extsq.suite, extsq.unfold):
+        for attr in ("build_B", "nhn_decompose"):
+            monkeypatch.setattr(module, attr, counted(getattr(module, attr), attr))
+    rng = random.Random(0)
+    for _ in range(2):
+        failure, _ = whittaker_draws(rng, 3, 25, 1e-10)
+        assert failure is None
+    assert calls == ["build_B", "nhn_decompose"] * 2

@@ -22,6 +22,7 @@ from extsq.unfold import (
     build_B,
     kappa_signs,
     lower_factor_recursive,
+    shuffled_factors,
     shuffled_whittaker_eval,
     shuffled_whittaker_oracle,
     sigma,
@@ -507,14 +508,39 @@ def test_lower_factor_rejects_zero_inputs():
 def test_whittaker_dual_paths_agree():
     rng = random.Random(19)
     for n_half in (2, 3):
+        factors = shuffled_factors(n_half)
         for _ in range(25):
             v = UnfoldVars.from_x(n_half, _random_x(rng, n_half))
             lam = tuple(Fraction(rng.randint(-4, 4), 2) for _ in range(2 * n_half))
             delta = tuple(rng.randint(0, 1) for _ in range(2 * n_half))
             e = EmbeddingParams(lam, delta)
             a = shuffled_whittaker_eval(v, e)
-            b = shuffled_whittaker_oracle(v, e)
+            b = shuffled_whittaker_oracle(factors, v, e)
             assert a == pytest.approx(b, rel=1e-10)
+
+
+@pytest.mark.parametrize("n_half", [2, 3, 4, 5])
+def test_shuffled_factors_at_a_point_are_the_pointwise_factors(n_half):
+    # the symbolic factors, evaluated at rational x, against the
+    # decomposition of the rational matrix itself
+    factors = shuffled_factors(n_half)
+    assert all(isinstance(e, RatFunc) for e in factors.diag + factors.superdiag)
+    rng = random.Random(37 * n_half)
+    for _ in range(10):
+        v = UnfoldVars.from_x(n_half, _random_x(rng, n_half))
+        nhn = nhn_decompose(unfold.assemble_shuffled(v))
+        m = 2 * n_half
+        pointwise = unfold.ShuffledFactors(
+            tuple(nhn.h[j, j] for j in range(m)),
+            tuple(nhn.n[i, i + 1] for i in range(m - 1)),
+        )
+        assert factors.at(v) == pointwise
+
+
+def test_shuffled_factors_need_every_x():
+    v = UnfoldVars.from_x(2, _random_x(random.Random(3), 2))
+    with pytest.raises(KeyError):
+        shuffled_factors(3).at(v)
 
 
 def _dense_assembly(v):
