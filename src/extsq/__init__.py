@@ -75,6 +75,7 @@ from .unfold import (
     KappaSigns,
     ShuffledFactors,
     UnfoldVars,
+    WhittakerForm,
     altsum_check,
     build_block_A,
     build_B,

@@ -12,6 +12,7 @@ one ``error:`` line on stderr with exit status 2.
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -54,7 +55,7 @@ from .suite import (
     recursion_proof,
     run_suite,
     superdiag_proof,
-    whittaker_draws,
+    whittaker_proof,
 )
 
 
@@ -137,8 +138,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    if not 0 < value < math.inf:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
 
 
@@ -181,7 +182,7 @@ def _flat(m) -> str:
 
 
 def cmd_shuffle_verify(args) -> RunReport:
-    n, trials, tol = args.n, args.trials, args.tol or 1e-10
+    n = args.n
     if n < 2 or n > 6:
         raise ValueError("--n must be between 2 and 6")
     checks = []
@@ -189,18 +190,15 @@ def cmd_shuffle_verify(args) -> RunReport:
         ("superdiag", superdiag_proof),
         ("altsum", altsum_proof),
         ("recursion", recursion_proof),
+        ("whittaker", whittaker_proof),
     ):
         failure = proof(n)
         detail = failure or f"symbolic proof at n_half={n}"
         checks.append(CheckResult(name, failure is None, detail))
-    rng = random.Random(f"{args.seed}:shuffle-verify:{n}")
-    failure, worst = whittaker_draws(rng, n, trials, tol)
-    detail = failure or f"{trials} dual-path draws, worst {worst:.3e}"
-    checks.append(CheckResult("whittaker", failure is None, detail))
     failure, count = kappa_sweep(n)
     detail = failure or f"{count} exhaustive choices"
     checks.append(CheckResult("kappa", failure is None, detail))
-    return _make_report("shuffle-verify", args.seed, checks, {"n": n})
+    return _make_report("shuffle-verify", None, checks, {"n": n})
 
 
 def cmd_gamma(args) -> RunReport:
@@ -317,11 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("shuffle-verify", help="run the unfolding identities at one size")
-    p.add_argument("--n", type=int, required=True, help="half-size n (2..6)")
-    proved = "superdiag, altsum and recursion are proved symbolically at --n"
-    p.add_argument("--trials", type=_positive_int, default=20, help=f"whittaker draws; {proved}")
-    p.add_argument("--seed", type=int, default=0, help=f"seed of the whittaker draws; {proved}")
-    p.add_argument("--tol", type=_positive_float, default=None, help="whittaker tolerance")
+    p.add_argument("--n", type=int, required=True, help="half-size n (2..6), proved symbolically")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_shuffle_verify)
 

@@ -8,24 +8,19 @@ short detail string; tolerances are fixed here.
 The decomposition and unfolding identities are polynomial identities, so
 their checks prove them exactly on indeterminates and draw nothing:
 ``udl-explicit`` at generic n = 2..5, and ``superdiag_proof``,
-``altsum_proof`` and ``recursion_proof`` at one symbolic n_half each,
-which the suite runs at n_half = 2, 3, 4 and ``shuffle-verify`` at its
-``--n``.  Each proof returns the failure text or None.  The
-``whittaker_draws`` and ``kappa_sweep`` loops are shared the same way,
-and the functional-equation ratio draws through ``fe_draws``, which the
+``altsum_proof``, ``recursion_proof`` and ``whittaker_proof`` at one
+symbolic n_half each, which the suite runs at n_half = 2, 3, 4 and
+``shuffle-verify`` at its ``--n``.  Each proof returns the failure text or
+None.  ``whittaker_proof`` compares the Whittaker value read from the
+exact factors of the shuffled matrix with its closed form, symbolic in x,
+lambda and delta, part by part: phase, sign constant, exponents and
+parities.  The ``kappa_sweep`` loop is shared the same way, and the
+functional-equation ratio draws through ``fe_draws``, which the
 ``fe-ratio`` check and the ``fe-check`` command share.
 
 ``gamma-table`` proves its identity exactly as well: the unfolded Gamma
 table equals ``script_g`` as a ``GammaExpr``, with no point s evaluated.
 It still draws the random embeddings it compares the two on.
-
-``whittaker`` still compares two float evaluations at drawn x, lambda and
-delta, but no draw decomposes a matrix: each ``whittaker_draws`` call runs
-one symbolic decomposition (``shuffled_factors``) and evaluates its exact
-factors at every draw's rational x.  Each call pays for its own
-decomposition, as nothing is kept between calls; at n_half = 5 and 6,
-with ``shuffle-verify``'s default 20 draws, that costs more than
-eliminating at each draw would.
 """
 
 import cmath
@@ -48,7 +43,6 @@ from .euler import (
     standard_reciprocal_poly,
 )
 from .lfactors import (
-    EmbeddingParams,
     IdentityMismatchError,
     PoleProximityError,
     casselman_embedding,
@@ -68,7 +62,6 @@ from .unfold import (
     build_B,
     kappa_signs,
     lower_factor_recursive,
-    shuffled_factors,
     shuffled_whittaker_eval,
     shuffled_whittaker_oracle,
     superdiag_closed_form,
@@ -95,13 +88,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _random_x_vars(rng, n_half: int) -> dict:
-    return {
-        key: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
-        for key in _x_index_set(n_half)
-    }
 
 
 # -- the unfolding identities, shared with shuffle-verify --------------------
@@ -143,26 +129,26 @@ def recursion_proof(n_half: int):
     return None
 
 
-def whittaker_draws(rng, n_half: int, draws: int, tol: float):
-    """Return the failure text (or None) and the worst relative error.
-
-    The oracle side's exact factors come from one symbolic decomposition
-    per call, evaluated at each draw's rational x; no draw decomposes.
-    """
-    factors = shuffled_factors(n_half)
-    worst = 0.0
-    for _ in range(draws):
-        v = UnfoldVars.from_x(n_half, _random_x_vars(rng, n_half))
-        lam = tuple(Fraction(rng.randint(-4, 4), 2) for _ in range(2 * n_half))
-        delta = tuple(rng.randint(0, 1) for _ in range(2 * n_half))
-        e = EmbeddingParams(lam, delta)
-        a = shuffled_whittaker_eval(v, e)
-        b = shuffled_whittaker_oracle(factors, v, e)
-        err = abs(a - b) / max(abs(b), 1e-300)
-        worst = max(worst, err)
-        if err > tol:
-            return f"dual paths differ by {err:.3e} at n_half={n_half}", worst
-    return None, worst
+def whittaker_proof(n_half: int):
+    """The Whittaker value read from the factors of the shuffled matrix
+    against its closed form, part by part."""
+    try:
+        got = shuffled_whittaker_oracle(n_half)
+    except IdentityMismatchError as exc:
+        return f"{exc} at n_half={n_half}"
+    want = shuffled_whittaker_eval(n_half)
+    if got.phase != want.phase:
+        return f"phase differs at n_half={n_half}"
+    if got.sign != want.sign:
+        return f"sign constant differs at n_half={n_half}"
+    for label, a, b in (
+        ("exponent", got.exponents, want.exponents),
+        ("parity", got.parities, want.parities),
+    ):
+        for name in sorted(a.keys() | b.keys()):
+            if a.get(name) != b.get(name):
+                return f"{label} of {name} differs at n_half={n_half}"
+    return None
 
 
 def fe_draws(rng, samples: int, tol: float, r=None):
@@ -268,14 +254,7 @@ def check_recursion(ctx: CheckContext):
 
 
 def check_whittaker(ctx: CheckContext):
-    per = ctx.count(100)
-    worst = 0.0
-    for n_half in (2, 3):
-        failure, err = whittaker_draws(ctx.rng, n_half, per, 1e-10)
-        worst = max(worst, err)
-        if failure:
-            return False, failure
-    return True, f"{per} draws per n_half in (2, 3), worst {worst:.3e}"
+    return _prove(whittaker_proof, "symbolic n_half=2..4: phase, sign, exponents and parities")
 
 
 def check_kappa(ctx: CheckContext):

@@ -8,9 +8,10 @@ conditions then shifts those entries ("tilde" values), yielding a matrix
 whose triangular decomposition has monomial structure in the product
 coordinates x_{i,j}.  This module constructs all of it and provides both
 sides of every identity it relies on, so each formula can be checked against
-an independent elimination path.  The Whittaker oracle's elimination
-runs once per size, on indeterminates (``shuffled_factors``), and its
-factors are evaluated at each rational x.
+an independent elimination path.  The Whittaker value is compared as a
+``WhittakerForm``, symbolic in x, lambda and delta at once: read from the
+factors of the shuffled matrix on indeterminates (``shuffled_factors``),
+and from its closed form.  No point is evaluated and no float is formed.
 
 Index conventions (all 1-based, n = n_half):
   c_{i,j}, z_{i,j}        1 <= j <= i <= n-1, plus the structural c_{n,n} = 1
@@ -20,12 +21,11 @@ Index conventions (all 1-based, n = n_half):
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .decomp import DegenerateMinorError, _require_exact, nhn_decompose
-from .lfactors import GammaExpr
+from .lfactors import GammaExpr, IdentityMismatchError
 from .matrices import Matrix, _clear, _is_zero
 from .polynomials import PolyRing
 from .ratfunc import RatFunc, quotient
@@ -578,38 +578,6 @@ def lower_factor_recursive(n_half: int, x: dict) -> Matrix:
     return Matrix(rows)
 
 
-# -- Whittaker evaluation ----------------------------------------------------
-
-
-def _e(z) -> complex:
-    return cmath.exp(2j * math.pi * float(z))
-
-
-def whittaker_eval(eparams, diag, superdiag) -> complex:
-    """Open-cell value of g = n h n_minus from its exact factors: with diag
-    the diagonal of h and superdiag that of the unit-upper n, it is
-    e(sum of superdiag) times prod_j |h_j|^((m+1)/2 - j - lambda_j)
-    sgn(h_j)^(delta_j)."""
-    m = len(diag)
-    lam = list(eparams.lam)
-    delta = list(eparams.delta)
-    if len(lam) != m or len(delta) != m:
-        raise ValueError("parameter length must match matrix size")
-    ssum = 0.0
-    for e in superdiag:
-        ssum += float(e)
-    val = _e(ssum)
-    for j in range(1, m + 1):
-        h = float(diag[j - 1])
-        if h == 0.0:
-            return 0.0j
-        expo = complex((m + 1) / 2 - j) - complex(lam[j - 1])
-        val *= cmath.exp(expo * math.log(abs(h)))
-        if h < 0.0 and delta[j - 1] % 2:
-            val = -val
-    return val
-
-
 def _shuffle_blocks(vars: UnfoldVars):
     """The n x n blocks C and Z of the shuffled matrix, as lists of rows."""
     n = vars.n_half
@@ -667,22 +635,13 @@ class ShuffledFactors:
     diag: tuple
     superdiag: tuple
 
-    def at(self, vars: UnfoldVars) -> "ShuffledFactors":
-        """The entries, functions of the x indeterminates, at the x of vars."""
-        values = {_x_name(*key): v for key, v in vars._x.items()}
-        return ShuffledFactors(
-            tuple(e.evaluate(values) for e in self.diag),
-            tuple(e.evaluate(values) for e in self.superdiag),
-        )
-
 
 def shuffled_factors(n_half: int) -> ShuffledFactors:
     """The factors of nhn_decompose(assemble_shuffled(symbolic_x(n_half))).
 
     h's diagonal is signed monomials in x and n's superdiagonal Laurent
-    polynomials, so at any nonzero rational x their values are the factors
-    of the pointwise decomposition, exactly: it is unique, and its pivots
-    are those monomials.  One decomposition then serves every draw.
+    polynomials; the decomposition is unique, so at any nonzero rational x
+    their values are the factors of the pointwise decomposition.
     """
     nhn = nhn_decompose(assemble_shuffled(UnfoldVars.symbolic_x(n_half)))
     m = 2 * n_half
@@ -697,43 +656,88 @@ def kappa2_sign(delta) -> int:
     return _sign_pow(sum(delta[k - 1] for k in range(2, two_n - 1, 2)))
 
 
-def shuffled_whittaker_eval(vars: UnfoldVars, eparams) -> complex:
+# -- the Whittaker value, symbolic in x, lambda and delta --------------------
+
+
+@dataclass(frozen=True)
+class WhittakerForm:
+    """A Whittaker value as exact data, for every x, lambda and delta:
+
+        e(phase) * prod_{j in sign} (-1)^delta_j
+          * prod_x |x|^(c_x + sum_j l_{x,j} lambda_j) sgn(x)^(sum_j p_{x,j} delta_j)
+
+    exponents maps the name of each indeterminate x to (c_x, l_x), and
+    parities maps it to p_x, reduced mod 2.
+    """
+
+    phase: "RatFunc"
+    sign: frozenset
+    exponents: dict
+    parities: dict
+
+
+def _signed_monomial(h, j: int):
+    """(eps, a) with h = eps * x^a, eps = +-1 and a Laurent exponent vector."""
+    if isinstance(h, RatFunc) and h.num.is_monomial() and h.den.is_monomial():
+        (a, eps), (b, d) = h.num.leading(), h.den.leading()
+        if eps in (1, -1) and d == 1:
+            return eps, [p - q for p, q in zip(a, b)]
+    raise IdentityMismatchError(f"h_{j}{j} is not a signed monomial")
+
+
+def whittaker_eval(diag, superdiag) -> WhittakerForm:
+    """The Whittaker value of g = n h n_minus read from its exact factors.
+
+    With diag the diagonal of h and superdiag that of the unit-upper n, it
+    is e(sum of superdiag) * prod_j |h_j|^((m+1)/2 - j - lambda_j)
+    sgn(h_j)^delta_j.  Each h_j must be eps_j x^(a_j), a monomial with
+    coefficient +-1, or IdentityMismatchError is raised.  Then the sign
+    constant collects the j with eps_j = -1, and x carries the exponent
+    sum_j a_{j,x} ((m+1)/2 - j - lambda_j) and the parity sum_j a_{j,x} delta_j.
+    """
+    m = len(diag)
+    sign, rows = set(), []
+    for j, h in enumerate(diag, 1):
+        eps, a = _signed_monomial(h, j)
+        if eps == -1:
+            sign.add(j)
+        rows.append(a)
+    exponents, parities = {}, {}
+    for v, name in enumerate(diag[0].ring.names):
+        col = [a[v] for a in rows]
+        const = sum(Fraction(e * (m + 1 - 2 * j), 2) for j, e in enumerate(col, 1))
+        exponents[name] = (const, tuple(-e for e in col))
+        parities[name] = tuple(e % 2 for e in col)
+    return WhittakerForm(sum(superdiag), frozenset(sign), exponents, parities)
+
+
+def shuffled_whittaker_eval(n_half: int) -> WhittakerForm:
     """Closed form for the Whittaker value of the assembled shuffle matrix:
 
-        e(sum x_{i,j} - sum x_{i,2n-1}) * kappa2
-          * prod |x_{i,j}|^(-lam_i - lam_{j+1-i} + 2n - j)
-                 sgn(x_{i,j})^(delta_i + delta_{j+1-i})
+        e(sum x_{i,k} - sum x_{i,2n-1}) * kappa2
+          * prod |x_{i,k}|^(-lam_i - lam_{k+1-i} + 2n - k)
+                 sgn(x_{i,k})^(delta_i + delta_{k+1-i})
 
-    over 2i <= j <= 2n-1.  The oracle path is shuffled_whittaker_oracle:
-    whittaker_eval on the exact factors of assemble_shuffled(vars).
+    over 2i <= k <= 2n-1, on the indeterminates of symbolic_x.  kappa2's
+    index set is read from kappa2_sign on unit vectors.  The oracle is
+    shuffled_whittaker_oracle.
     """
-    n = vars.n_half
-    lam = [complex(v) for v in eparams.lam]
-    delta = list(eparams.delta)
-    if len(lam) != 2 * n:
-        raise ValueError("parameter length must be 2 n_half")
-    x = {key: float(v) for key, v in vars._x.items()}
-    phase = 0.0
-    for i in range(1, n):
-        for j in range(2 * i, 2 * n - 1):
-            phase += x[i, j]
-        phase -= x[i, 2 * n - 1]
-    val = _e(phase) * kappa2_sign(delta)
-    for i in range(1, n):
-        for j in range(2 * i, 2 * n):
-            xv = x[i, j]
-            expo = -lam[i - 1] - lam[j - i] + (2 * n - j)
-            val *= cmath.exp(expo * math.log(abs(xv)))
-            if xv < 0.0 and (delta[i - 1] + delta[j - i]) % 2:
-                val = -val
-    return val
+    m = 2 * n_half
+    units = [[int(j == k) for j in range(m)] for k in range(m)]
+    sign = frozenset(k + 1 for k, e in enumerate(units) if kappa2_sign(e) == -1)
+    exponents, parities = {}, {}
+    for i, k in _x_index_set(n_half):
+        pair = [int(j in (i, k + 1 - i)) for j in range(1, m + 1)]
+        exponents[_x_name(i, k)] = (m - k, tuple(-p for p in pair))
+        parities[_x_name(i, k)] = tuple(pair)
+    phase = superdiag_closed_form_x(UnfoldVars.symbolic_x(n_half))
+    return WhittakerForm(phase, sign, exponents, parities)
 
 
-def shuffled_whittaker_oracle(factors: ShuffledFactors, vars: UnfoldVars, eparams) -> complex:
-    """whittaker_eval on the factors of assemble_shuffled(vars), read from
-    factors = shuffled_factors(vars.n_half) at the x values of vars."""
-    at = factors.at(vars)
-    return whittaker_eval(eparams, at.diag, at.superdiag)
+def shuffled_whittaker_oracle(n_half: int) -> WhittakerForm:
+    """whittaker_eval on the factors of assemble_shuffled(symbolic_x(n_half))."""
+    factors = shuffled_factors(n_half)
+    return whittaker_eval(factors.diag, factors.superdiag)
 
 
 # -- kappa bookkeeping -------------------------------------------------------

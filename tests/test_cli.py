@@ -370,11 +370,33 @@ def test_fe_check_refuses_a_gamma_product_outside_the_float_range(capsys, tmp_pa
 
 
 def test_shuffle_verify(capsys):
-    code, out, err = run_cli(capsys, "shuffle-verify", "--n", "2", "--trials", "5")
+    code, out, err = run_cli(capsys, "shuffle-verify", "--n", "2")
     assert code == 0
     kv = _parse_kv(out)
     for name in ("superdiag", "altsum", "recursion", "whittaker", "kappa"):
         assert kv[name].startswith("PASS")
+
+
+def test_shuffle_verify_proves_the_whittaker_identity_at_6(capsys):
+    # the float draws failed here at 1.642e-10 against 1e-10 (--seed 11)
+    code, out, err = run_cli(capsys, "shuffle-verify", "--n", "6")
+    assert code == 0
+    assert err == ""
+    kv = _parse_kv(out)
+    assert sorted(kv) == ["altsum", "kappa", "n", "recursion", "superdiag", "whittaker"]
+    assert all(kv[name].startswith("PASS\t") for name in kv if name != "n")
+    assert kv["whittaker"] == "PASS\tsymbolic proof at n_half=6"
+
+
+@pytest.mark.parametrize("option", ["--trials", "--seed", "--tol"])
+def test_shuffle_verify_takes_no_draw_options(capsys, option):
+    # every identity is proved at --n, so nothing is drawn or tolerated
+    with pytest.raises(SystemExit) as exc:
+        main(["shuffle-verify", "--n", "2", option, "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"extsq: error: unrecognized arguments: {option} 3" in err
+    assert "Traceback" not in err
 
 
 def test_suite_and_shuffle_verify_share_one_draw_path(capsys, monkeypatch):
@@ -383,7 +405,7 @@ def test_suite_and_shuffle_verify_share_one_draw_path(capsys, monkeypatch):
     real = extsq.suite.superdiag_closed_form
     monkeypatch.setattr(extsq.suite, "superdiag_closed_form", lambda v: real(v) + 1)
     assert not extsq.suite.run_check("superdiag", 0).passed
-    code, out, err = run_cli(capsys, "shuffle-verify", "--n", "2", "--trials", "3")
+    code, out, err = run_cli(capsys, "shuffle-verify", "--n", "2")
     assert code == 1
     kv = _parse_kv(out)
     assert kv["superdiag"] == "FAIL\tsymbolic mismatch at n_half=2"
@@ -400,7 +422,7 @@ def test_shuffle_verify_checks_that_kappa_rejects_the_wrong_parity(capsys, monke
         return real(n, delta, (sum(delta) + n * eta) % 2, eta)
 
     monkeypatch.setattr(extsq.suite, "kappa_signs", ignores_eps)
-    code, out, err = run_cli(capsys, "shuffle-verify", "--n", "2", "--trials", "1")
+    code, out, err = run_cli(capsys, "shuffle-verify", "--n", "2")
     assert code == 1
     assert _parse_kv(out)["kappa"] == "FAIL\tparity constraint is not enforced"
 
@@ -414,9 +436,10 @@ def test_shuffle_verify_checks_that_kappa_rejects_the_wrong_parity(capsys, monke
         ("suite", "--trials", "-3", "--check", "whittaker"),
         ("suite", "--trials", "0"),
         ("suite", "--trials", "two"),
-        ("shuffle-verify", "--n", "2", "--trials", "-1"),
-        ("shuffle-verify", "--n", "2", "--tol", "-0.5"),
+        ("fe-check", "{repr}", "--tol", "inf"),
         ("gamma", "--delta", "0", "--s", "0.5", "--oracle", "--tol", "0"),
+        ("gamma", "--delta", "0", "--s", "0.5", "--oracle", "--tol", "inf"),
+        ("gamma", "--delta", "0", "--s", "0.5", "--oracle", "--tol", "1e999"),
     ],
     ids=" ".join,
 )

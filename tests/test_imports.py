@@ -415,3 +415,46 @@ def test_main_alone_times_emits_and_maps_errors():
     commands = [n.name for n in tree.body if getattr(n, "name", "").startswith("cmd_")]
     assert len(commands) == 8
     assert _command_overreach(tree) == []
+
+
+# The exact algebra path: polynomials, rational functions, matrices, the
+# triangular decompositions and the unfolding identities.
+ALGEBRA_MODULES = ("polynomials.py", "ratfunc.py", "matrices.py", "decomp.py", "unfold.py")
+
+
+def _float_uses(tree: ast.Module) -> list:
+    """Lines that import cmath or call float or complex."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [node.lineno for a in node.names if a.name == "cmath"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "cmath":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("float", "complex"):
+            found.append(node.lineno)
+    return found
+
+
+def test_the_float_guard_sees_each_use():
+    bad = (
+        "import cmath",
+        "import cmath as c",
+        "from cmath import exp",
+        "v = float(x)",
+        "z = complex(re, im)",
+    )
+    good = (
+        "import math",
+        "q = Fraction(x)",
+        "ok = not isinstance(v, (float, complex))",
+        "def __float__(self):\n    return 0",
+    )
+    assert all(_float_uses(ast.parse(src)) for src in bad)
+    assert all(_float_uses(ast.parse(src)) == [] for src in good)
+
+
+@pytest.mark.parametrize("name", ALGEBRA_MODULES)
+def test_the_algebra_path_forms_no_float(name):
+    """The algebra stays exact: no module on its path imports cmath or
+    converts a value to float or complex."""
+    assert _float_uses(ast.parse((SRC / name).read_text())) == []

@@ -6,7 +6,7 @@ import pytest
 import extsq.suite
 import extsq.unfold
 from extsq.lfactors import GammaExpr
-from extsq.suite import CHECKS, CheckContext, CheckResult, run_check, run_suite, whittaker_draws
+from extsq.suite import CHECKS, CheckContext, CheckResult, run_check, run_suite, whittaker_proof
 
 
 EXPECTED_CHECKS = {
@@ -62,9 +62,9 @@ def test_run_suite_rejects_unknown_names():
 
 
 def test_trials_override_shrinks_work():
-    small = run_check("whittaker", 1, trials=2)
+    small = run_check("gamma-table", 1, trials=2)
     assert small.passed
-    assert "2 draws" in small.detail
+    assert small.detail == "2 random embeddings"
 
 
 @pytest.mark.parametrize(
@@ -72,7 +72,7 @@ def test_trials_override_shrinks_work():
 )
 def test_non_positive_overrides_are_rejected(override):
     with pytest.raises(ValueError):
-        run_check("whittaker", 0, **override)
+        run_check("gamma-table", 0, **override)
     with pytest.raises(ValueError):
         run_suite(0, names=["kappa"], **override)
 
@@ -91,7 +91,9 @@ class _NoDraws:
         raise AssertionError(f"the check read rng.{name}")
 
 
-@pytest.mark.parametrize("name", ["udl-explicit", "superdiag", "altsum", "recursion"])
+@pytest.mark.parametrize(
+    "name", ["udl-explicit", "superdiag", "altsum", "recursion", "whittaker"]
+)
 def test_algebra_checks_draw_nothing(name):
     passed, detail = CHECKS[name](CheckContext(_NoDraws(), None, 0))
     assert passed, detail
@@ -140,17 +142,40 @@ def _stray_g_factor(real):
     return lambda e, eta: real(e, eta) * GammaExpr.g_factor(0, 0)
 
 
-def _kappa2_negated(real):
-    # kappa2 is a sign that multiplies the whole closed form
-    return lambda v, e: -real(v, e)
-
-
 def _first_h_doubled(real):
     def factors(n_half):
         f = real(n_half)
         return dataclasses.replace(f, diag=(2 * f.diag[0],) + f.diag[1:])
 
     return factors
+
+
+def _first_index_flipped(real):
+    # delta_1 joins kappa2's index set
+    return lambda delta: -real(delta) if delta[0] else real(delta)
+
+
+def _closed_form_changed(change):
+    """The closed form with the fields that change(form) returns replaced."""
+
+    def wrap(real):
+        def closed(n_half):
+            form = real(n_half)
+            return dataclasses.replace(form, **change(form))
+
+        return closed
+
+    return wrap
+
+
+def _offset_raised(form):
+    const, lam = form.exponents["x1_2"]
+    return {"exponents": {**form.exponents, "x1_2": (const + 1, lam)}}
+
+
+def _parity_flipped(form):
+    first, *rest = form.parities["x1_2"]
+    return {"parities": {**form.parities, "x1_2": (1 - first, *rest)}}
 
 
 # the first gamma-table draw at seed 42
@@ -215,29 +240,50 @@ FAULTS = {
     "whittaker-closed-form": (
         "whittaker",
         "shuffled_whittaker_eval",
-        _kappa2_negated,
-        "dual paths differ by 2.000e+00 at n_half=2",
+        _closed_form_changed(_offset_raised),
+        "exponent of x1_2 differs at n_half=2",
     ),
     "whittaker-factors": (
         "whittaker",
-        "shuffled_factors",
+        "unfold.shuffled_factors",
         _first_h_doubled,
-        "dual paths differ by 4.142e-01 at n_half=2",
+        "h_11 is not a signed monomial at n_half=2",
+    ),
+    "whittaker-kappa2": (
+        "whittaker",
+        "unfold.kappa2_sign",
+        _first_index_flipped,
+        "sign constant differs at n_half=2",
+    ),
+    "whittaker-parity": (
+        "whittaker",
+        "shuffled_whittaker_eval",
+        _closed_form_changed(_parity_flipped),
+        "parity of x1_2 differs at n_half=2",
+    ),
+    "whittaker-phase": (
+        "whittaker",
+        "shuffled_whittaker_eval",
+        _closed_form_changed(lambda form: {"phase": form.phase + 1}),
+        "phase differs at n_half=2",
     ),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_a_committed_fault_fails_its_check(monkeypatch, fault):
-    name, attr, wrap, detail = FAULTS[fault]
+    name, target, wrap, detail = FAULTS[fault]
     assert run_check(name, 42).passed
-    monkeypatch.setattr(extsq.suite, attr, wrap(getattr(extsq.suite, attr)))
+    # a bare name is read from extsq.suite, a dotted one from that module
+    module, _, attr = target.rpartition(".")
+    owner = getattr(extsq, module or "suite")
+    monkeypatch.setattr(owner, attr, wrap(getattr(owner, attr)))
     assert run_check(name, 42) == CheckResult(name, False, detail)
 
 
-def test_whittaker_draws_decompose_once_per_call(monkeypatch):
-    # one symbolic decomposition per call, none per draw, and none kept
-    # from one call to the next
+@pytest.mark.parametrize("n_half", [2, 3, 4, 5])
+def test_whittaker_proof_decomposes_once(monkeypatch, n_half):
+    # the closed form reaches no elimination; the factors take one
     calls = []
 
     def counted(real, attr):
@@ -250,8 +296,5 @@ def test_whittaker_draws_decompose_once_per_call(monkeypatch):
     for module in (extsq.suite, extsq.unfold):
         for attr in ("build_B", "nhn_decompose"):
             monkeypatch.setattr(module, attr, counted(getattr(module, attr), attr))
-    rng = random.Random(0)
-    for _ in range(2):
-        failure, _ = whittaker_draws(rng, 3, 25, 1e-10)
-        assert failure is None
-    assert calls == ["build_B", "nhn_decompose"] * 2
+    assert whittaker_proof(n_half) is None
+    assert calls == ["build_B", "nhn_decompose"]

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import itertools
 import math
@@ -11,12 +12,13 @@ import extsq.polynomials as polynomials
 import extsq.ratfunc as ratfunc
 import extsq.unfold as unfold
 from extsq.decomp import DegenerateMinorError, nhn_decompose
-from extsq.lfactors import EmbeddingParams
+from extsq.lfactors import IdentityMismatchError
 from extsq.matrices import Matrix
 from extsq.polynomials import PolyRing
 from extsq.ratfunc import RatFunc
 from extsq.unfold import (
     UnfoldVars,
+    WhittakerForm,
     altsum_check,
     build_block_A,
     build_B,
@@ -31,6 +33,7 @@ from extsq.unfold import (
     superdiag_sum,
     tilde_c,
     tilde_z,
+    whittaker_eval,
 )
 
 
@@ -505,18 +508,71 @@ def test_lower_factor_rejects_zero_inputs():
         lower_factor_recursive(2, {(1, 2): 0, (1, 3): 1})
 
 
-def test_whittaker_dual_paths_agree():
-    rng = random.Random(19)
-    for n_half in (2, 3):
-        factors = shuffled_factors(n_half)
-        for _ in range(25):
-            v = UnfoldVars.from_x(n_half, _random_x(rng, n_half))
-            lam = tuple(Fraction(rng.randint(-4, 4), 2) for _ in range(2 * n_half))
-            delta = tuple(rng.randint(0, 1) for _ in range(2 * n_half))
-            e = EmbeddingParams(lam, delta)
-            a = shuffled_whittaker_eval(v, e)
-            b = shuffled_whittaker_oracle(factors, v, e)
-            assert a == pytest.approx(b, rel=1e-10)
+@pytest.mark.parametrize("n_half", [2, 3, 4, 5])
+def test_whittaker_factors_give_the_closed_form(n_half):
+    got = shuffled_whittaker_oracle(n_half)
+    want = shuffled_whittaker_eval(n_half)
+    assert isinstance(got, WhittakerForm)
+    assert got == want
+    # kappa2 flips at the even j in 2..2n-2; the last pivot is the border's 1
+    assert got.sign == frozenset(range(2, 2 * n_half - 1, 2))
+    assert set(got.exponents) == {unfold._x_name(*key) for key in unfold._x_index_set(n_half)}
+
+
+def _values(v):
+    return {unfold._x_name(*key): v.x(*key) for key in unfold._x_index_set(v.n_half)}
+
+
+def _float_whittaker(diag, superdiag, lam, delta):
+    """e(sum superdiag) prod_j |h_j|^((m+1)/2 - j - lam_j) sgn(h_j)^delta_j in floats."""
+    m = len(diag)
+    val = cmath.exp(2j * math.pi * float(sum(superdiag)))
+    for j, h in enumerate(diag, 1):
+        val *= abs(h) ** complex((m + 1) / 2 - j - lam[j - 1])
+        if h < 0 and delta[j - 1] % 2:
+            val = -val
+    return val
+
+
+def _float_form(form, values, lam, delta):
+    """The WhittakerForm at rational x, lambda and delta, in floats."""
+    val = cmath.exp(2j * math.pi * float(form.phase.evaluate(values)))
+    if sum(delta[j - 1] for j in form.sign) % 2:
+        val = -val
+    for name, (const, coeffs) in form.exponents.items():
+        x = values[name]
+        val *= abs(x) ** complex(const + sum(c * l for c, l in zip(coeffs, lam)))
+        if x < 0 and sum(p * d for p, d in zip(form.parities[name], delta)) % 2:
+            val = -val
+    return val
+
+
+@pytest.mark.parametrize("n_half", [2, 3])
+def test_whittaker_form_is_the_value_at_a_point(n_half):
+    # the form read from the symbolic factors, against the Whittaker value
+    # of the decomposition of the rational matrix itself
+    form = shuffled_whittaker_oracle(n_half)
+    rng = random.Random(19 * n_half)
+    for _ in range(10):
+        v = UnfoldVars.from_x(n_half, _random_x(rng, n_half))
+        lam = [Fraction(rng.randint(-4, 4), 2) for _ in range(2 * n_half)]
+        delta = [rng.randint(0, 1) for _ in range(2 * n_half)]
+        nhn = nhn_decompose(unfold.assemble_shuffled(v))
+        m = 2 * n_half
+        diag = [nhn.h[j, j] for j in range(m)]
+        superdiag = [nhn.n[i, i + 1] for i in range(m - 1)]
+        want = _float_whittaker(diag, superdiag, lam, delta)
+        assert _float_form(form, _values(v), lam, delta) == pytest.approx(want, rel=1e-9)
+
+
+def test_whittaker_eval_refuses_a_pivot_that_is_not_a_signed_monomial():
+    factors = shuffled_factors(2)
+    h = factors.diag[0]
+    for wrong in (2 * h, h + 1):
+        diag = (wrong,) + factors.diag[1:]
+        with pytest.raises(IdentityMismatchError, match="h_11 is not a signed monomial"):
+            whittaker_eval(diag, factors.superdiag)
+    assert whittaker_eval((-h,) + factors.diag[1:], factors.superdiag).sign == {1, 2}
 
 
 @pytest.mark.parametrize("n_half", [2, 3, 4, 5])
@@ -530,17 +586,24 @@ def test_shuffled_factors_at_a_point_are_the_pointwise_factors(n_half):
         v = UnfoldVars.from_x(n_half, _random_x(rng, n_half))
         nhn = nhn_decompose(unfold.assemble_shuffled(v))
         m = 2 * n_half
-        pointwise = unfold.ShuffledFactors(
-            tuple(nhn.h[j, j] for j in range(m)),
-            tuple(nhn.n[i, i + 1] for i in range(m - 1)),
-        )
-        assert factors.at(v) == pointwise
+        values = _values(v)
+        assert [e.evaluate(values) for e in factors.diag] == [nhn.h[j, j] for j in range(m)]
+        assert [e.evaluate(values) for e in factors.superdiag] == [
+            nhn.n[i, i + 1] for i in range(m - 1)
+        ]
 
 
 def test_shuffled_factors_need_every_x():
-    v = UnfoldVars.from_x(2, _random_x(random.Random(3), 2))
+    values = _values(UnfoldVars.from_x(2, _random_x(random.Random(3), 2)))
     with pytest.raises(KeyError):
-        shuffled_factors(3).at(v)
+        [e.evaluate(values) for e in shuffled_factors(3).diag]
+
+
+@pytest.mark.parametrize("n_half", [2, 3, 4, 5])
+def test_the_assembly_is_build_B_bordered_by_one(n_half):
+    assembled = unfold.assemble_shuffled(UnfoldVars.symbolic_x(n_half))
+    bordered = Matrix.block_diagonal(build_B(UnfoldVars.symbolic_x(n_half)), Matrix([[1]]))
+    assert assembled == bordered
 
 
 def _dense_assembly(v):
