@@ -73,7 +73,6 @@ from .specialfn import (
 from .suite import CHECKS, CheckResult, run_check, run_suite
 from .unfold import (
     KappaSigns,
-    ShuffledFactors,
     UnfoldVars,
     WhittakerForm,
     altsum_check,
@@ -81,7 +80,6 @@ from .unfold import (
     build_B,
     kappa_signs,
     lower_factor_recursive,
-    shuffled_factors,
     shuffled_whittaker_eval,
     shuffled_whittaker_oracle,
     sigma,

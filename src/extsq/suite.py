@@ -14,9 +14,13 @@ symbolic n_half each, which the suite runs at n_half = 2, 3, 4 and
 None.  ``whittaker_proof`` compares the Whittaker value read from the
 exact factors of the shuffled matrix with its closed form, symbolic in x,
 lambda and delta, part by part: phase, sign constant, exponents and
-parities.  The ``kappa_sweep`` loop is shared the same way, and the
-functional-equation ratio draws through ``fe_draws``, which the
-``fe-ratio`` check and the ``fe-check`` command share.
+parities.  Those factors come from the recursion for the lower factor and
+the superdiagonal sum, which ``recursion`` and ``superdiag`` prove, so
+``whittaker_proof`` runs no elimination; ``recursion_proof`` runs the one
+elimination per size, of the shifted block.  The ``kappa_sweep`` loop is
+shared the same way, and the functional-equation ratio draws through
+``fe_draws``, which the ``fe-ratio`` check and the ``fe-check`` command
+share.
 
 ``gamma-table`` proves its identity exactly as well: the unfolded Gamma
 table equals ``script_g`` as a ``GammaExpr``, with no point s evaluated.
@@ -380,8 +384,8 @@ def run_check(name: str, seed: int, trials=None) -> CheckResult:
 
 
 def run_suite(seed: int, trials=None, names=None) -> list:
-    """Run the named checks (all of them by default), sorted by name."""
-    todo = sorted(names if names is not None else CHECKS)
+    """Run the named checks (all of them by default) once each, sorted by name."""
+    todo = sorted(set(names) if names is not None else CHECKS)
     unknown = [n for n in todo if n not in CHECKS]
     if unknown:
         raise KeyError(f"unknown checks: {', '.join(unknown)}")

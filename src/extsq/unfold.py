@@ -10,8 +10,11 @@ coordinates x_{i,j}.  This module constructs all of it and provides both
 sides of every identity it relies on, so each formula can be checked against
 an independent elimination path.  The Whittaker value is compared as a
 ``WhittakerForm``, symbolic in x, lambda and delta at once: read from the
-factors of the shuffled matrix on indeterminates (``shuffled_factors``),
+factors of the shuffled matrix on indeterminates, which the recursion for
+the lower factor and the superdiagonal sum give without any elimination,
 and from its closed form.  No point is evaluated and no float is formed.
+Nothing here eliminates a matrix; the elimination in ``decomp`` is the
+oracle the tests and the ``recursion`` check hold these routes to.
 
 Index conventions (all 1-based, n = n_half):
   c_{i,j}, z_{i,j}        1 <= j <= i <= n-1, plus the structural c_{n,n} = 1
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomp import DegenerateMinorError, _require_exact, nhn_decompose
+from .decomp import DegenerateMinorError, _require_exact
 from .lfactors import GammaExpr, IdentityMismatchError
 from .matrices import Matrix, _clear, _is_zero
 from .polynomials import PolyRing
@@ -411,8 +414,8 @@ def superdiag_sum(vars: UnfoldVars):
     ..., N-1), is num * s_{i+1} / (s_i * d) on build_B's guard table: d =
     I(i+1, cols) memoises the minors of row i+2 that num, cleared row i, is
     expanded over.  superdiag_closed_form must agree exactly.  A zero d raises
-    DegenerateMinorError as nhn_decompose would; that needs a zero c or z, as
-    in x coordinates the trailing minors are signed monomials.
+    DegenerateMinorError as the elimination in decomp would; that needs a
+    zero c or z, as in x coordinates the trailing minors are signed monomials.
     """
     b, minors = _build_B(vars)
     size = b.nrows
@@ -627,30 +630,6 @@ def assemble_shuffled(vars: UnfoldVars) -> Matrix:
     return Matrix(rows)
 
 
-@dataclass(frozen=True)
-class ShuffledFactors:
-    """h's diagonal and the unit-upper n's superdiagonal of the decomposition
-    n h n_minus of an assembled shuffle matrix."""
-
-    diag: tuple
-    superdiag: tuple
-
-
-def shuffled_factors(n_half: int) -> ShuffledFactors:
-    """The factors of nhn_decompose(assemble_shuffled(symbolic_x(n_half))).
-
-    h's diagonal is signed monomials in x and n's superdiagonal Laurent
-    polynomials; the decomposition is unique, so at any nonzero rational x
-    their values are the factors of the pointwise decomposition.
-    """
-    nhn = nhn_decompose(assemble_shuffled(UnfoldVars.symbolic_x(n_half)))
-    m = 2 * n_half
-    return ShuffledFactors(
-        tuple(nhn.h[j, j] for j in range(m)),
-        tuple(nhn.n[i, i + 1] for i in range(m - 1)),
-    )
-
-
 def kappa2_sign(delta) -> int:
     two_n = len(delta)
     return _sign_pow(sum(delta[k - 1] for k in range(2, two_n - 1, 2)))
@@ -685,11 +664,11 @@ def _signed_monomial(h, j: int):
     raise IdentityMismatchError(f"h_{j}{j} is not a signed monomial")
 
 
-def whittaker_eval(diag, superdiag) -> WhittakerForm:
+def whittaker_eval(diag, phase) -> WhittakerForm:
     """The Whittaker value of g = n h n_minus read from its exact factors.
 
-    With diag the diagonal of h and superdiag that of the unit-upper n, it
-    is e(sum of superdiag) * prod_j |h_j|^((m+1)/2 - j - lambda_j)
+    With diag the diagonal of h and phase the sum of the superdiagonal of
+    the unit-upper n, it is e(phase) * prod_j |h_j|^((m+1)/2 - j - lambda_j)
     sgn(h_j)^delta_j.  Each h_j must be eps_j x^(a_j), a monomial with
     coefficient +-1, or IdentityMismatchError is raised.  Then the sign
     constant collects the j with eps_j = -1, and x carries the exponent
@@ -708,7 +687,7 @@ def whittaker_eval(diag, superdiag) -> WhittakerForm:
         const = sum(Fraction(e * (m + 1 - 2 * j), 2) for j, e in enumerate(col, 1))
         exponents[name] = (const, tuple(-e for e in col))
         parities[name] = tuple(e % 2 for e in col)
-    return WhittakerForm(sum(superdiag), frozenset(sign), exponents, parities)
+    return WhittakerForm(phase, frozenset(sign), exponents, parities)
 
 
 def shuffled_whittaker_eval(n_half: int) -> WhittakerForm:
@@ -735,9 +714,23 @@ def shuffled_whittaker_eval(n_half: int) -> WhittakerForm:
 
 
 def shuffled_whittaker_oracle(n_half: int) -> WhittakerForm:
-    """whittaker_eval on the factors of assemble_shuffled(symbolic_x(n_half))."""
-    factors = shuffled_factors(n_half)
-    return whittaker_eval(factors.diag, factors.superdiag)
+    """whittaker_eval on the factors of assemble_shuffled(symbolic_x(n_half)),
+    read from code the suite proves, with no elimination run.
+
+    assemble_shuffled is build_B bordered by a trailing 1 (a Tier-1 test),
+    so by uniqueness its h is B's h bordered by 1 and its n is B's n
+    bordered by the identity.  B's lower factor h n_minus is
+    lower_factor_recursive (the ``recursion`` check), so h's diagonal is
+    rec's.  The superdiagonal of B's n sums to superdiag_sum (the
+    ``superdiag`` check), and the border adds a zero to it.  The closed
+    form shares none of this: it reads kappa2_sign, the index rule and
+    superdiag_closed_form_x.
+    """
+    vx = UnfoldVars.symbolic_x(n_half)
+    rec = lower_factor_recursive(n_half, {key: vx.x(*key) for key in _x_index_set(n_half)})
+    one = RatFunc.const(rec[0, 0].ring, 1)
+    diag = [rec[j, j] for j in range(rec.nrows)] + [one]
+    return whittaker_eval(diag, superdiag_sum(vx))
 
 
 # -- kappa bookkeeping -------------------------------------------------------

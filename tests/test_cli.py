@@ -478,6 +478,15 @@ def test_suite_subset(capsys):
     assert kv["euler"].startswith("PASS")
 
 
+def test_suite_runs_a_repeated_check_once(capsys):
+    argv = ("suite", "--seed", "42", "--check", "kappa", "--check", "kappa")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert [line.split("\t")[0] for line in lines[:-1]] == ["kappa"]
+    assert re.fullmatch(r"# 1/1 checks passed in \d+ ms", lines[-1])
+
+
 def test_suite_rejects_unknown_check():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["suite", "--check", "nonsense"])

@@ -242,6 +242,20 @@ def test_the_guard_table_is_the_one_superdiagonal_route():
     assert "_build_B" in names
 
 
+def test_unfold_imports_no_elimination():
+    """unfold reads the Whittaker factors from the recursion and the guard
+    table, so of decomp it imports only the error and the exactness check;
+    the elimination stays the tests' oracle."""
+    tree = ast.parse((SRC / "unfold.py").read_text())
+    from_decomp = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "decomp":
+            from_decomp.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.endswith("decomp") for a in node.names)
+    assert from_decomp == {"DegenerateMinorError", "_require_exact"}
+
+
 def _ratfunc_builders(tree: ast.Module) -> list:
     """Lines that call RatFunc or bind it to another name.
 

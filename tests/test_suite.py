@@ -1,8 +1,10 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
+import extsq.decomp
 import extsq.suite
 import extsq.unfold
 from extsq.lfactors import GammaExpr
@@ -142,12 +144,29 @@ def _stray_g_factor(real):
     return lambda e, eta: real(e, eta) * GammaExpr.g_factor(0, 0)
 
 
-def _first_h_doubled(real):
-    def factors(n_half):
-        f = real(n_half)
-        return dataclasses.replace(f, diag=(2 * f.diag[0],) + f.diag[1:])
+def _first_pivot_doubled(real):
+    def rec(n_half, x):
+        mat = real(n_half, x)
+        mat.data[0][0] = 2 * mat.data[0][0]
+        return mat
 
-    return factors
+    return rec
+
+
+def _scaled(factor):
+    return lambda real: lambda *args: real(*args) * factor
+
+
+def _negated(real):
+    return lambda *args: -real(*args)
+
+
+def _one_fewer_lambda_when_partial(real):
+    return lambda d, lam, eta, full: real(d, lam if full else lam[:-1], eta, full)
+
+
+def _last_coefficient_dropped(real):
+    return lambda d: real(d)[:-1]
 
 
 def _first_index_flipped(real):
@@ -186,8 +205,45 @@ _GAMMA_TABLE_SEED_42 = (
     "'ds_blocks': [{'k': 4, 's': '-7/5i'}]}"
 )
 
-# each side of each proved identity, made wrong on its own
+# the first fe-ratio draw at seed 42; the float values depend on libm
+_FE_RATIO_SEED_42 = re.compile(
+    r"functional-equation ratio mismatch at s=\(0\.9104810165632051\+0\.4011330302004339j\): "
+    r"lhs=\S+, rhs=\S+, solved constant \S+ for "
+    + re.escape(
+        "{'n': 4, 'eta': 1, 'sign_blocks': [{'eps': 1, 's': '-13/100+6/5i'}, "
+        "{'eps': 0, 's': '7/10i'}, {'eps': 0, 's': '9/10i'}, {'eps': 1, 's': '13/100+6/5i'}], "
+        "'ds_blocks': [{'k': 3, 's': '-21/50-13/10i'}, {'k': 3, 's': '21/50-13/10i'}]}"
+    )
+)
+
+# each side of each proved identity, and each sampled check, made wrong on
+# its own; a detail is the exact text or a pattern it must match in full
 FAULTS = {
+    "anchors-gdelta-scaled": (
+        "anchors-gdelta",
+        "g_delta",
+        _scaled(1 + 1e-9),
+        "closed-form value at 1/2 is (1.000000001+0j)",
+    ),
+    "euler-pairwise-degree": (
+        "euler",
+        "ext2_reciprocal_poly",
+        _last_coefficient_dropped,
+        "pairwise degree wrong at size 2",
+    ),
+    "fe-ratio-omega": ("fe-ratio", "lfactors._omega", _negated, _FE_RATIO_SEED_42),
+    "holomorphy-partial-product": (
+        "holomorphy",
+        "lfactors._g_product",
+        _one_fewer_lambda_when_partial,
+        "raised IdentityMismatchError: partial products do not reassemble the G-product",
+    ),
+    "kappa2-first-index": (
+        "kappa",
+        "unfold.kappa2_sign",
+        _first_index_flipped,
+        "sign identity fails at delta=(1, 0, 0, 0), eta=0",
+    ),
     "superdiag-closed-form": (
         "superdiag",
         "superdiag_closed_form",
@@ -245,8 +301,8 @@ FAULTS = {
     ),
     "whittaker-factors": (
         "whittaker",
-        "unfold.shuffled_factors",
-        _first_h_doubled,
+        "unfold.lower_factor_recursive",
+        _first_pivot_doubled,
         "h_11 is not a signed monomial at n_half=2",
     ),
     "whittaker-kappa2": (
@@ -278,23 +334,30 @@ def test_a_committed_fault_fails_its_check(monkeypatch, fault):
     module, _, attr = target.rpartition(".")
     owner = getattr(extsq, module or "suite")
     monkeypatch.setattr(owner, attr, wrap(getattr(owner, attr)))
-    assert run_check(name, 42) == CheckResult(name, False, detail)
+    got = run_check(name, 42)
+    assert (got.name, got.passed) == (name, False)
+    if isinstance(detail, re.Pattern):
+        assert detail.fullmatch(got.detail), got.detail
+    else:
+        assert got.detail == detail
+
+
+def test_every_check_has_a_committed_fault():
+    # report-determinism re-runs two seeded checks; no single fault is its own
+    assert {name for name, *_ in FAULTS.values()} == set(CHECKS) - {"report-determinism"}
 
 
 @pytest.mark.parametrize("n_half", [2, 3, 4, 5])
-def test_whittaker_proof_decomposes_once(monkeypatch, n_half):
-    # the closed form reaches no elimination; the factors take one
-    calls = []
+def test_whittaker_proof_eliminates_nothing(monkeypatch, n_half):
+    # the factors come from the recursion and the superdiagonal sum
+    calls, real = [], extsq.decomp.nhn_decompose
 
-    def counted(real, attr):
-        def spy(*args):
-            calls.append(attr)
-            return real(*args)
+    def spy(g):
+        calls.append(g)
+        return real(g)
 
-        return spy
-
-    for module in (extsq.suite, extsq.unfold):
-        for attr in ("build_B", "nhn_decompose"):
-            monkeypatch.setattr(module, attr, counted(getattr(module, attr), attr))
+    assert not hasattr(extsq.unfold, "nhn_decompose")
+    for module in (extsq.suite, extsq.unfold, extsq.decomp):
+        monkeypatch.setattr(module, "nhn_decompose", spy, raising=False)
     assert whittaker_proof(n_half) is None
-    assert calls == ["build_B", "nhn_decompose"]
+    assert calls == []

@@ -24,7 +24,6 @@ from extsq.unfold import (
     build_B,
     kappa_signs,
     lower_factor_recursive,
-    shuffled_factors,
     shuffled_whittaker_eval,
     shuffled_whittaker_oracle,
     sigma,
@@ -565,41 +564,44 @@ def test_whittaker_form_is_the_value_at_a_point(n_half):
         assert _float_form(form, _values(v), lam, delta) == pytest.approx(want, rel=1e-9)
 
 
-def test_whittaker_eval_refuses_a_pivot_that_is_not_a_signed_monomial():
-    factors = shuffled_factors(2)
-    h = factors.diag[0]
+def _oracle_factors(monkeypatch, n_half):
+    """The diagonal and phase shuffled_whittaker_oracle hands to whittaker_eval."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(unfold, "whittaker_eval", lambda diag, phase: seen.append((diag, phase)))
+        shuffled_whittaker_oracle(n_half)
+    (factors,) = seen
+    return factors
+
+
+def test_whittaker_eval_refuses_a_pivot_that_is_not_a_signed_monomial(monkeypatch):
+    # the recursion's diagonal, bordered by 1, with one pivot made wrong
+    diag, phase = _oracle_factors(monkeypatch, 2)
+    h = diag[0]
     for wrong in (2 * h, h + 1):
-        diag = (wrong,) + factors.diag[1:]
         with pytest.raises(IdentityMismatchError, match="h_11 is not a signed monomial"):
-            whittaker_eval(diag, factors.superdiag)
-    assert whittaker_eval((-h,) + factors.diag[1:], factors.superdiag).sign == {1, 2}
+            whittaker_eval([wrong] + diag[1:], phase)
+    assert whittaker_eval([-h] + diag[1:], phase).sign == {1, 2}
 
 
-@pytest.mark.parametrize("n_half", [2, 3, 4, 5])
-def test_shuffled_factors_at_a_point_are_the_pointwise_factors(n_half):
-    # the symbolic factors, evaluated at rational x, against the
-    # decomposition of the rational matrix itself
-    factors = shuffled_factors(n_half)
-    assert all(isinstance(e, RatFunc) for e in factors.diag + factors.superdiag)
+@pytest.mark.parametrize("n_half", [2, 3, 4, 5, 6])
+def test_shuffled_factors_at_a_point_are_the_pointwise_factors(monkeypatch, n_half):
+    # the diagonal read from the recursion and the phase from the
+    # superdiagonal sum, evaluated at rational x, against the elimination
+    # of the rational shuffled matrix itself
+    diag, phase = _oracle_factors(monkeypatch, n_half)
+    assert all(isinstance(e, RatFunc) for e in diag + [phase])
     rng = random.Random(37 * n_half)
     for _ in range(10):
         v = UnfoldVars.from_x(n_half, _random_x(rng, n_half))
         nhn = nhn_decompose(unfold.assemble_shuffled(v))
         m = 2 * n_half
         values = _values(v)
-        assert [e.evaluate(values) for e in factors.diag] == [nhn.h[j, j] for j in range(m)]
-        assert [e.evaluate(values) for e in factors.superdiag] == [
-            nhn.n[i, i + 1] for i in range(m - 1)
-        ]
+        assert [e.evaluate(values) for e in diag] == [nhn.h[j, j] for j in range(m)]
+        assert phase.evaluate(values) == sum(nhn.n[i, i + 1] for i in range(m - 1))
 
 
-def test_shuffled_factors_need_every_x():
-    values = _values(UnfoldVars.from_x(2, _random_x(random.Random(3), 2)))
-    with pytest.raises(KeyError):
-        [e.evaluate(values) for e in shuffled_factors(3).diag]
-
-
-@pytest.mark.parametrize("n_half", [2, 3, 4, 5])
+@pytest.mark.parametrize("n_half", [2, 3, 4, 5, 6])
 def test_the_assembly_is_build_B_bordered_by_one(n_half):
     assembled = unfold.assemble_shuffled(UnfoldVars.symbolic_x(n_half))
     bordered = Matrix.block_diagonal(build_B(UnfoldVars.symbolic_x(n_half)), Matrix([[1]]))
